@@ -17,21 +17,27 @@ maximizer the first-order condition reads
 
     gamma(n+1, a) gamma(n+1, 1/a) = e^(-a - 1/a)
 
-and the solver certifies it through two residuals that vanish at the true
-stationary point.
+The solver finds its root directly: safeguarded Newton on the log form of
+this condition, whose derivative comes in closed form from the same two
+gamma values, inside the positivity island of the sign map.  Two residuals
+that vanish at the true stationary point certify the result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .logdomain import log_add, log_sub_signed, log_sum
+from .measures import _check_n
 from .profile import INF, ConvexProfile, RadiusFunction
 from .gammafn import reg_gamma
 
 _BISECT_RTOL = 1e-12
+_BISECT_MAX_STEPS = 300
+_NEWTON_RTOL = 1e-15
+_NEWTON_MAX_STEPS = 100
 _RESIDUAL_TOL = 1e-8
 
 
@@ -53,11 +59,6 @@ class BracketInvalid(Exception):
 
 class ZeroProfile(Exception):
     """The profile degenerates and no tent can be anchored to it."""
-
-
-def _check_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
 
 
 def _log_gamma_lower(s: int, x: float) -> float:
@@ -97,7 +98,7 @@ def _gap_probes(n: int) -> tuple[float, float]:
 
 def _bisect(f, lo: float, hi: float) -> float:
     f_lo = f(lo)
-    for _ in range(300):
+    for _ in range(_BISECT_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= _BISECT_RTOL * mid:
             return mid
@@ -105,7 +106,10 @@ def _bisect(f, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise ArithmeticError(
+        f"bisection did not reach relative width {_BISECT_RTOL} in "
+        f"{_BISECT_MAX_STEPS} steps on [{lo}, {hi}]"
+    )
 
 
 @dataclass(frozen=True)
@@ -279,40 +283,38 @@ def big_g(a: float, n: int) -> float:
     return num - den
 
 
+def _gap_and_slope(a: float, n: int) -> tuple[float, float]:
+    """The stationarity gap h(a) and its derivative, from two gamma values.
+
+    With d/da log gamma(n+1, a) = a^n e^(-a) / gamma(n+1, a),
+
+        h'(a) = 1/a^2 - 1 - a^n e^(-a) / gamma(n+1, a)
+                + a^(-n-2) e^(-1/a) / gamma(n+1, 1/a).
+    """
+    inv = 1.0 / a
+    la = math.log(a)
+    log_lower = _log_gamma_lower(n + 1, a)
+    log_lower_inv = _log_gamma_lower(n + 1, inv)
+    gap = -inv - a - log_lower - log_lower_inv
+    slope = (
+        inv * inv
+        - 1.0
+        - math.exp(n * la - a - log_lower)
+        + math.exp(-(n + 2) * la - inv - log_lower_inv)
+    )
+    return gap, slope
+
+
 def _stationarity_gap(a: float, n: int) -> float:
     """h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a).
 
     Negative where G increases, zero at its critical points.
     """
-    return (
-        -1.0 / a
-        - a
-        - _log_gamma_lower(n + 1, a)
-        - _log_gamma_lower(n + 1, 1.0 / a)
-    )
+    return _gap_and_slope(a, n)[0]
 
 
 # ---------------------------------------------------------------------------
 # solving for the dimensional constant
-
-
-def _golden_max(f, lo: float, hi: float) -> float:
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(300):
-        if hi - lo <= _BISECT_RTOL * max(lo, 1e-300):
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -324,7 +326,9 @@ class LambdaEstimate:
     are the relative errors of the two first-order identities
     lambda = e^(-1/a) / gamma(n+1, a) and lambda = e^a gamma(n+1, 1/a).
     lambda_hat_minus_1 is lambda/n! - 1 computed through the regularized
-    gamma so no large-factorial cancellation occurs.
+    gamma so no large-factorial cancellation occurs.  multiple_local_maxima
+    reports whether G peaks more than once on a 65-point scan of bracket;
+    the solve does not need it, so it is computed on first read.
     """
 
     n: int
@@ -334,23 +338,49 @@ class LambdaEstimate:
     residual_n1: float
     residual_n2: float
     lambda_hat_minus_1: float
-    multiple_local_maxima: bool
+
+    @cached_property
+    def multiple_local_maxima(self) -> bool:
+        lo, hi = self.bracket
+        vals = [big_g(lo + (hi - lo) * i / 64.0, self.n) for i in range(65)]
+        peaks = sum(
+            1
+            for i in range(1, 64)
+            if vals[i - 1] < vals[i] >= vals[i + 1]
+        )
+        return peaks > 1
 
 
-def _refine_stationary(n: int, a0: float, lo: float, hi: float) -> float:
-    # Golden section flattens out near the peak (the objective moves by
-    # ~eps while the abscissa still wanders ~1e-8); the first-order
-    # condition has a healthy slope there, so polish on its sign change.
-    width = max(1e-8, 1e-6 * a0)
-    for _ in range(80):
-        wl = max(lo, a0 - width)
-        wr = min(hi, a0 + width)
-        if _stationarity_gap(wl, n) < 0.0 < _stationarity_gap(wr, n):
-            return _bisect(lambda a: _stationarity_gap(a, n), wl, wr)
-        if wl == lo and wr == hi:
-            break
-        width *= 4.0
-    return a0
+def _newton_stationary(n: int, lo: float, hi: float) -> float:
+    """Root of the stationarity gap in [lo, hi] by safeguarded Newton.
+
+    The sign bracket h(lo) < 0 < h(hi) is checked first and shrinks with
+    every evaluation; a step that leaves it is replaced by bisection.  The
+    iteration stops once a step moves a by at most 1e-15 relative.
+    """
+    if not _stationarity_gap(lo, n) < 0.0 < _stationarity_gap(hi, n):
+        raise BracketFailure(
+            f"stationarity gap does not change sign on [{lo}, {hi}] at n={n}"
+        )
+    a = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        gap, slope = _gap_and_slope(a, n)
+        if gap == 0.0:
+            return a
+        if gap < 0.0:
+            lo = a
+        else:
+            hi = a
+        nxt = 0.5 * (lo + hi)
+        if slope > 0.0 and lo < a - gap / slope < hi:
+            nxt = a - gap / slope
+        if abs(nxt - a) <= _NEWTON_RTOL * a:
+            return nxt
+        a = nxt
+    raise StationarityFailure(
+        f"Newton iteration did not settle in {_NEWTON_MAX_STEPS} steps at "
+        f"n={n}; last bracket [{lo}, {hi}]"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -358,9 +388,10 @@ def solve_lambda(n: int) -> LambdaEstimate:
     """Maximize the capped-tent ratio G over a for dimension n.
 
     The positivity island of the sign map at lambda = n! brackets the
-    maximizer; golden section plus a stationarity polish find it, the two
-    first-order residuals certify it (1e-8), and the roots are recomputed
-    at the solved lambda to confirm the maximizer stays inside the island.
+    maximizer.  Safeguarded Newton on the stationarity gap h finds the
+    root of G's first-order condition there, the two first-order
+    residuals certify it (1e-8), and the roots are recomputed at the
+    solved lambda to confirm the maximizer stays inside the island.
     """
     _check_n(n)
     log_factorial = math.lgamma(n + 1)
@@ -371,8 +402,7 @@ def solve_lambda(n: int) -> LambdaEstimate:
             f"no positivity island at lambda = n! for n={n}"
         ) from exc
     lo, hi = seed.z1, seed.z2
-    a0 = _golden_max(lambda a: big_g(a, n), lo, hi)
-    a_n = _refine_stationary(n, a0, lo, hi)
+    a_n = _newton_stationary(n, lo, hi)
     log_lambda = big_g(a_n, n)
     residual_n1 = math.expm1(
         -1.0 / a_n - _log_gamma_lower(n + 1, a_n) - log_lambda
@@ -394,13 +424,6 @@ def solve_lambda(n: int) -> LambdaEstimate:
         raise BracketFailure(
             f"maximizer a={a_n} escaped the island [{island.z1}, {island.z2}]"
         )
-    scan = [lo + (hi - lo) * i / 64.0 for i in range(65)]
-    vals = [big_g(a, n) for a in scan]
-    peaks = sum(
-        1
-        for i in range(1, 64)
-        if vals[i - 1] < vals[i] >= vals[i + 1]
-    )
     return LambdaEstimate(
         n=n,
         log_lambda=log_lambda,
@@ -411,7 +434,6 @@ def solve_lambda(n: int) -> LambdaEstimate:
         lambda_hat_minus_1=math.expm1(
             a_n + reg_gamma(n + 1, 1.0 / a_n).log_p
         ),
-        multiple_local_maxima=peaks > 1,
     )
 
 

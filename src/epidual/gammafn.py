@@ -48,7 +48,6 @@ class RegularizedGamma:
     q: float
     log_p: float
     log_q: float
-    log_gamma_s: float
 
 
 def _log1pmx(d: float) -> float:
@@ -143,20 +142,19 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
         raise ValueError(f"reg_gamma needs s >= 1, got s={s}")
     if not (x >= 0.0) or math.isinf(x):
         raise ValueError(f"reg_gamma needs finite x >= 0, got x={x}")
-    log_gamma_s = math.lgamma(s)
     if x == 0.0:
-        return RegularizedGamma(0.0, 1.0, float("-inf"), 0.0, log_gamma_s)
+        return RegularizedGamma(0.0, 1.0, float("-inf"), 0.0)
     if x < s + 1.0:
         log_p = _lower_series(s, x)
         p = math.exp(log_p)
         q = -math.expm1(log_p)
         log_q = math.log1p(-p) if p < 1.0 else math.log(q)
-        return RegularizedGamma(p, q, log_p, log_q, log_gamma_s)
+        return RegularizedGamma(p, q, log_p, log_q)
     log_q = _upper_cf(s, x)
     q = math.exp(log_q)
     p = -math.expm1(log_q)
     log_p = math.log1p(-q)
-    return RegularizedGamma(p, q, log_p, log_q, log_gamma_s)
+    return RegularizedGamma(p, q, log_p, log_q)
 
 
 def check_small_a_bound(n: int, a: float) -> bool:

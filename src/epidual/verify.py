@@ -221,7 +221,8 @@ def _cap_radius(rho: RadiusFunction, cap: float) -> RadiusFunction:
 # suite bodies; each returns (residual, failure description or None)
 
 CaseResult = tuple[float, str | None]
-SuiteBody = Callable[[int, np.random.Generator, ProfileSampler], CaseResult]
+# quoted, so that importing the package does not load numpy.random
+SuiteBody = Callable[[int, "np.random.Generator", ProfileSampler], CaseResult]
 
 
 def _suite_involution(i: int, rng, sampler: ProfileSampler) -> CaseResult:

@@ -4,15 +4,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from epidual import extremal
 from epidual.extremal import (
     BracketFailure,
     BracketInvalid,
     LambdaEstimate,
     OneRootCase,
     RootTriple,
+    StationarityFailure,
     TentParams,
     ZeroProfile,
+    _bisect,
     _gap_probes,
+    _newton_stationary,
     _stationarity_gap,
     a_bracket,
     big_f,
@@ -294,7 +298,7 @@ def test_solver_dimension_one_values():
 
 
 def test_solver_certificates_and_bracket():
-    for n in (1, 3, 17, 80):
+    for n in range(1, 1001):
         est = solve_lambda(n)
         assert abs(est.residual_n1) <= 1e-8
         assert abs(est.residual_n2) <= 1e-8
@@ -302,7 +306,39 @@ def test_solver_certificates_and_bracket():
         # the maximizer also stays in the narrower island at the solved lambda
         island = roots_of_m(n, est.log_lambda)
         assert est.bracket[0] <= island.z1 <= est.a_n <= island.z2
+
+
+def _count_reg_gamma(monkeypatch):
+    calls = [0]
+    inner = extremal.reg_gamma
+
+    def counted(s, x):
+        calls[0] += 1
+        return inner(s, x)
+
+    monkeypatch.setattr(extremal, "reg_gamma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 10, 100, 1000])
+def test_cold_solve_gamma_budget(monkeypatch, n):
+    calls = _count_reg_gamma(monkeypatch)
+    solve_lambda.__wrapped__(n)
+    assert calls[0] <= 60
+
+
+def test_multiple_local_maxima_is_lazy(monkeypatch):
+    calls = _count_reg_gamma(monkeypatch)
+    for n in (1, 3, 17, 80):
+        est = solve_lambda.__wrapped__(n)
+        assert "multiple_local_maxima" not in vars(est)
+        solved = calls[0]
         assert not est.multiple_local_maxima
+        assert calls[0] > solved
+        # read again, the cached flag costs nothing
+        solved = calls[0]
+        assert not est.multiple_local_maxima
+        assert calls[0] == solved
 
 
 def test_solver_bracket_is_factorial_island():
@@ -344,6 +380,26 @@ def test_stationarity_gap_brackets_maximizer():
         est = solve_lambda(n)
         assert _stationarity_gap(est.a_n * 0.9, n) < 0.0
         assert _stationarity_gap(est.a_n * 1.1, n) > 0.0
+
+
+def test_bisect_raises_when_it_cannot_converge():
+    # the relative stopping width never shrinks below a midpoint of 0
+    with pytest.raises(ArithmeticError):
+        _bisect(lambda z: z, -1.0, 1.0)
+
+
+def test_newton_cap_raises(monkeypatch):
+    island = roots_of_m(50, math.lgamma(51))
+    monkeypatch.setattr(extremal, "_NEWTON_MAX_STEPS", 2)
+    with pytest.raises(StationarityFailure):
+        _newton_stationary(50, island.z1, island.z2)
+
+
+def test_newton_rejects_bracket_without_sign_change():
+    # the gap is negative on the whole left part of the island
+    est = solve_lambda(5)
+    with pytest.raises(BracketFailure):
+        _newton_stationary(5, est.bracket[0], 0.9 * est.a_n)
 
 
 def test_solver_rejects_bad_dimension():

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epidual
 from epidual.extremal import solve_lambda
 from epidual.profile import ConstantTail, LinearTail, ConvexProfile, RadiusFunction, to_radius
 from epidual.verify import (
@@ -19,6 +24,14 @@ from epidual.verify import (
     brute_force_lambda,
     run_suite,
 )
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random adds about 6 MB to a bare import; only sampling needs it
+    src = str(Path(epidual.__file__).resolve().parents[1])
+    code = "import sys, epidual; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_sampler_is_deterministic():
