@@ -174,6 +174,18 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     return RootTriple(z1, z2, z3, log_lambda, n)
 
 
+def _solved_island(n: int, log_lambda: float) -> RootTriple:
+    """The sign-map roots at a solved lambda.
+
+    The solved lambda can sit a hair above the tangency value, where the
+    island closes; the roots are then taken 1e-12 relative below it.
+    """
+    try:
+        return roots_of_m(n, log_lambda)
+    except OneRootCase:
+        return roots_of_m(n, log_lambda + math.log1p(-1e-12))
+
+
 # ---------------------------------------------------------------------------
 # tents
 
@@ -277,9 +289,14 @@ def big_g(a: float, n: int) -> float:
     _check_n(n)
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"tent slope a must be finite > 0, got {a}")
+    return _log_g(a, n, _log_gamma_lower(n + 1, a), _log_gamma_lower(n + 1, 1.0 / a))
+
+
+def _log_g(a: float, n: int, log_lower: float, log_lower_inv: float) -> float:
+    """log G(a, n) from the unnormalized log gamma(n+1, a) and log gamma(n+1, 1/a)."""
     la = math.log(a)
-    num = log_add(-1.0 / a, n * la + _log_gamma_lower(n + 1, 1.0 / a))
-    den = log_add(_log_gamma_lower(n + 1, a), n * la - a)
+    num = log_add(-1.0 / a, n * la + log_lower_inv)
+    den = log_add(log_lower, n * la - a)
     return num - den
 
 
@@ -403,23 +420,18 @@ def solve_lambda(n: int) -> LambdaEstimate:
         ) from exc
     lo, hi = seed.z1, seed.z2
     a_n = _newton_stationary(n, lo, hi)
-    log_lambda = big_g(a_n, n)
-    residual_n1 = math.expm1(
-        -1.0 / a_n - _log_gamma_lower(n + 1, a_n) - log_lambda
-    )
-    residual_n2 = math.expm1(
-        a_n + _log_gamma_lower(n + 1, 1.0 / a_n) - log_lambda
-    )
+    log_lower = _log_gamma_lower(n + 1, a_n)
+    log_p_inv = reg_gamma(n + 1, 1.0 / a_n).log_p
+    log_lower_inv = log_p_inv + math.lgamma(n + 1)
+    log_lambda = _log_g(a_n, n, log_lower, log_lower_inv)
+    residual_n1 = math.expm1(-1.0 / a_n - log_lower - log_lambda)
+    residual_n2 = math.expm1(a_n + log_lower_inv - log_lambda)
     if max(abs(residual_n1), abs(residual_n2)) > _RESIDUAL_TOL:
         raise StationarityFailure(
             f"stationarity residuals {residual_n1:.3e}, {residual_n2:.3e} "
             f"exceed {_RESIDUAL_TOL} at n={n}"
         )
-    try:
-        island = roots_of_m(n, log_lambda)
-    except OneRootCase:
-        # the solved lambda can sit a hair above the tangency value
-        island = roots_of_m(n, log_lambda + math.log1p(-1e-12))
+    island = _solved_island(n, log_lambda)
     if not island.z1 <= a_n <= island.z2:
         raise BracketFailure(
             f"maximizer a={a_n} escaped the island [{island.z1}, {island.z2}]"
@@ -431,9 +443,7 @@ def solve_lambda(n: int) -> LambdaEstimate:
         bracket=(lo, hi),
         residual_n1=residual_n1,
         residual_n2=residual_n2,
-        lambda_hat_minus_1=math.expm1(
-            a_n + reg_gamma(n + 1, 1.0 / a_n).log_p
-        ),
+        lambda_hat_minus_1=math.expm1(a_n + log_p_inv),
     )
 
 

@@ -20,9 +20,13 @@ where naive use of lgamma loses five digits to cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-_SERIES_EPS = 1e-17
+# Series and fraction terms stop at one unit of double precision; a smaller
+# tolerance can never be met where the continued fraction's factors round
+# to 1 +- ulp, and the loop then runs into _MAX_ITER.
+_SERIES_EPS = sys.float_info.epsilon
 _MAX_ITER = 200000
 _FPMIN = 1e-300
 # Bernoulli-number coefficients of the Stirling asymptotic series for ln Gamma.
@@ -33,7 +37,6 @@ _STIRLING_COEFFS = (
     -1.0 / 1680.0,
     1.0 / 1188.0,
 )
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

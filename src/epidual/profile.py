@@ -6,6 +6,11 @@ a jump to +inf past the last breakpoint (indicator-type tails).  The inverse
 view is the radius function rho(z) = sup{r : psi(r) <= z}, concave and
 non-decreasing, with either a constant or a linear tail.
 
+Both views are one kind of object, a piecewise-linear function with a tail
+slope, and differ only in the direction their slopes turn.  They share the
+module-level helpers: _canonical validates breakpoints and merges collinear
+ones, _interpolate evaluates them, _approx_same compares them.
+
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
 All three transforms (inversion J, conjugation L, polarity A) are exact on
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 INF = float("inf")
@@ -31,6 +37,15 @@ MERGE_RTOL = 1e-12
 # Slack for accepting slope monotonicity from computed (rounded) inputs.
 CONVEXITY_SLACK = 1e-9
 
+_Points = tuple[tuple[float, float], ...]
+
+# Validation wording by curvature direction: +1 for convex profiles (r, psi),
+# whose slopes rise, -1 for concave radii (z, rho), whose slopes fall.
+_WORDS = {
+    1: ("radii", "values", "decrease", "below"),
+    -1: ("heights", "radius", "increase", "above"),
+}
+
 
 def _close(a: float, b: float, rtol: float = MERGE_RTOL) -> bool:
     if a == b:
@@ -38,6 +53,79 @@ def _close(a: float, b: float, rtol: float = MERGE_RTOL) -> bool:
     if math.isinf(a) or math.isinf(b):
         return False
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+
+
+def _canonical(
+    pts: list[tuple[float, float]], tail_slope: float, direction: int
+) -> _Points:
+    """Validate breakpoints with a tail slope and return their canonical form.
+
+    x must strictly increase and y must not decrease; the slopes, the tail
+    slope last, must turn in `direction` (+1 convex, -1 concave) up to
+    CONVEXITY_SLACK, or ValueError is raised.  Trailing points collinear
+    with a finite tail are absorbed into it (popped from pts), then
+    collinear runs are merged.
+    """
+    xs, ys, turn, side = _WORDS[direction]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if not x1 > x0:
+            raise ValueError(f"{xs} must strictly increase: {x0} -> {x1}")
+        if y1 < y0 - CONVEXITY_SLACK * max(1.0, abs(y0)):
+            raise ValueError(f"{ys} must not decrease: {y0} -> {y1}")
+    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+    for s0, s1 in zip(slopes, slopes[1:]):
+        if direction * s1 < direction * s0 - CONVEXITY_SLACK * max(
+            1.0, abs(s0), abs(s1)
+        ):
+            raise ValueError(f"slopes must not {turn}: {s0} -> {s1}")
+    if slopes and direction * tail_slope < direction * slopes[-1] - (
+        CONVEXITY_SLACK * max(1.0, abs(slopes[-1]))
+    ):
+        raise ValueError(f"tail slope {tail_slope} {side} final slope {slopes[-1]}")
+    while len(pts) > 1 and not math.isinf(tail_slope):
+        (x0, y0), (x1, y1) = pts[-2], pts[-1]
+        if not _close((y1 - y0) / (x1 - x0), tail_slope):
+            break
+        pts.pop()
+    merged = pts[:1]
+    for x, y in pts[1:]:
+        while len(merged) > 1:
+            (xa, ya), (xb, yb) = merged[-2], merged[-1]
+            if not _close((yb - ya) / (xb - xa), (y - yb) / (x - xb)):
+                break
+            merged.pop()
+        merged.append((x, y))
+    return tuple(merged)
+
+
+def _interpolate(pts: _Points, tail_slope: float, x: float) -> float:
+    """Value at x >= pts[0][0] of the breakpoints continued by tail_slope.
+
+    A tail slope of 0 holds the last value (also at x = inf), one of inf
+    jumps to +inf past the last breakpoint.
+    """
+    x_last, y_last = pts[-1]
+    if x >= x_last:
+        if x == x_last or tail_slope == 0.0:
+            return y_last
+        return y_last + tail_slope * (x - x_last)
+    idx = bisect_right(pts, x, key=itemgetter(0)) - 1
+    (x0, y0), (x1, y1) = pts[idx], pts[idx + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _approx_same(
+    a: _Points, a_tail: float, b: _Points, b_tail: float, rtol: float
+) -> bool:
+    """Breakpoints and tail slopes agree pairwise to rtol (inf only to inf)."""
+    return (
+        len(a) == len(b)
+        and _close(a_tail, b_tail, rtol)
+        and all(
+            _close(p[0], q[0], rtol) and _close(p[1], q[1], rtol)
+            for p, q in zip(a, b)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -67,39 +155,7 @@ class ConvexProfile:
             raise ValueError(f"profile must start at (0, 0), got {pts[0]}")
         if math.isnan(tail) or tail < 0.0:
             raise ValueError(f"tail slope must be in [0, inf], got {tail}")
-        for (r0, v0), (r1, v1) in zip(pts, pts[1:]):
-            if not r1 > r0:
-                raise ValueError(f"radii must strictly increase: {r0} -> {r1}")
-            if v1 < v0 - CONVEXITY_SLACK * max(1.0, abs(v0)):
-                raise ValueError(f"values must not decrease: {v0} -> {v1}")
-        slopes = [(v1 - v0) / (r1 - r0) for (r0, v0), (r1, v1) in zip(pts, pts[1:])]
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s1 < s0 - CONVEXITY_SLACK * max(1.0, abs(s0), abs(s1)):
-                raise ValueError(f"slopes must not decrease: {s0} -> {s1}")
-        if slopes and not math.isinf(tail):
-            if tail < slopes[-1] - CONVEXITY_SLACK * max(1.0, abs(slopes[-1])):
-                raise ValueError(
-                    f"tail slope {tail} below final slope {slopes[-1]}"
-                )
-        # canonicalize: absorb tail-collinear trailing points, merge collinear
-        while len(pts) > 1 and not math.isinf(tail):
-            r0, v0 = pts[-2]
-            r1, v1 = pts[-1]
-            if _close((v1 - v0) / (r1 - r0), tail):
-                pts.pop()
-            else:
-                break
-        merged = pts[:1]
-        for r, v in pts[1:]:
-            while len(merged) > 1:
-                ra, va = merged[-2]
-                rb, vb = merged[-1]
-                if _close((vb - va) / (rb - ra), (v - vb) / (r - rb)):
-                    merged.pop()
-                else:
-                    break
-            merged.append((r, v))
-        object.__setattr__(self, "breakpoints", tuple(merged))
+        object.__setattr__(self, "breakpoints", _canonical(pts, tail, 1))
         object.__setattr__(self, "tail_slope", tail)
 
     @property
@@ -122,30 +178,11 @@ class ConvexProfile:
     def evaluate(self, r: float) -> float:
         if r < 0.0 or math.isnan(r):
             raise ValueError(f"profile domain is r >= 0, got {r}")
-        pts = self.breakpoints
-        r_last, v_last = pts[-1]
-        if r >= r_last:
-            if r == r_last:
-                return v_last
-            if math.isinf(self.tail_slope):
-                return INF
-            return v_last + self.tail_slope * (r - r_last)
-        idx = bisect_right([p[0] for p in pts], r) - 1
-        r0, v0 = pts[idx]
-        r1, v1 = pts[idx + 1]
-        return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
+        return _interpolate(self.breakpoints, self.tail_slope, r)
 
     def approx_equal(self, other: "ConvexProfile", rtol: float = MERGE_RTOL) -> bool:
-        if len(self.breakpoints) != len(other.breakpoints):
-            return False
-        if math.isinf(self.tail_slope) != math.isinf(other.tail_slope):
-            return False
-        if not math.isinf(self.tail_slope):
-            if not _close(self.tail_slope, other.tail_slope, rtol):
-                return False
-        return all(
-            _close(a[0], b[0], rtol) and _close(a[1], b[1], rtol)
-            for a, b in zip(self.breakpoints, other.breakpoints)
+        return _approx_same(
+            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope, rtol
         )
 
 
@@ -172,7 +209,8 @@ class RadiusFunction:
     """Level-set radius rho(z): breakpoints ((z, rho), ...) plus a tail.
 
     rho is non-decreasing and concave.  The degenerate rho == +inf (profile
-    psi == 0) is the single breakpoint (0, inf) with a constant tail.
+    psi == 0) is the single breakpoint (0, inf) with a constant tail.  A
+    constant tail is canonicalized to the last radius.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -193,50 +231,14 @@ class RadiusFunction:
             return
         if pts[0][1] < 0.0:
             raise ValueError(f"radius must be nonnegative, got {pts[0][1]}")
-        for (z0, x0), (z1, x1) in zip(pts, pts[1:]):
-            if not z1 > z0:
-                raise ValueError(f"heights must strictly increase: {z0} -> {z1}")
-            if x1 < x0 - CONVEXITY_SLACK * max(1.0, abs(x0)):
-                raise ValueError(f"radius must not decrease: {x0} -> {x1}")
-        slopes = [(x1 - x0) / (z1 - z0) for (z0, x0), (z1, x1) in zip(pts, pts[1:])]
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s1 > s0 + CONVEXITY_SLACK * max(1.0, abs(s0), abs(s1)):
-                raise ValueError(f"slopes must not increase: {s0} -> {s1}")
-        tail_slope = self.tail.slope if isinstance(self.tail, LinearTail) else 0.0
-        if slopes and tail_slope > slopes[-1] + CONVEXITY_SLACK * max(
-            1.0, abs(slopes[-1])
-        ):
-            raise ValueError(
-                f"tail slope {tail_slope} above final slope {slopes[-1]}"
-            )
-        if isinstance(self.tail, ConstantTail):
-            x_last = pts[-1][1]
-            if not _close(self.tail.value, x_last, CONVEXITY_SLACK):
-                raise ValueError(
-                    f"constant tail {self.tail.value} != last radius {x_last}"
-                )
-        # absorb trailing breakpoints collinear with the tail
-        while len(pts) > 1:
-            z0, x0 = pts[-2]
-            z1, x1 = pts[-1]
-            if _close((x1 - x0) / (z1 - z0), tail_slope):
-                pts.pop()
-            else:
-                break
-        merged = pts[:1]
-        for z, x in pts[1:]:
-            while len(merged) > 1:
-                za, xa = merged[-2]
-                zb, xb = merged[-1]
-                if _close((xb - xa) / (zb - za), (x - xb) / (z - zb)):
-                    merged.pop()
-                else:
-                    break
-            merged.append((z, x))
+        x_last = pts[-1][1]
+        merged = _canonical(pts, self.tail_slope, -1)
         tail = self.tail
         if isinstance(tail, ConstantTail):
+            if not _close(tail.value, x_last, CONVEXITY_SLACK):
+                raise ValueError(f"constant tail {tail.value} != last radius {x_last}")
             tail = ConstantTail(merged[-1][1])
-        object.__setattr__(self, "breakpoints", tuple(merged))
+        object.__setattr__(self, "breakpoints", merged)
         object.__setattr__(self, "tail", tail)
 
     @classmethod
@@ -244,49 +246,27 @@ class RadiusFunction:
         return cls(((0.0, INF),), ConstantTail(INF))
 
     @property
+    def tail_slope(self) -> float:
+        """Slope of rho past the last breakpoint; 0.0 for a constant tail."""
+        return self.tail.slope if isinstance(self.tail, LinearTail) else 0.0
+
+    @property
     def is_infinite(self) -> bool:
         return math.isinf(self.breakpoints[0][1])
 
     @property
     def is_zero(self) -> bool:
-        return (
-            len(self.breakpoints) == 1
-            and self.breakpoints[0][1] == 0.0
-            and isinstance(self.tail, ConstantTail)
-            and self.tail.value == 0.0
-        )
+        # a constant tail always equals the last radius
+        return self.breakpoints == ((0.0, 0.0),) and isinstance(self.tail, ConstantTail)
 
     def evaluate(self, z: float) -> float:
         if z < 0.0 or math.isnan(z):
             raise ValueError(f"radius domain is z >= 0, got {z}")
-        if self.is_infinite:
-            return INF
-        pts = self.breakpoints
-        z_last, x_last = pts[-1]
-        if z >= z_last:
-            if isinstance(self.tail, ConstantTail):
-                return self.tail.value
-            return x_last + self.tail.slope * (z - z_last)
-        idx = bisect_right([p[0] for p in pts], z) - 1
-        z0, x0 = pts[idx]
-        z1, x1 = pts[idx + 1]
-        return x0 + (x1 - x0) * (z - z0) / (z1 - z0)
+        return _interpolate(self.breakpoints, self.tail_slope, z)
 
     def approx_equal(self, other: "RadiusFunction", rtol: float = MERGE_RTOL) -> bool:
-        if self.is_infinite or other.is_infinite:
-            return self.is_infinite and other.is_infinite
-        if len(self.breakpoints) != len(other.breakpoints):
-            return False
-        if type(self.tail) is not type(other.tail):
-            return False
-        if isinstance(self.tail, ConstantTail):
-            if not _close(self.tail.value, other.tail.value, rtol):
-                return False
-        elif not _close(self.tail.slope, other.tail.slope, rtol):
-            return False
-        return all(
-            _close(a[0], b[0], rtol) and _close(a[1], b[1], rtol)
-            for a, b in zip(self.breakpoints, other.breakpoints)
+        return type(self.tail) is type(other.tail) and _approx_same(
+            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope, rtol
         )
 
 
@@ -353,29 +333,16 @@ def j_transform(rho: RadiusFunction) -> RadiusFunction:
     if rho.is_infinite:
         return RadiusFunction.infinite()
     pts = rho.breakpoints
-    if isinstance(rho.tail, ConstantTail):
-        tail_slope, tail_icept = 0.0, rho.tail.value
-    else:
-        z_m, x_m = pts[-1]
-        tail_slope = rho.tail.slope
-        tail_icept = x_m - tail_slope * z_m
-        if tail_icept < 0.0:  # concavity gives >= 0; clear FP dust
-            tail_icept = 0.0
-    if len(pts) == 1:
-        out = ((0.0, tail_slope),)
-        if tail_icept == 0.0:
-            return RadiusFunction(out, ConstantTail(tail_slope))
-        return RadiusFunction(out, LinearTail(tail_icept))
-    out_pts = [(0.0, tail_slope)]
+    out_pts = [(0.0, rho.tail_slope)]
     for z, x in reversed(pts[1:]):
         out_pts.append((1.0 / z, x / z))
-    (z1, x1) = pts[1]
     x_first = pts[0][1]
-    first_slope = (x1 - x_first) / z1
-    if x_first == 0.0:
-        tail: ConstantTail | LinearTail = ConstantTail(first_slope)
+    # with a single breakpoint the tail is the first segment
+    if len(pts) == 1:
+        first_slope = rho.tail_slope
     else:
-        tail = LinearTail(x_first)
+        first_slope = (pts[1][1] - x_first) / pts[1][0]
+    tail = ConstantTail(first_slope) if x_first == 0.0 else LinearTail(x_first)
     return RadiusFunction(tuple(out_pts), tail)
 
 
@@ -555,13 +522,10 @@ def _average_radius(r1: RadiusFunction, r2: RadiusFunction) -> RadiusFunction:
         return RadiusFunction.infinite()
     zs = sorted({z for z, _ in r1.breakpoints} | {z for z, _ in r2.breakpoints})
     pts = tuple((z, 0.5 * (r1.evaluate(z) + r2.evaluate(z))) for z in zs)
-    s1 = r1.tail.slope if isinstance(r1.tail, LinearTail) else 0.0
-    s2 = r2.tail.slope if isinstance(r2.tail, LinearTail) else 0.0
-    if s1 + s2 > 0.0:
-        tail: ConstantTail | LinearTail = LinearTail(0.5 * (s1 + s2))
-    else:
-        tail = ConstantTail(pts[-1][1])
-    return RadiusFunction(pts, tail)
+    slopes = r1.tail_slope + r2.tail_slope
+    if slopes > 0.0:
+        return RadiusFunction(pts, LinearTail(0.5 * slopes))
+    return RadiusFunction(pts, ConstantTail(pts[-1][1]))
 
 
 def symmetrize_line(f: LineConvexFunction) -> ConvexProfile:

@@ -18,11 +18,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .extremal import (
-    OneRootCase,
     RootTriple,
     TentParams,
+    _solved_island,
     ck_coefficients,
-    roots_of_m,
     solve_lambda,
     t_map,
     tent_profile,
@@ -150,11 +149,7 @@ class SuiteReport:
 
 @lru_cache(maxsize=None)
 def _island_roots(n: int) -> RootTriple:
-    est = solve_lambda(n)
-    try:
-        return roots_of_m(n, est.log_lambda)
-    except OneRootCase:
-        return roots_of_m(n, est.log_lambda + math.log1p(-1e-12))
+    return _solved_island(n, solve_lambda(n).log_lambda)
 
 
 def _profile_gap(p: ConvexProfile, q: ConvexProfile) -> float:
@@ -249,27 +244,27 @@ def _suite_order_reversing(i: int, rng, sampler: ProfileSampler) -> CaseResult:
     a = math.exp(float(rng.uniform(math.log(1.2), math.log(3.0))))
     q = scale(p, a)  # psi_q >= psi_p pointwise, so both duals must drop
     lp, lq = legendre(p), legendre(q)
-    worst = -INF
+
+    def excess(pairs) -> float | None:
+        """Worst small - large where both are finite; None if small alone is inf."""
+        worst = -INF
+        for small, large in pairs:
+            if math.isinf(small):
+                if not math.isinf(large):
+                    return None
+            elif not math.isinf(large):
+                worst = max(worst, small - large)
+        return worst
+
     extras = [r for r, _ in lp.breakpoints] + [r for r, _ in lq.breakpoints]
-    for x in evaluation_grid(extras=extras):
-        small, large = lq.evaluate(x), lp.evaluate(x)
-        if math.isinf(small):
-            if not math.isinf(large):
-                return INF, "conjugate gained an indicator region"
-            continue
-        if math.isinf(large):
-            continue
-        worst = max(worst, small - large)
+    conj = excess((lq.evaluate(x), lp.evaluate(x)) for x in evaluation_grid(extras=extras))
+    if conj is None:
+        return INF, "conjugate gained an indicator region"
     flats = [1.0 / f for f in (p.flat_end, q.flat_end) if f > 0.0]
-    for s in evaluation_grid(extras=flats):
-        small, large = polarity(q, s), polarity(p, s)
-        if math.isinf(small):
-            if not math.isinf(large):
-                return INF, "polar gained an indicator region"
-            continue
-        if math.isinf(large):
-            continue
-        worst = max(worst, small - large)
+    polar = excess((polarity(q, s), polarity(p, s)) for s in evaluation_grid(extras=flats))
+    if polar is None:
+        return INF, "polar gained an indicator region"
+    worst = max(conj, polar)
     return worst, None if worst <= _TRANSFORM_TOL else f"reversal failed by {worst:.3e}"
 
 

@@ -123,3 +123,13 @@ def test_tail_bound_cases():
 def test_gamma_half_small_m():
     for m in [1, 2, 3, 10, 100, 500]:
         assert check_gamma_half(m)
+
+
+def test_upper_fraction_converges_at_huge_argument():
+    # a tolerance below double epsilon made the fraction run out of
+    # iterations here, although the input is valid
+    with mpmath.workdps(40):
+        want = float(mpmath.log(mpmath.gammainc(65, 3e16, mpmath.inf, regularized=True)))
+    got = reg_gamma(65.0, 3e16)
+    assert got.log_q == pytest.approx(want, rel=1e-15)
+    assert got.p == 1.0 and got.q == 0.0

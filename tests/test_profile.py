@@ -45,12 +45,30 @@ SAMPLES = [
 def test_canonical_merges_collinear():
     p = ConvexProfile(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 4.0)), INF)
     assert p.breakpoints == ((0.0, 0.0), (2.0, 2.0), (3.0, 4.0))
+    rho = RadiusFunction(
+        ((0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 5.0)), ConstantTail(5.0)
+    )
+    assert rho.breakpoints == ((0.0, 0.0), (2.0, 4.0), (3.0, 5.0))
+    assert rho.tail == ConstantTail(5.0)
 
 
 def test_canonical_absorbs_tail_vertex():
     p = ConvexProfile(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)), 2.0)
     assert p.breakpoints == ((0.0, 0.0), (1.0, 1.0))
     assert p.tail_slope == 2.0
+    rho = RadiusFunction(((0.0, 1.0), (1.0, 3.0), (2.0, 4.0)), LinearTail(1.0))
+    assert rho.breakpoints == ((0.0, 1.0), (1.0, 3.0))
+    assert rho.tail == LinearTail(1.0) and rho.tail_slope == 1.0
+
+
+def test_canonical_rewrites_constant_tail():
+    # the last point sits on a flat run within the merge tolerance and is
+    # absorbed; the tail value, within the slack, becomes the merged radius
+    rho = RadiusFunction(
+        ((0.0, 0.0), (1.0, 1.0), (2.0, 1.0 + 1e-13)), ConstantTail(1.0 + 5e-10)
+    )
+    assert rho.breakpoints == ((0.0, 0.0), (1.0, 1.0))
+    assert rho.tail == ConstantTail(1.0) and rho.tail_slope == 0.0
 
 
 @pytest.mark.parametrize(
@@ -79,8 +97,27 @@ def test_evaluate():
     assert p.evaluate(3.5) == INF
     q = ConvexProfile(((0.0, 0.0), (1.0, 2.0)), 3.0)
     assert q.evaluate(2.0) == 5.0
+    assert q.evaluate(INF) == INF
+    assert ZERO.evaluate(INF) == 0.0
     with pytest.raises(ValueError):
         p.evaluate(-1.0)
+
+
+def test_radius_evaluate():
+    const = RadiusFunction(((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)), ConstantTail(3.0))
+    assert const.evaluate(1.0) == 2.0
+    assert const.evaluate(2.0) == 2.5
+    assert const.evaluate(3.0) == 3.0
+    assert const.evaluate(10.0) == 3.0
+    assert const.evaluate(INF) == 3.0
+    lin = RadiusFunction(((0.0, 1.0), (1.0, 3.0)), LinearTail(0.5))
+    assert lin.evaluate(0.5) == 2.0
+    assert lin.evaluate(1.0) == 3.0
+    assert lin.evaluate(3.0) == 4.0
+    assert lin.evaluate(INF) == INF
+    assert RadiusFunction.infinite().evaluate(2.0) == INF
+    with pytest.raises(ValueError):
+        lin.evaluate(-1.0)
 
 
 def test_flat_end():
@@ -110,6 +147,8 @@ def test_radius_validation():
         RadiusFunction(((0.0, 1.0), (1.0, 0.5)), ConstantTail(0.5))
     with pytest.raises(ValueError):
         RadiusFunction(((0.0, 0.0), (1.0, 1.0)), LinearTail(2.0))
+    with pytest.raises(ValueError):  # tail slope 1.5 above final slope 1
+        RadiusFunction(((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)), LinearTail(1.5))
     with pytest.raises(ValueError):
         RadiusFunction(((0.0, 0.0), (1.0, 1.0)), ConstantTail(3.0))
     with pytest.raises(ValueError):
