@@ -98,12 +98,13 @@ def _lambda_mode(text: str) -> str:
     if text in ("factorial", "solved"):
         return text
     try:
-        float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected 'factorial', 'solved' or a log value, got {text!r}"
-        ) from exc
-    return text
+        if math.isfinite(float(text)):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected 'factorial', 'solved' or a finite log value, got {text!r}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -78,11 +78,17 @@ def _log_gap(z: float, n: int, log_lambda: float) -> float:
     return z - 1.0 / z - (n + 2) * math.log(z) - log_lambda
 
 
+def _check_log_lambda(log_lambda: float) -> None:
+    if not math.isfinite(log_lambda):
+        raise ValueError(f"log lambda must be finite, got {log_lambda}")
+
+
 def m_sign(z: float, n: int, log_lambda: float) -> int:
     """Sign of the density gap m at height z: -1, 0 or +1."""
     _check_n(n)
     if not z > 0.0 or math.isinf(z):
         raise ValueError(f"height must be finite > 0, got {z}")
+    _check_log_lambda(log_lambda)
     g = _log_gap(z, n, log_lambda)
     if g == 0.0:
         return 0
@@ -150,9 +156,11 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
 
     The gap rises from -inf to a local max, dips to a local min, then grows
     linearly; three roots exist exactly when the local max is positive and
-    the local min negative.  Each root is bisected to relative 1e-12.
+    the local min negative.  Each root is bisected to relative 1e-12.  A
+    non-finite log_lambda raises ValueError.
     """
     _check_n(n)
+    _check_log_lambda(log_lambda)
     z_lo, z_hi = _gap_probes(n)
 
     def g(z: float) -> float:

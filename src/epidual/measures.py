@@ -26,7 +26,6 @@ from .gammafn import reg_gamma
 from .logdomain import NEG_INF, log_add, log_sub_signed, log_sum
 from .profile import (
     INF,
-    ConstantTail,
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
@@ -103,11 +102,10 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
         for (z0, _), (z1, _) in zip(pts, pts[1:])
     ]
     z_m, x_m = pts[-1]
-    if isinstance(rho.tail, ConstantTail):
-        c = rho.tail.value
-        parts.append(NEG_INF if c <= 0.0 else n * math.log(c) - z_m)
+    beta = rho.tail_slope
+    if beta == 0.0:
+        parts.append(NEG_INF if x_m <= 0.0 else n * math.log(x_m) - z_m)
     else:
-        beta = rho.tail.slope
         u0 = x_m / beta
         g = reg_gamma(n + 1, u0)
         parts.append(

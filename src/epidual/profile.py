@@ -4,7 +4,8 @@ A profile psi is a nonnegative convex function on [0, inf) with psi(0) = 0,
 stored as breakpoints (r_i, v_i) plus a tail slope; tail_slope = inf encodes
 a jump to +inf past the last breakpoint (indicator-type tails).  The inverse
 view is the radius function rho(z) = sup{r : psi(r) <= z}, concave and
-non-decreasing, with either a constant or a linear tail.
+non-decreasing, stored the same way with a finite tail slope; slope 0 is a
+constant tail.
 
 Both views are one kind of object, a piecewise-linear function with a tail
 slope, and differ only in the direction their slopes turn.  They share the
@@ -60,13 +61,16 @@ def _canonical(
 ) -> _Points:
     """Validate breakpoints with a tail slope and return their canonical form.
 
-    x must strictly increase and y must not decrease; the slopes, the tail
-    slope last, must turn in `direction` (+1 convex, -1 concave) up to
-    CONVEXITY_SLACK, or ValueError is raised.  Trailing points collinear
-    with a finite tail are absorbed into it (popped from pts), then
-    collinear runs are merged.
+    Coordinates must be finite, x must strictly increase and y must not
+    decrease; the slopes, the tail slope last, must turn in `direction`
+    (+1 convex, -1 concave) up to CONVEXITY_SLACK, or ValueError is raised.
+    Trailing points collinear with a finite tail are absorbed into it
+    (popped from pts), then collinear runs are merged.
     """
     xs, ys, turn, side = _WORDS[direction]
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"breakpoints must be finite, got {(x, y)}")
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if not x1 > x0:
             raise ValueError(f"{xs} must strictly increase: {x0} -> {x1}")
@@ -191,64 +195,40 @@ class ConvexProfile:
 
 
 @dataclass(frozen=True)
-class ConstantTail:
-    value: float
-
-
-@dataclass(frozen=True)
-class LinearTail:
-    slope: float
-
-    def __post_init__(self) -> None:
-        if not self.slope > 0.0 or math.isinf(self.slope):
-            raise ValueError(f"linear tail slope must be finite > 0: {self.slope}")
-
-
-@dataclass(frozen=True)
 class RadiusFunction:
-    """Level-set radius rho(z): breakpoints ((z, rho), ...) plus a tail.
+    """Level-set radius rho(z): breakpoints ((z, rho), ...) and a tail slope.
 
-    rho is non-decreasing and concave.  The degenerate rho == +inf (profile
-    psi == 0) is the single breakpoint (0, inf) with a constant tail.  A
-    constant tail is canonicalized to the last radius.
+    rho is non-decreasing and concave; past the last breakpoint it grows
+    with the tail slope, a finite number >= 0 (0 is a constant tail).  The
+    degenerate rho == +inf (profile psi == 0) is the single breakpoint
+    (0, inf) with tail slope 0.  Invalid data raises ValueError.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
-    tail: ConstantTail | LinearTail
+    tail_slope: float
 
     def __post_init__(self) -> None:
         pts = [(float(z), float(x)) for z, x in self.breakpoints]
+        slope = float(self.tail_slope)
         if not pts:
             raise ValueError("radius function needs at least one breakpoint")
         if pts[0][0] != 0.0:
             raise ValueError(f"first breakpoint must sit at z = 0, got {pts[0]}")
+        if not 0.0 <= slope < INF:
+            raise ValueError(f"radius tail slope must be in [0, inf), got {slope}")
+        object.__setattr__(self, "tail_slope", slope)
         if math.isinf(pts[0][1]):
-            if len(pts) > 1 or not (
-                isinstance(self.tail, ConstantTail) and math.isinf(self.tail.value)
-            ):
-                raise ValueError("infinite radius must be the single point (0, inf)")
+            if len(pts) > 1 or slope != 0.0:
+                raise ValueError("infinite radius must be ((0, inf),) with slope 0")
             object.__setattr__(self, "breakpoints", ((0.0, INF),))
             return
         if pts[0][1] < 0.0:
             raise ValueError(f"radius must be nonnegative, got {pts[0][1]}")
-        x_last = pts[-1][1]
-        merged = _canonical(pts, self.tail_slope, -1)
-        tail = self.tail
-        if isinstance(tail, ConstantTail):
-            if not _close(tail.value, x_last, CONVEXITY_SLACK):
-                raise ValueError(f"constant tail {tail.value} != last radius {x_last}")
-            tail = ConstantTail(merged[-1][1])
-        object.__setattr__(self, "breakpoints", merged)
-        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "breakpoints", _canonical(pts, slope, -1))
 
     @classmethod
     def infinite(cls) -> "RadiusFunction":
-        return cls(((0.0, INF),), ConstantTail(INF))
-
-    @property
-    def tail_slope(self) -> float:
-        """Slope of rho past the last breakpoint; 0.0 for a constant tail."""
-        return self.tail.slope if isinstance(self.tail, LinearTail) else 0.0
+        return cls(((0.0, INF),), 0.0)
 
     @property
     def is_infinite(self) -> bool:
@@ -256,8 +236,7 @@ class RadiusFunction:
 
     @property
     def is_zero(self) -> bool:
-        # a constant tail always equals the last radius
-        return self.breakpoints == ((0.0, 0.0),) and isinstance(self.tail, ConstantTail)
+        return self.breakpoints == ((0.0, 0.0),) and self.tail_slope == 0.0
 
     def evaluate(self, z: float) -> float:
         if z < 0.0 or math.isnan(z):
@@ -265,7 +244,8 @@ class RadiusFunction:
         return _interpolate(self.breakpoints, self.tail_slope, z)
 
     def approx_equal(self, other: "RadiusFunction", rtol: float = MERGE_RTOL) -> bool:
-        return type(self.tail) is type(other.tail) and _approx_same(
+        # a constant tail never matches a linear one, however shallow
+        return (self.tail_slope == 0.0) == (other.tail_slope == 0.0) and _approx_same(
             self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope, rtol
         )
 
@@ -294,12 +274,7 @@ def to_radius(p: ConvexProfile) -> RadiusFunction:
     for r, v in p.breakpoints:
         if v > 0.0:
             pts.append((v, r))
-    r_last = p.breakpoints[-1][0]
-    if math.isinf(p.tail_slope):
-        tail: ConstantTail | LinearTail = ConstantTail(r_last)
-    else:
-        tail = LinearTail(1.0 / p.tail_slope)
-    return RadiusFunction(tuple(pts), tail)
+    return RadiusFunction(tuple(pts), 1.0 / p.tail_slope)
 
 
 def from_radius(rho: RadiusFunction) -> ConvexProfile:
@@ -312,10 +287,7 @@ def from_radius(rho: RadiusFunction) -> ConvexProfile:
         pts.append((x0, 0.0))
     for z, x in rho.breakpoints[1:]:
         pts.append((x, z))
-    if isinstance(rho.tail, ConstantTail):
-        tail_slope = INF
-    else:
-        tail_slope = 1.0 / rho.tail.slope
+    tail_slope = 1.0 / rho.tail_slope if rho.tail_slope > 0.0 else INF
     return ConvexProfile(tuple(pts), tail_slope)
 
 
@@ -326,9 +298,9 @@ def from_radius(rho: RadiusFunction) -> ConvexProfile:
 def j_transform(rho: RadiusFunction) -> RadiusFunction:
     """rho_J(w) = w * rho(1/w): breakpoint (z, x) maps to (1/z, x/z).
 
-    The input tail becomes the output's behaviour at w = 0 and the input's
-    first segment becomes the output tail, so the transform is an exact
-    involution on the representation.
+    The input's tail slope becomes the output's radius at 0 and its radius
+    at 0 the output's tail slope, so the transform is an exact involution on
+    the representation.
     """
     if rho.is_infinite:
         return RadiusFunction.infinite()
@@ -336,14 +308,7 @@ def j_transform(rho: RadiusFunction) -> RadiusFunction:
     out_pts = [(0.0, rho.tail_slope)]
     for z, x in reversed(pts[1:]):
         out_pts.append((1.0 / z, x / z))
-    x_first = pts[0][1]
-    # with a single breakpoint the tail is the first segment
-    if len(pts) == 1:
-        first_slope = rho.tail_slope
-    else:
-        first_slope = (pts[1][1] - x_first) / pts[1][0]
-    tail = ConstantTail(first_slope) if x_first == 0.0 else LinearTail(x_first)
-    return RadiusFunction(tuple(out_pts), tail)
+    return RadiusFunction(tuple(out_pts), pts[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +487,7 @@ def _average_radius(r1: RadiusFunction, r2: RadiusFunction) -> RadiusFunction:
         return RadiusFunction.infinite()
     zs = sorted({z for z, _ in r1.breakpoints} | {z for z, _ in r2.breakpoints})
     pts = tuple((z, 0.5 * (r1.evaluate(z) + r2.evaluate(z))) for z in zs)
-    slopes = r1.tail_slope + r2.tail_slope
-    if slopes > 0.0:
-        return RadiusFunction(pts, LinearTail(0.5 * slopes))
-    return RadiusFunction(pts, ConstantTail(pts[-1][1]))
+    return RadiusFunction(pts, 0.5 * (r1.tail_slope + r2.tail_slope))
 
 
 def symmetrize_line(f: LineConvexFunction) -> ConvexProfile:
@@ -563,11 +525,11 @@ def profile_from_dict(doc: object) -> ConvexProfile:
         pts = tuple((float(r), float(v)) for r, v in raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"non-numeric breakpoint: {exc}") from exc
-    tail = doc["tail_slope"]
-    if tail == "inf":
+    slope = doc["tail_slope"]
+    if slope == "inf":
         tail_slope = INF
-    elif isinstance(tail, (int, float)) and not isinstance(tail, bool):
-        tail_slope = float(tail)
+    elif isinstance(slope, (int, float)) and not isinstance(slope, bool):
+        tail_slope = float(slope)
     else:
-        raise ValueError(f"'tail_slope' must be a number or \"inf\", got {tail!r}")
+        raise ValueError(f"'tail_slope' must be a number or \"inf\", got {slope!r}")
     return ConvexProfile(pts, tail_slope)

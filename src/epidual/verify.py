@@ -29,6 +29,8 @@ from .extremal import (
 from .gammafn import check_gamma_half, check_small_a_bound, check_tail_bound
 from .logdomain import log_sub_signed
 from .measures import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     log_s_j_n,
     symmetrization_gap,
     vol_nu,
@@ -37,10 +39,8 @@ from .measures import (
 )
 from .profile import (
     INF,
-    ConstantTail,
     ConvexProfile,
     LineConvexFunction,
-    LinearTail,
     RadiusFunction,
     check_j_factorization,
     evaluation_grid,
@@ -192,8 +192,6 @@ def _cap_radius(rho: RadiusFunction, cap: float) -> RadiusFunction:
     """Pointwise min(rho, cap): the radius after intersecting with a ball."""
     if not (cap > 0.0 and math.isfinite(cap)):
         raise ValueError(f"cap must be finite > 0, got {cap}")
-    if rho.is_infinite:
-        return RadiusFunction(((0.0, cap),), ConstantTail(cap))
     pts: list[tuple[float, float]] = []
     for z, x in rho.breakpoints:
         if x >= cap:
@@ -203,12 +201,12 @@ def _cap_radius(rho: RadiusFunction, cap: float) -> RadiusFunction:
                 pts.append((z0 + t * (z - z0), cap))
             else:
                 pts.append((0.0, cap))
-            return RadiusFunction(tuple(pts), ConstantTail(cap))
+            return RadiusFunction(tuple(pts), 0.0)
         pts.append((z, x))
-    if isinstance(rho.tail, LinearTail):
+    if rho.tail_slope > 0.0:
         z_m, x_m = rho.breakpoints[-1]
-        pts.append((z_m + (cap - x_m) / rho.tail.slope, cap))
-        return RadiusFunction(tuple(pts), ConstantTail(cap))
+        pts.append((z_m + (cap - x_m) / rho.tail_slope, cap))
+        return RadiusFunction(tuple(pts), 0.0)
     return rho  # constant tail already below the cap
 
 
@@ -430,7 +428,7 @@ def run_suite(
 # ---------------------------------------------------------------------------
 # brute-force oracle for the dimensional constant
 
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_QUAD_NODES, _QUAD_WEIGHTS = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
 _QUAD_PANELS = 32
 _QUAD_TOP = 60.0  # exp(-60) is far below the 1e-4 oracle target
 

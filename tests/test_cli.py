@@ -126,6 +126,13 @@ def test_scan_m_solved_mode_runs(capsys):
     assert run(capsys, ["scan-m", "--n", "3", "--lambda", "junk"])[0] == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_scan_m_rejects_non_finite_lambda(capsys, value):
+    code, out, err = run(capsys, ["scan-m", "--n", "3", f"--lambda={value}"])
+    assert code == 2 and out == ""
+    assert "finite log value" in err
+
+
 def test_scan_g_stays_below_solved_constant(capsys):
     code, out, _ = run(capsys, ["scan-g", "--n", "5"])
     assert code == 0

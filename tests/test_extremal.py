@@ -31,7 +31,6 @@ from epidual.extremal import (
 from epidual.measures import log_s_j_n
 from epidual.profile import (
     INF,
-    ConstantTail,
     RadiusFunction,
     to_radius,
 )
@@ -77,6 +76,11 @@ def test_m_sign_domain():
         m_sign(math.inf, 1, 0.0)
     with pytest.raises(ValueError):
         m_sign(1.0, 0, 0.0)
+    for log_lambda in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            m_sign(1.0, 1, log_lambda)
+        with pytest.raises(ValueError):
+            roots_of_m(1, log_lambda)
 
 
 def test_roots_against_dense_scan():
@@ -197,7 +201,7 @@ def test_t_map_degenerate_inputs():
     with pytest.raises(ZeroProfile):
         t_map(RadiusFunction.infinite(), TRIPLE)
     with pytest.raises(ZeroProfile):
-        t_map(RadiusFunction(((0.0, 0.0),), ConstantTail(0.0)), TRIPLE)
+        t_map(RadiusFunction(((0.0, 0.0),), 0.0), TRIPLE)
 
 
 def test_big_f_at_b_zero_is_inverse_factorial():

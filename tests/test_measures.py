@@ -20,10 +20,8 @@ from epidual.measures import (
 )
 from epidual.profile import (
     INF,
-    ConstantTail,
     ConvexProfile,
     LineConvexFunction,
-    LinearTail,
     RadiusFunction,
     scale,
     to_radius,
@@ -94,7 +92,7 @@ def test_vol_mu_of_linear(n, a):
 
 
 def test_vol_mu_of_unit_tent():
-    rho = RadiusFunction(((0.0, 0.0), (1.0, 1.0)), ConstantTail(1.0))
+    rho = RadiusFunction(((0.0, 0.0), (1.0, 1.0)), 0.0)
     assert vol_mu(rho, 1) == pytest.approx(math.log(1.0 - math.exp(-1.0)), abs=1e-13)
 
 

@@ -4,10 +4,8 @@ import pytest
 
 from epidual.profile import (
     INF,
-    ConstantTail,
     ConvexProfile,
     LineConvexFunction,
-    LinearTail,
     RadiusFunction,
     _polar_profile,
     check_j_factorization,
@@ -45,30 +43,26 @@ SAMPLES = [
 def test_canonical_merges_collinear():
     p = ConvexProfile(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 4.0)), INF)
     assert p.breakpoints == ((0.0, 0.0), (2.0, 2.0), (3.0, 4.0))
-    rho = RadiusFunction(
-        ((0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 5.0)), ConstantTail(5.0)
-    )
+    rho = RadiusFunction(((0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 5.0)), 0.0)
     assert rho.breakpoints == ((0.0, 0.0), (2.0, 4.0), (3.0, 5.0))
-    assert rho.tail == ConstantTail(5.0)
+    assert rho.tail_slope == 0.0
 
 
 def test_canonical_absorbs_tail_vertex():
     p = ConvexProfile(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)), 2.0)
     assert p.breakpoints == ((0.0, 0.0), (1.0, 1.0))
     assert p.tail_slope == 2.0
-    rho = RadiusFunction(((0.0, 1.0), (1.0, 3.0), (2.0, 4.0)), LinearTail(1.0))
+    rho = RadiusFunction(((0.0, 1.0), (1.0, 3.0), (2.0, 4.0)), 1.0)
     assert rho.breakpoints == ((0.0, 1.0), (1.0, 3.0))
-    assert rho.tail == LinearTail(1.0) and rho.tail_slope == 1.0
+    assert rho.tail_slope == 1.0
 
 
 def test_canonical_rewrites_constant_tail():
     # the last point sits on a flat run within the merge tolerance and is
-    # absorbed; the tail value, within the slack, becomes the merged radius
-    rho = RadiusFunction(
-        ((0.0, 0.0), (1.0, 1.0), (2.0, 1.0 + 1e-13)), ConstantTail(1.0 + 5e-10)
-    )
+    # absorbed; the constant tail then holds the merged last radius
+    rho = RadiusFunction(((0.0, 0.0), (1.0, 1.0), (2.0, 1.0 + 1e-13)), 0.0)
     assert rho.breakpoints == ((0.0, 0.0), (1.0, 1.0))
-    assert rho.tail == ConstantTail(1.0) and rho.tail_slope == 0.0
+    assert rho.tail_slope == 0.0 and rho.evaluate(INF) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -82,6 +76,10 @@ def test_canonical_rewrites_constant_tail():
         (((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)), INF),  # slope drops 2 -> 1
         (((0.0, 0.0), (1.0, 1.0)), 0.5),  # tail below last slope
         (((0.0, 0.0),), -1.0),
+        (((0.0, 0.0), (1.0, math.nan), (2.0, 3.0)), 5.0),  # NaN value
+        (((0.0, 0.0), (math.nan, 1.0)), INF),  # NaN radius
+        (((0.0, 0.0), (1.0, INF)), INF),  # infinite value
+        (((0.0, 0.0), (INF, 1.0)), INF),  # infinite radius
     ],
 )
 def test_invalid_profiles_raise(pts, tail):
@@ -104,13 +102,13 @@ def test_evaluate():
 
 
 def test_radius_evaluate():
-    const = RadiusFunction(((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)), ConstantTail(3.0))
+    const = RadiusFunction(((0.0, 0.0), (1.0, 2.0), (3.0, 3.0)), 0.0)
     assert const.evaluate(1.0) == 2.0
     assert const.evaluate(2.0) == 2.5
     assert const.evaluate(3.0) == 3.0
     assert const.evaluate(10.0) == 3.0
     assert const.evaluate(INF) == 3.0
-    lin = RadiusFunction(((0.0, 1.0), (1.0, 3.0)), LinearTail(0.5))
+    lin = RadiusFunction(((0.0, 1.0), (1.0, 3.0)), 0.5)
     assert lin.evaluate(0.5) == 2.0
     assert lin.evaluate(1.0) == 3.0
     assert lin.evaluate(3.0) == 4.0
@@ -134,7 +132,7 @@ def test_radius_round_trip_exact():
 def test_radius_of_indicator():
     rho = to_radius(INDICATOR)
     assert rho.breakpoints == ((0.0, 1.0),)
-    assert rho.tail == ConstantTail(1.0)
+    assert rho.tail_slope == 0.0
 
 
 def test_radius_of_zero_profile():
@@ -143,43 +141,48 @@ def test_radius_of_zero_profile():
 
 
 def test_radius_validation():
-    with pytest.raises(ValueError):
-        RadiusFunction(((0.0, 1.0), (1.0, 0.5)), ConstantTail(0.5))
-    with pytest.raises(ValueError):
-        RadiusFunction(((0.0, 0.0), (1.0, 1.0)), LinearTail(2.0))
-    with pytest.raises(ValueError):  # tail slope 1.5 above final slope 1
-        RadiusFunction(((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)), LinearTail(1.5))
-    with pytest.raises(ValueError):
-        RadiusFunction(((0.0, 0.0), (1.0, 1.0)), ConstantTail(3.0))
-    with pytest.raises(ValueError):
-        LinearTail(0.0)
+    bad = [
+        (((0.0, 1.0), (1.0, 0.5)), 0.0),  # radius drops
+        (((0.0, 0.0), (1.0, 1.0)), 2.0),  # tail slope above final slope 1
+        (((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)), 1.5),  # above final slope 1
+        (((0.0, 0.0), (1.0, 1.0)), math.nan),
+        (((0.0, 0.0), (1.0, 1.0)), -1.0),
+        (((0.0, 1.0),), INF),
+        (((0.0, 0.0), (1.0, math.nan)), 0.0),
+        (((0.0, 0.0), (1.0, INF)), 0.0),
+        (((0.0, INF),), 1.0),  # the infinite radius has no tail slope
+        (((0.0, INF), (1.0, INF)), 0.0),
+    ]
+    for pts, tail in bad:
+        with pytest.raises(ValueError):
+            RadiusFunction(pts, tail)
 
 
 def test_j_fixed_point_unit_tent():
-    rho = RadiusFunction(((0.0, 0.0), (1.0, 1.0)), ConstantTail(1.0))
+    rho = RadiusFunction(((0.0, 0.0), (1.0, 1.0)), 0.0)
     assert j_transform(rho) == rho
 
 
 def test_j_of_dyadic_tent():
-    rho = RadiusFunction(((0.0, 0.0), (2.0, 1.0)), ConstantTail(1.0))
+    rho = RadiusFunction(((0.0, 0.0), (2.0, 1.0)), 0.0)
     out = j_transform(rho)
     assert out.breakpoints == ((0.0, 0.0), (0.5, 0.5))
-    assert out.tail == ConstantTail(0.5)
+    assert out.tail_slope == 0.0
     assert j_transform(out) == rho
 
 
 def test_j_swaps_slope_and_intercept():
     # rho = 2 + 3z maps to rho_J = 3 + 2w
-    rho = RadiusFunction(((0.0, 2.0),), LinearTail(3.0))
+    rho = RadiusFunction(((0.0, 2.0),), 3.0)
     out = j_transform(rho)
     assert out.breakpoints == ((0.0, 3.0),)
-    assert out.tail == LinearTail(2.0)
+    assert out.tail_slope == 2.0
 
 
 def test_j_of_constant_and_linear():
-    const = RadiusFunction(((0.0, 4.0),), ConstantTail(4.0))
+    const = RadiusFunction(((0.0, 4.0),), 0.0)
     out = j_transform(const)
-    assert out.breakpoints == ((0.0, 0.0),) and out.tail == LinearTail(4.0)
+    assert out.breakpoints == ((0.0, 0.0),) and out.tail_slope == 4.0
     assert j_transform(out) == const
     assert j_transform(RadiusFunction.infinite()).is_infinite
 
@@ -187,8 +190,12 @@ def test_j_of_constant_and_linear():
 def test_j_involution_on_samples():
     for p in SAMPLES:
         rho = to_radius(p)
-        back = j_transform(j_transform(rho))
-        assert back.approx_equal(rho), p
+        out = j_transform(rho)
+        if not rho.is_infinite:
+            # radius at 0 and tail slope trade places
+            assert out.tail_slope == rho.breakpoints[0][1], p
+            assert out.breakpoints[0][1] == rho.tail_slope, p
+        assert j_transform(out).approx_equal(rho), p
 
 
 def test_j_matches_pointwise_formula():
@@ -362,6 +369,8 @@ def test_json_round_trip():
         {"breakpoints": [[0.0]], "tail_slope": 1.0},
         {"breakpoints": "none", "tail_slope": 1.0},
         {"breakpoints": [[0.0, 0.0]], "tail_slope": 1.0, "extra": 1},
+        {"breakpoints": [[0.0, 0.0], [1.0, math.nan]], "tail_slope": "inf"},
+        {"breakpoints": [[0.0, 0.0], [1.0, math.inf]], "tail_slope": "inf"},
     ],
 )
 def test_json_rejects_malformed(doc):

@@ -9,7 +9,7 @@ import pytest
 
 import epidual
 from epidual.extremal import solve_lambda
-from epidual.profile import ConstantTail, LinearTail, ConvexProfile, RadiusFunction, to_radius
+from epidual.profile import ConvexProfile, RadiusFunction, to_radius
 from epidual.verify import (
     DEFAULT_CASES,
     DEFAULT_SEEDS,
@@ -150,7 +150,7 @@ def test_profile_gap_tolerates_ulp_indicator_boundary():
 def test_cap_radius_clips_where_needed():
     rho = to_radius(ConvexProfile(((0.0, 0.0), (1.0, 1.0), (2.0, 4.0)), 5.0))
     capped = _cap_radius(rho, 1.5)
-    assert isinstance(capped.tail, ConstantTail)
+    assert capped.tail_slope == 0.0
     zs = np.linspace(0.0, 20.0, 300)
     for z in zs:
         want = min(rho.evaluate(float(z)), 1.5)
@@ -158,9 +158,11 @@ def test_cap_radius_clips_where_needed():
 
 
 def test_cap_radius_above_range_is_identity_or_tail_clip():
-    flat = RadiusFunction(((0.0, 1.0),), ConstantTail(1.0))
+    flat = RadiusFunction(((0.0, 1.0),), 0.0)
     assert _cap_radius(flat, 3.0) == flat
-    grows = RadiusFunction(((0.0, 1.0),), LinearTail(2.0))
+    capped = _cap_radius(RadiusFunction.infinite(), 3.0)
+    assert capped == RadiusFunction(((0.0, 3.0),), 0.0)
+    grows = RadiusFunction(((0.0, 1.0),), 2.0)
     capped = _cap_radius(grows, 5.0)
     assert capped.evaluate(10.0) == pytest.approx(5.0, abs=1e-12)
     assert capped.evaluate(1.0) == pytest.approx(3.0, abs=1e-12)
