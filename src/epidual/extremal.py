@@ -19,7 +19,9 @@ maximizer the first-order condition reads
 
 The solver finds its root directly: safeguarded Newton on the log form of
 this condition, whose derivative comes in closed form from the same two
-gamma values, inside the positivity island of the sign map.  Two residuals
+gamma values, inside the positivity island of the sign map and started
+from its left end, near which the maximizer sits.  The island's ends, the
+sign-map roots, come from the same safeguarded Newton on g.  Two residuals
 that vanish at the true stationary point certify the result.
 """
 
@@ -34,10 +36,10 @@ from .measures import _check_n
 from .profile import INF, ConvexProfile, RadiusFunction
 from .gammafn import reg_gamma
 
-_BISECT_RTOL = 1e-12
-_BISECT_MAX_STEPS = 300
 _NEWTON_RTOL = 1e-15
 _NEWTON_MAX_STEPS = 100
+# z1 and z3 lie a few halvings and doublings outside the probes
+_WIDEN_MAX_STEPS = 64
 _RESIDUAL_TOL = 1e-8
 
 
@@ -96,25 +98,56 @@ def m_sign(z: float, n: int, log_lambda: float) -> int:
 
 
 def _gap_probes(n: int) -> tuple[float, float]:
-    """Local max and local min abscissas of the gap, roots of z^2-(n+2)z+1."""
+    """Local max and local min abscissas of the gap, roots of z^2-(n+2)z+1.
+
+    The smaller root is taken as 1/larger: (d - sqrt(d^2 - 4)) / 2 cancels.
+    """
     d = float(n + 2)
-    root = math.sqrt(d * d - 4.0)
-    return 0.5 * (d - root), 0.5 * (d + root)
+    hi = 0.5 * (d + math.sqrt(d * d - 4.0))
+    return 1.0 / hi, hi
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    f_lo = f(lo)
-    for _ in range(_BISECT_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_RTOL * mid:
-            return mid
-        if (f(mid) > 0.0) == (f_lo > 0.0):
-            lo = mid
+def _newton_root(f, neg: float, pos: float, a: float, fa: float, dfa: float) -> float:
+    """Root of f between neg and pos by safeguarded Newton, started at a.
+
+    f(z) returns the value and slope at z (fa and dfa at a); f(neg) < 0 <
+    f(pos).  A step that leaves this sign bracket, which every evaluation
+    shrinks, is replaced by bisection.  A step of at most 1e-15 relative
+    ends the iteration; ArithmeticError after _NEWTON_MAX_STEPS steps.
+    """
+    for _ in range(_NEWTON_MAX_STEPS):
+        if fa < 0.0:
+            neg = a
         else:
-            hi = mid
+            pos = a
+        nxt = 0.5 * (neg + pos)
+        if dfa != 0.0:
+            newton = a - fa / dfa
+            # an exact root or a step below rounding gives a, now a bracket end
+            if newton == a or min(neg, pos) < newton < max(neg, pos):
+                nxt = newton
+        if abs(nxt - a) <= _NEWTON_RTOL * a:
+            return nxt
+        a = nxt
+        fa, dfa = f(a)
     raise ArithmeticError(
-        f"bisection did not reach relative width {_BISECT_RTOL} in "
-        f"{_BISECT_MAX_STEPS} steps on [{lo}, {hi}]"
+        f"Newton iteration did not settle in {_NEWTON_MAX_STEPS} steps near {a}"
+    )
+
+
+def _widen(f, z: float, factor: float, sign: float) -> tuple[float, float, float]:
+    """First z * factor^k, k >= 1, where f has the given sign, with f there.
+
+    Returns the point, the value and the slope; ArithmeticError once
+    _WIDEN_MAX_STEPS steps run out.
+    """
+    for _ in range(_WIDEN_MAX_STEPS):
+        z *= factor
+        value, slope = f(z)
+        if sign * value > 0.0:
+            return z, value, slope
+    raise ArithmeticError(
+        f"no sign change in {_WIDEN_MAX_STEPS} steps by {factor}, at z={z}"
     )
 
 
@@ -156,29 +189,29 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
 
     The gap rises from -inf to a local max, dips to a local min, then grows
     linearly; three roots exist exactly when the local max is positive and
-    the local min negative.  Each root is bisected to relative 1e-12.  A
-    non-finite log_lambda raises ValueError.
+    the local min negative.  Each root is found by safeguarded Newton on
+    the gap, whose slope is 1 + 1/z^2 - (n+2)/z, to about 1e-15 relative.
+    A non-finite log_lambda raises ValueError.
     """
     _check_n(n)
     _check_log_lambda(log_lambda)
     z_lo, z_hi = _gap_probes(n)
 
-    def g(z: float) -> float:
-        return _log_gap(z, n, log_lambda)
+    def g(z: float) -> tuple[float, float]:
+        return _log_gap(z, n, log_lambda), 1.0 + 1.0 / (z * z) - (n + 2) / z
 
-    if g(z_lo) <= 0.0 or g(z_hi) >= 0.0:
+    if g(z_lo)[0] <= 0.0 or g(z_hi)[0] >= 0.0:
         raise OneRootCase(
             f"sign map has a single root at n={n}, log_lambda={log_lambda}"
         )
-    left = z_lo
-    while g(left) >= 0.0:
-        left *= 0.5
-    z1 = _bisect(g, left, z_lo)
-    z2 = _bisect(g, z_lo, z_hi)
-    right = z_hi
-    while g(right) <= 0.0:
-        right *= 2.0
-    z3 = _bisect(g, z_hi, right)
+    left = _widen(g, z_lo, 0.5, -1.0)
+    z1 = _newton_root(g, left[0], z_lo, *left)
+    # The gap's third derivative in log z is positive, so z1's mirror image
+    # about the local max z_lo falls short of z2: a start on z2's side.
+    mirror = z_lo * z_lo / z1
+    z2 = _newton_root(g, z_hi, z_lo, mirror, *g(mirror))
+    right = _widen(g, z_hi, 2.0, 1.0)
+    z3 = _newton_root(g, z_hi, right[0], *right)
     return RootTriple(z1, z2, z3, log_lambda, n)
 
 
@@ -379,33 +412,18 @@ class LambdaEstimate:
 def _newton_stationary(n: int, lo: float, hi: float) -> float:
     """Root of the stationarity gap in [lo, hi] by safeguarded Newton.
 
-    The sign bracket h(lo) < 0 < h(hi) is checked first and shrinks with
-    every evaluation; a step that leaves it is replaced by bisection.  The
-    iteration stops once a step moves a by at most 1e-15 relative.
+    The sign bracket h(lo) < 0 < h(hi) is checked first; the iteration
+    starts at lo, near the maximizer, from the gap and slope found there.
     """
-    if not _stationarity_gap(lo, n) < 0.0 < _stationarity_gap(hi, n):
+    gap, slope = _gap_and_slope(lo, n)
+    if not gap < 0.0 < _stationarity_gap(hi, n):
         raise BracketFailure(
             f"stationarity gap does not change sign on [{lo}, {hi}] at n={n}"
         )
-    a = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_MAX_STEPS):
-        gap, slope = _gap_and_slope(a, n)
-        if gap == 0.0:
-            return a
-        if gap < 0.0:
-            lo = a
-        else:
-            hi = a
-        nxt = 0.5 * (lo + hi)
-        if slope > 0.0 and lo < a - gap / slope < hi:
-            nxt = a - gap / slope
-        if abs(nxt - a) <= _NEWTON_RTOL * a:
-            return nxt
-        a = nxt
-    raise StationarityFailure(
-        f"Newton iteration did not settle in {_NEWTON_MAX_STEPS} steps at "
-        f"n={n}; last bracket [{lo}, {hi}]"
-    )
+    try:
+        return _newton_root(lambda a: _gap_and_slope(a, n), lo, hi, lo, gap, slope)
+    except ArithmeticError as exc:
+        raise StationarityFailure(f"{exc} at n={n}") from exc
 
 
 @lru_cache(maxsize=None)

@@ -143,8 +143,8 @@ class ConvexProfile:
     Canonicalized on construction: collinear breakpoints are merged, a
     trailing breakpoint whose incoming slope equals a finite tail slope is
     absorbed.  Invalid data (r not strictly increasing, v decreasing, slopes
-    decreasing beyond slack, tail slope below the last slope) raises
-    ValueError.
+    decreasing beyond slack, tail slope below the last slope, tail slope 0
+    after a positive value) raises ValueError.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -159,6 +159,9 @@ class ConvexProfile:
             raise ValueError(f"profile must start at (0, 0), got {pts[0]}")
         if math.isnan(tail) or tail < 0.0:
             raise ValueError(f"tail slope must be in [0, inf], got {tail}")
+        if tail == 0.0 and any(v > 0.0 for _, v in pts):
+            # within CONVEXITY_SLACK, but the radius would need slope 1/0
+            raise ValueError(f"tail slope 0 after a positive value in {pts}")
         object.__setattr__(self, "breakpoints", _canonical(pts, tail, 1))
         object.__setattr__(self, "tail_slope", tail)
 

@@ -204,6 +204,11 @@ def test_transform_error_paths(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, ["transform", "L", str(bad)])
     assert code == 2
     assert "invalid profile" in err
+    # a zero tail after a value within the convexity slack has no radius
+    flat = json.dumps({"breakpoints": [[0, 0], [1, 1e-10]], "tail_slope": 0})
+    code, _, err = run(capsys, ["transform", "J"], stdin=flat, monkeypatch=monkeypatch)
+    assert code == 2
+    assert "invalid profile" in err
     assert run(capsys, ["transform", "J", str(tmp_path / "missing.json")])[0] == 2
 
 

@@ -14,8 +14,8 @@ from epidual.extremal import (
     StationarityFailure,
     TentParams,
     ZeroProfile,
-    _bisect,
     _gap_probes,
+    _newton_root,
     _newton_stationary,
     _stationarity_gap,
     a_bracket,
@@ -95,11 +95,13 @@ def test_roots_against_dense_scan():
 
 
 def test_roots_are_tight():
-    triple = roots_of_m(4, math.lgamma(5))
-    for root in (triple.z1, triple.z2, triple.z3):
-        lo = root * (1.0 - 1e-11)
-        hi = root * (1.0 + 1e-11)
-        assert m_sign(lo, 4, math.lgamma(5)) != m_sign(hi, 4, math.lgamma(5))
+    for n in range(1, 1001):
+        log_lambda = math.lgamma(n + 1)
+        triple = roots_of_m(n, log_lambda)
+        for root in (triple.z1, triple.z2, triple.z3):
+            lo = m_sign(root * (1.0 - 1e-13), n, log_lambda)
+            hi = m_sign(root * (1.0 + 1e-13), n, log_lambda)
+            assert lo == -hi != 0, (n, root)
 
 
 def test_roots_interleave_probes():
@@ -111,18 +113,29 @@ def test_roots_interleave_probes():
 
 def test_roots_straddle_inverse_dimension():
     # the sign map at lambda = n! is positive at 1/n, so the island
-    # endpoints sit on either side of it
-    for n in (2, 10, 100):
+    # endpoints sit on either side of it; at n = 10^7 the local max probe
+    # must not lose digits to cancellation, or the island is missed
+    for n in (2, 10, 100, 10**7):
         triple = roots_of_m(n, math.lgamma(n + 1))
         assert triple.z1 < 1.0 / n < triple.z2
 
 
 def test_roots_at_degenerate_dimension_one():
-    # lambda = 1! makes z = 1 an exact root; bisection still brackets it
+    # lambda = 1! makes z = 1 an exact root, where the gap's slope is -1
     triple = roots_of_m(1, 0.0)
-    assert triple.z2 == pytest.approx(1.0, rel=1e-11)
+    assert triple.z2 == pytest.approx(1.0, rel=1e-15)
     assert triple.z1 < 0.3
     assert triple.z3 > 4.0
+
+
+@pytest.mark.parametrize("log_lambda", [-0.52, 0.52])
+def test_root_widening_cap_raises(monkeypatch, log_lambda):
+    # at n = 1, log lambda = -0.52 puts z1 two halvings below the local max
+    # probe and +0.52 puts z3 two doublings above the local min probe
+    roots_of_m(1, log_lambda)
+    monkeypatch.setattr(extremal, "_WIDEN_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        roots_of_m(1, log_lambda)
 
 
 def test_one_root_detection():
@@ -328,7 +341,7 @@ def _count_reg_gamma(monkeypatch):
 def test_cold_solve_gamma_budget(monkeypatch, n):
     calls = _count_reg_gamma(monkeypatch)
     solve_lambda.__wrapped__(n)
-    assert calls[0] <= 60
+    assert calls[0] <= 30
 
 
 def test_multiple_local_maxima_is_lazy(monkeypatch):
@@ -387,9 +400,10 @@ def test_stationarity_gap_brackets_maximizer():
 
 
 def test_bisect_raises_when_it_cannot_converge():
-    # the relative stopping width never shrinks below a midpoint of 0
+    # a zero slope makes every step a bisection, and a relative step never
+    # gets small next to iterates that halve toward the root at 0
     with pytest.raises(ArithmeticError):
-        _bisect(lambda z: z, -1.0, 1.0)
+        _newton_root(lambda z: (z, 0.0), -1.0, 1.0, 0.5, 0.5, 0.0)
 
 
 def test_newton_cap_raises(monkeypatch):

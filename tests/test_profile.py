@@ -80,6 +80,8 @@ def test_canonical_rewrites_constant_tail():
         (((0.0, 0.0), (math.nan, 1.0)), INF),  # NaN radius
         (((0.0, 0.0), (1.0, INF)), INF),  # infinite value
         (((0.0, 0.0), (INF, 1.0)), INF),  # infinite radius
+        (((0.0, 0.0), (1.0, 1e-10)), 0.0),  # zero tail after a positive value
+        (((0.0, 0.0), (1.0, 1e-10), (2.0, 0.0)), 0.0),  # the same, inside
     ],
 )
 def test_invalid_profiles_raise(pts, tail):
