@@ -111,61 +111,46 @@ def _lambda_mode(text: str) -> str:
 # commands
 
 
+# lambda-table columns after n, each read from n and its LambdaEstimate
+_TABLE_COLUMNS = {
+    "log_lambda": lambda n, est: est.log_lambda,
+    "excess": lambda n, est: est.lambda_hat_minus_1,
+    "r_n": lambda n, est: n * est.lambda_hat_minus_1,
+    "a_n": lambda n, est: est.a_n,
+    "n_a_n": lambda n, est: n * est.a_n,
+    "residual_n1": lambda n, est: est.residual_n1,
+    "residual_n2": lambda n, est: est.residual_n2,
+}
+
+
 def _cmd_lambda_table(args) -> int:
     if args.n_max > 1000:
         return _fail("lambda-table supports n up to 1000")
     if args.n_min > args.n_max:
         return _fail(f"empty range: n-min {args.n_min} > n-max {args.n_max}")
-    fields = (
-        "n", "log_lambda", "excess", "r_n", "a_n", "n_a_n",
-        "residual_n1", "residual_n2",
-    )
-    rows: list[tuple[int, object]] = []
-    broken = False
+    rows: list[dict] = []
     for n in range(args.n_min, args.n_max + 1):
         try:
-            rows.append((n, solve_lambda(n)))
+            est = solve_lambda(n)
         except _SOLVER_ERRORS as exc:
             if not args.keep_going:
                 return _fail(f"solver failed at n={n}: {exc}")
-            broken = True
-            rows.append((n, f"{type(exc).__name__}: {exc}"))
+            rows.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        rows.append({"n": n, **{k: col(n, est) for k, col in _TABLE_COLUMNS.items()}})
     if args.format == "csv":
-        lines = ["# columns: " + ",".join(fields)]
-        for n, est in rows:
-            if isinstance(est, str):
-                lines.append(f"{n},error,{est.replace(',', ';')}")
-                continue
-            values = (
-                est.log_lambda,
-                est.lambda_hat_minus_1,
-                n * est.lambda_hat_minus_1,
-                est.a_n,
-                n * est.a_n,
-                est.residual_n1,
-                est.residual_n2,
-            )
-            lines.append(",".join([str(n)] + [_fmt(v) for v in values]))
+        lines = ["# columns: " + ",".join(["n", *_TABLE_COLUMNS])]
+        for row in rows:
+            if "error" in row:
+                lines.append(f"{row['n']},error,{row['error'].replace(',', ';')}")
+            else:
+                values = [_fmt(row[k]) for k in _TABLE_COLUMNS]
+                lines.append(",".join([str(row["n"]), *values]))
         text = "\n".join(lines) + "\n"
     else:
-        docs = []
-        for n, est in rows:
-            if isinstance(est, str):
-                docs.append({"n": n, "error": est})
-                continue
-            docs.append({
-                "n": n,
-                "log_lambda": est.log_lambda,
-                "excess": est.lambda_hat_minus_1,
-                "r_n": n * est.lambda_hat_minus_1,
-                "a_n": est.a_n,
-                "n_a_n": n * est.a_n,
-                "residual_n1": est.residual_n1,
-                "residual_n2": est.residual_n2,
-            })
-        text = json.dumps({"rows": docs}, sort_keys=True, indent=2) + "\n"
+        text = json.dumps({"rows": rows}, sort_keys=True, indent=2) + "\n"
     _emit(text, args.out)
-    return 2 if broken else 0
+    return 2 if any("error" in row for row in rows) else 0
 
 
 def _cmd_maximizer(args) -> int:

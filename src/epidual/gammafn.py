@@ -6,9 +6,9 @@ the regularized pair
 
     p(s, x) = gamma(s, x) / Gamma(s),    q(s, x) = Gamma(s, x) / Gamma(s),
 
-carried both as plain floats and as log-magnitudes.  p and q are the only
-quantities ever exponentiated; the log forms stay accurate far into the
-tails where the plain values underflow.
+carried as log-magnitudes only, which stay accurate far into the tails
+where the plain values underflow.  One side is computed directly and the
+other is its complement log(1 - e^side) from logdomain.log1mexp.
 
 The split follows the classical recipe: the lower series for x < s + 1, the
 upper continued fraction (modified Lentz) otherwise.  The prefactor
@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+from .logdomain import log1mexp
 
 # Series and fraction terms stop at one unit of double precision; a smaller
 # tolerance can never be met where the continued fraction's factors round
@@ -41,14 +43,12 @@ _STIRLING_COEFFS = (
 
 @dataclass(frozen=True)
 class RegularizedGamma:
-    """Value pair of the regularized incomplete gamma functions at (s, x).
+    """Log-magnitudes of the regularized incomplete gamma pair at (s, x).
 
-    p + q = 1 holds to within one rounding: whichever side the algorithm
-    computes directly, the other is its exact floating-point complement.
+    exp(log_p) + exp(log_q) = 1 to within rounding: whichever side the
+    algorithm computes directly, the other is its log-domain complement.
     """
 
-    p: float
-    q: float
     log_p: float
     log_q: float
 
@@ -146,18 +146,12 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
     if not (x >= 0.0) or math.isinf(x):
         raise ValueError(f"reg_gamma needs finite x >= 0, got x={x}")
     if x == 0.0:
-        return RegularizedGamma(0.0, 1.0, float("-inf"), 0.0)
+        return RegularizedGamma(float("-inf"), 0.0)
     if x < s + 1.0:
         log_p = _lower_series(s, x)
-        p = math.exp(log_p)
-        q = -math.expm1(log_p)
-        log_q = math.log1p(-p) if p < 1.0 else math.log(q)
-        return RegularizedGamma(p, q, log_p, log_q)
+        return RegularizedGamma(log_p, log1mexp(log_p))
     log_q = _upper_cf(s, x)
-    q = math.exp(log_q)
-    p = -math.expm1(log_q)
-    log_p = math.log1p(-q)
-    return RegularizedGamma(p, q, log_p, log_q)
+    return RegularizedGamma(log1mexp(log_q), log_q)
 
 
 def check_small_a_bound(n: int, a: float) -> bool:
@@ -177,17 +171,17 @@ def check_small_a_bound(n: int, a: float) -> bool:
 def check_tail_bound(n: int, t: float) -> bool:
     """Concentration of the Gamma(n+1) mass below n + 1 + t.
 
-    Checks  p(n+1, n+1+t) >= 1 - exp(-t^2 / (8(n+1)))  for 0 < t < 2(n+1).
+    Checks  p(n+1, n+1+t) >= 1 - exp(-t^2 / (8(n+1)))  for 0 < t < 2(n+1)
+    as the equivalent  log q(n+1, n+1+t) <= -t^2 / (8(n+1)),  which needs
+    no complement and holds its meaning when t^2 underflows.
     """
     if n < 1 or not (0.0 < t < 2.0 * (n + 1.0)):
         raise ValueError(f"need n >= 1 and t in (0, 2(n+1)), got n={n}, t={t}")
-    lhs = reg_gamma(n + 1.0, n + 1.0 + t).p
-    rhs = -math.expm1(-t * t / (8.0 * (n + 1.0)))
-    return lhs >= rhs
+    return reg_gamma(n + 1.0, n + 1.0 + t).log_q <= -t * t / (8.0 * (n + 1.0))
 
 
 def check_gamma_half(m: int) -> bool:
     """Checks Gamma(m+1, m) >= m!/2, i.e. q(m+1, m) >= 1/2."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    return reg_gamma(m + 1.0, float(m)).q >= 0.5
+    return reg_gamma(m + 1.0, float(m)).log_q >= -math.log(2.0)

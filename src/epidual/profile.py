@@ -16,6 +16,7 @@ The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
 All three transforms (inversion J, conjugation L, polarity A) are exact on
 the piecewise-linear representation; polarity is exposed pointwise only.
+So identities between them are decided exactly, at the knots, by _max_gap.
 
 Two degenerate profiles are representable and flow through everything:
 psi == 0 (radius identically +inf) and the indicator of {0} (radius
@@ -28,12 +29,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 INF = float("inf")
 
-# Segments whose slopes agree to this relative tolerance are merged; profile
-# equality is defined up to the same tolerance on canonical breakpoints.
+# A breakpoint whose value lies within this tolerance, relative to that
+# value, of the line through its neighbours is merged away (see _canonical);
+# approx_equal compares canonical breakpoints to the same tolerance relative
+# to max(1, |a|, |b|).
 MERGE_RTOL = 1e-12
 # Slack for accepting slope monotonicity from computed (rounded) inputs.
 CONVEXITY_SLACK = 1e-9
@@ -56,6 +59,11 @@ def _close(a: float, b: float, rtol: float = MERGE_RTOL) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
+def _on_line(y: float, line: float) -> bool:
+    """y matches the interpolated value `line` to MERGE_RTOL relative to y."""
+    return abs(y - line) <= MERGE_RTOL * abs(y)
+
+
 def _canonical(
     pts: list[tuple[float, float]], tail_slope: float, direction: int
 ) -> _Points:
@@ -65,7 +73,11 @@ def _canonical(
     decrease; the slopes, the tail slope last, must turn in `direction`
     (+1 convex, -1 concave) up to CONVEXITY_SLACK, or ValueError is raised.
     Trailing points collinear with a finite tail are absorbed into it
-    (popped from pts), then collinear runs are merged.
+    (popped from pts), then collinear runs are merged.  A point counts as
+    collinear when dropping it moves its own value by at most MERGE_RTOL
+    relative.  The test scales with the units of x and y, so the canonical
+    form does not depend on them, and it compares values, not slopes, so a
+    steep segment elsewhere cannot loosen it.
     """
     xs, ys, turn, side = _WORDS[direction]
     for x, y in pts:
@@ -88,14 +100,14 @@ def _canonical(
         raise ValueError(f"tail slope {tail_slope} {side} final slope {slopes[-1]}")
     while len(pts) > 1 and not math.isinf(tail_slope):
         (x0, y0), (x1, y1) = pts[-2], pts[-1]
-        if not _close((y1 - y0) / (x1 - x0), tail_slope):
+        if not _on_line(y1, y0 + tail_slope * (x1 - x0)):
             break
         pts.pop()
     merged = pts[:1]
     for x, y in pts[1:]:
         while len(merged) > 1:
             (xa, ya), (xb, yb) = merged[-2], merged[-1]
-            if not _close((yb - ya) / (xb - xa), (y - yb) / (x - xb)):
+            if not _on_line(yb, ya + (y - ya) * (xb - xa) / (x - xa)):
                 break
             merged.pop()
         merged.append((x, y))
@@ -449,31 +461,47 @@ def evaluation_grid(
     return sorted(grid)
 
 
-def check_j_factorization(
-    p: ConvexProfile, grid: Sequence[float] | None = None
-) -> float:
-    """Max pointwise gap between the radius route and conjugate-of-polar.
+def _max_gap(p: ConvexProfile, q: ConvexProfile) -> float:
+    """Largest pointwise gap |p - q| between two profiles, decided exactly.
 
-    Grid points where both routes are +inf count as zero deviation; a point
-    where exactly one route is infinite returns inf.
+    p - q is linear between adjacent knots of the two breakpoint sets and
+    past the last knot, so its values at those knots and at the tail point
+    2*top (which shows a tail-slope difference) decide equality up to
+    rounding; a denser grid or the midpoints add nothing.  Points where
+    both sides are +inf count as no gap; a point where exactly one side is
+    infinite returns inf, unless both indicator edges lie within 1e-9
+    relative of it.
     """
-    route_radius = from_radius(j_transform(to_radius(p)))
-    route_polar = legendre(_polar_profile(p))
-    if grid is None:
-        extras = [r for r, _ in route_radius.breakpoints] + [
-            r for r, _ in route_polar.breakpoints
-        ]
-        grid = evaluation_grid(extras=extras)
+    knots = sorted({r for r, _ in p.breakpoints} | {r for r, _ in q.breakpoints})
+    top = knots[-1] if knots[-1] > 0.0 else 1.0
     worst = 0.0
-    for s in grid:
-        a = route_radius.evaluate(s)
-        b = route_polar.evaluate(s)
+    for x in (*knots, 2.0 * top):
+        a, b = p.evaluate(x), q.evaluate(x)
         if math.isinf(a) and math.isinf(b):
             continue
         if math.isinf(a) or math.isinf(b):
+            # ignore a one-ulp disagreement about where an indicator starts
+            lo, hi = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
+            pa, qa = p.evaluate(lo), q.evaluate(lo)
+            if (
+                math.isinf(p.evaluate(hi))
+                and math.isinf(q.evaluate(hi))
+                and not (math.isinf(pa) or math.isinf(qa))
+            ):
+                worst = max(worst, abs(pa - qa))
+                continue
             return INF
         worst = max(worst, abs(a - b))
     return worst
+
+
+def check_j_factorization(p: ConvexProfile) -> float:
+    """Max pointwise gap between the radius route J and conjugate-of-polar L A.
+
+    Both routes are exact piecewise-linear profiles, so _max_gap compares
+    them at their knots and in the tail.
+    """
+    return _max_gap(from_radius(j_transform(to_radius(p))), legendre(_polar_profile(p)))
 
 
 def scale(p: ConvexProfile, a: float) -> ConvexProfile:

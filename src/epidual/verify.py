@@ -42,6 +42,7 @@ from .profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
+    _max_gap,
     check_j_factorization,
     evaluation_grid,
     from_radius,
@@ -152,38 +153,6 @@ def _island_roots(n: int) -> RootTriple:
     return _solved_island(n, solve_lambda(n).log_lambda)
 
 
-def _profile_gap(p: ConvexProfile, q: ConvexProfile) -> float:
-    """Largest pointwise gap between two profiles.
-
-    Piecewise-linear functions that agree at both kink sets, between any
-    two adjacent kinks and at two points in the tail agree everywhere, so
-    the grid below decides equality up to rounding.  A point where exactly
-    one side is infinite returns inf.
-    """
-    knots = sorted({r for r, _ in p.breakpoints} | {r for r, _ in q.breakpoints})
-    mids = [0.5 * (a + b) for a, b in zip(knots, knots[1:])]
-    top = knots[-1] if knots[-1] > 0.0 else 1.0
-    worst = 0.0
-    for x in evaluation_grid(extras=(*knots, *mids, 2.0 * top, 4.0 * top)):
-        a, b = p.evaluate(x), q.evaluate(x)
-        if math.isinf(a) and math.isinf(b):
-            continue
-        if math.isinf(a) or math.isinf(b):
-            # ignore a one-ulp disagreement about where an indicator starts
-            lo, hi = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
-            pa, qa = p.evaluate(lo), q.evaluate(lo)
-            if (
-                math.isinf(p.evaluate(hi))
-                and math.isinf(q.evaluate(hi))
-                and not (math.isinf(pa) or math.isinf(qa))
-            ):
-                worst = max(worst, abs(pa - qa))
-                continue
-            return INF
-        worst = max(worst, abs(a - b))
-    return worst
-
-
 def _radius_knots(rho: RadiusFunction) -> list[float]:
     return [z for z, _ in rho.breakpoints]
 
@@ -221,7 +190,7 @@ SuiteBody = Callable[[int, "np.random.Generator", ProfileSampler], CaseResult]
 def _suite_involution(i: int, rng, sampler: ProfileSampler) -> CaseResult:
     p = sampler.draw(rng)
     q = from_radius(j_transform(j_transform(to_radius(p))))
-    gap = _profile_gap(p, q)
+    gap = _max_gap(p, q)
     return gap, None if gap <= _TRANSFORM_TOL else f"double transform moved psi by {gap:.3e}"
 
 
@@ -317,7 +286,7 @@ def _suite_t_improvement(i: int, rng, sampler: ProfileSampler) -> CaseResult:
     margin = _signed_deficit(pair_t, est.log_lambda, ref) - _signed_deficit(
         pair_p, est.log_lambda, ref
     )
-    if _profile_gap(p, tent) <= _TENT_ROUNDTRIP_TOL:
+    if _max_gap(p, tent) <= _TENT_ROUNDTRIP_TOL:
         ok = margin >= -_TENT_ROUNDTRIP_TOL  # tents map to themselves
     else:
         ok = margin > 0.0
@@ -338,7 +307,7 @@ def _suite_steiner_commute(i: int, rng, sampler: ProfileSampler) -> CaseResult:
         from_radius(j_transform(to_radius(f.left))),
         from_radius(j_transform(to_radius(f.right))),
     )
-    gap = _profile_gap(sym_first, symmetrize_line(transformed))
+    gap = _max_gap(sym_first, symmetrize_line(transformed))
     return gap, None if gap <= _TRANSFORM_TOL else f"paths disagree by {gap:.3e}"
 
 

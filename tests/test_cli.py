@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from epidual.cli import main
-from epidual.extremal import a_bracket, roots_of_m, solve_lambda
+from epidual.extremal import BracketFailure, a_bracket, roots_of_m, solve_lambda
 from epidual.profile import profile_from_dict, profile_to_dict
 from epidual.verify import SuiteReport
 
@@ -52,6 +52,25 @@ def test_lambda_table_csv_and_json_agree(capsys):
             ("log_lambda", "excess", "r_n", "a_n", "n_a_n", "residual_n1", "residual_n2")
         ):
             assert float(row[i + 1]) == doc[key]
+
+
+def test_lambda_table_keep_going_reports_error_rows(capsys, monkeypatch):
+    def flaky(n):
+        if n == 2:
+            raise BracketFailure("no bracket, at n=2")
+        return solve_lambda(n)
+
+    monkeypatch.setattr("epidual.cli.solve_lambda", flaky)
+    argv = ["lambda-table", "--n-max", "3"]
+    assert run(capsys, argv)[0] == 2
+    code, csv_text, _ = run(capsys, [*argv, "--keep-going"])
+    assert code == 2
+    assert data_rows(csv_text)[1] == ["2", "error", "BracketFailure: no bracket; at n=2"]
+    code, json_text, _ = run(capsys, [*argv, "--keep-going", "--format", "json"])
+    assert code == 2
+    docs = json.loads(json_text)["rows"]
+    assert docs[1] == {"n": 2, "error": "BracketFailure: no bracket, at n=2"}
+    assert [doc["n"] for doc in docs] == [1, 2, 3] and "log_lambda" in docs[2]
 
 
 def test_lambda_table_row_200_tracks_inverse_dimension(capsys):

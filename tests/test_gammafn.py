@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from scipy import integrate
 
-from epidual.logdomain import log_sub_signed
+from epidual.logdomain import log1mexp, log_sub_signed
 from epidual.gammafn import (
     check_gamma_half,
     check_small_a_bound,
@@ -23,19 +23,19 @@ def oracle_p_quadrature(s, x):
 
 def test_shape_one_is_one_minus_exp():
     for x in [0.0, 1e-6, 0.3, 1.0, 5.0, 40.0]:
-        got = reg_gamma(1.0, x).p
+        got = math.exp(reg_gamma(1.0, x).log_p)
         assert got == pytest.approx(-math.expm1(-x), abs=1e-14)
 
 
 def test_value_s2_x2():
     # gamma(2, 2) = 1 - 3 e^{-2} by two integrations by parts
     expected = 1.0 - 3.0 * math.exp(-2.0)
-    assert reg_gamma(2.0, 2.0).p == pytest.approx(expected, abs=1e-14)
+    assert math.exp(reg_gamma(2.0, 2.0).log_p) == pytest.approx(expected, abs=1e-14)
 
 
 def test_boundary_x_zero():
     g = reg_gamma(7.0, 0.0)
-    assert g.p == 0.0 and g.q == 1.0
+    assert math.exp(g.log_p) == 0.0 and math.exp(g.log_q) == 1.0
     assert g.log_p == float("-inf") and g.log_q == 0.0
 
 
@@ -44,7 +44,7 @@ def test_matches_quadrature_small_shapes(n):
     s = n + 1.0
     for x in [0.25, 1.0, s - 1.0, s, s + 1.0, 3.0 * s]:
         want = oracle_p_quadrature(s, x)
-        got = reg_gamma(s, x).p
+        got = math.exp(reg_gamma(s, x).log_p)
         assert got == pytest.approx(want, rel=1e-11)
 
 
@@ -52,7 +52,44 @@ def test_complement_identity():
     for s in [1.0, 2.0, 17.0, 301.0, 1001.0]:
         for x in [1e-3, 0.5 * s, s, s + 1.0, 2.0 * s, 10.0 * s]:
             g = reg_gamma(s, x)
-            assert abs(g.p + g.q - 1.0) <= 1e-14
+            assert abs(math.exp(g.log_p) + math.exp(g.log_q) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "x",
+    # log(-expm1(x)) above log(1/2), log1p(-exp(x)) from there down
+    [-1e-300, -1e-17, -1e-8, -0.1, -0.5, -0.69, -math.log(2.0), -0.7, -1.0,
+     -5.0, -40.0, -700.0, -1e6],
+)
+def test_log1mexp_matches_mpmath(x):
+    with mpmath.workdps(50):
+        want = float(mpmath.log(-mpmath.expm1(x)))
+    assert log1mexp(x) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, 1.0, math.inf])
+def test_log1mexp_rejects_nonnegative(x):
+    with pytest.raises(ValueError):
+        log1mexp(x)
+
+
+@pytest.mark.parametrize("s", [1.0, 1000.0])
+def test_reg_gamma_across_the_branch_switch(s):
+    # below x = s + 1 log q is the complement of the series' log p, from
+    # there on log p is the complement of the fraction's log q; the side
+    # computed directly stays below 0, so log1mexp gets a valid argument
+    edge = s + 1.0
+    xs = [edge - 0.5, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf),
+          edge + 0.5]
+    for x in xs:
+        g = reg_gamma(s, x)
+        with mpmath.workdps(40):
+            want_p = mpmath.gammainc(s, 0, x, regularized=True)
+            want_q = mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+            want_lp, want_lq = float(mpmath.log(want_p)), float(mpmath.log(want_q))
+        assert g.log_p < 0.0 and g.log_q < 0.0
+        assert g.log_p == pytest.approx(want_lp, rel=1e-14), x
+        assert g.log_q == pytest.approx(want_lq, rel=1e-14), x
 
 
 def test_recurrence_lower():
@@ -80,8 +117,8 @@ def test_absolute_accuracy_against_mpmath():
             p_ref = float(mpmath.gammainc(s, 0, x, regularized=True))
             q_ref = float(mpmath.gammainc(s, x, mpmath.inf, regularized=True))
             g = reg_gamma(s, x)
-            assert abs(g.p - p_ref) <= 1e-13, (s, x)
-            assert abs(g.q - q_ref) <= 1e-13, (s, x)
+            assert abs(math.exp(g.log_p) - p_ref) <= 1e-13, (s, x)
+            assert abs(math.exp(g.log_q) - q_ref) <= 1e-13, (s, x)
 
 
 def test_log_forms_track_far_tails():
@@ -116,6 +153,7 @@ def test_small_a_bound_grid():
 def test_tail_bound_cases():
     assert check_tail_bound(10, 5.0)
     assert check_tail_bound(100, 1.0)
+    assert check_tail_bound(1, 1e-170)  # t^2 underflows; the bound is vacuous
     with pytest.raises(ValueError):
         check_tail_bound(10, 30.0)
 
@@ -132,4 +170,4 @@ def test_upper_fraction_converges_at_huge_argument():
         want = float(mpmath.log(mpmath.gammainc(65, 3e16, mpmath.inf, regularized=True)))
     got = reg_gamma(65.0, 3e16)
     assert got.log_q == pytest.approx(want, rel=1e-15)
-    assert got.p == 1.0 and got.q == 0.0
+    assert math.exp(got.log_p) == 1.0 and math.exp(got.log_q) == 0.0

@@ -26,6 +26,7 @@ from epidual.profile import (
     scale,
     to_radius,
 )
+from epidual.verify import ProfileSampler
 
 ZERO = ConvexProfile(((0.0, 0.0),), 0.0)
 ORIGIN = ConvexProfile(((0.0, 0.0),), INF)
@@ -172,6 +173,19 @@ def test_ratio_scaling_invariance(a, n):
     for p in PROFILES:
         base = log_s_j_n(p, n)
         assert log_s_j_n(scale(p, a), n) == pytest.approx(base, abs=1e-10), p
+
+
+@pytest.mark.parametrize("e", [100, -100, 300, -300])
+def test_ratio_scaling_invariance_at_extreme_scales(e):
+    # merging nearly collinear segments must not depend on the units: with
+    # an absolute slope floor, every radius slope below 1e-12 merged and
+    # the profile collapsed towards one line
+    stream = ProfileSampler(seed=0).stream()
+    for k in range(8):
+        p, n = next(stream), 1 + k
+        base = log_s_j_n(p, n)
+        got = log_s_j_n(scale(p, 10.0**e), n)
+        assert got == pytest.approx(base, abs=1e-10), (p, n)
 
 
 @pytest.mark.parametrize("a", [0.25, 5.0])

@@ -7,6 +7,7 @@ from epidual.profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
+    _max_gap,
     _polar_profile,
     check_j_factorization,
     evaluation_grid,
@@ -63,6 +64,23 @@ def test_canonical_rewrites_constant_tail():
     rho = RadiusFunction(((0.0, 0.0), (1.0, 1.0), (2.0, 1.0 + 1e-13)), 0.0)
     assert rho.breakpoints == ((0.0, 0.0), (1.0, 1.0))
     assert rho.tail_slope == 0.0 and rho.evaluate(INF) == 1.0
+
+
+def test_canonical_keeps_shallow_segments_beside_steep_ones():
+    # merging compares each dropped value with its own size, so a steep
+    # segment elsewhere cannot let shallow slopes 1, 0.5 and the tail 0.2,
+    # or 0 and 1, merge
+    rho = to_radius(
+        ConvexProfile(((0.0, 0.0), (1.0, 1e-12), (2.0, 1.0), (3.0, 3.0)), 5.0)
+    )
+    assert rho.breakpoints == ((0.0, 0.0), (1e-12, 1.0), (1.0, 2.0), (3.0, 3.0))
+    assert rho.tail_slope == pytest.approx(0.2) and rho.evaluate(3.0) == 3.0
+    p = ConvexProfile(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0)), 1e12)
+    assert p.breakpoints == ((0.0, 0.0), (1.0, 0.0), (2.0, 1.0))
+    assert p.evaluate(1.0) == 0.0
+    # a steep last segment dominates the rise of the breakpoints
+    p = ConvexProfile(((0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 1e13)), INF)
+    assert len(p.breakpoints) == 4 and p.evaluate(1.0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -306,6 +324,40 @@ def test_double_polarity_on_samples():
 def test_factorization_on_samples():
     for p in SAMPLES:
         assert check_j_factorization(p) <= 1e-9, p
+
+
+def test_factorization_evaluates_only_at_knots(monkeypatch):
+    calls = []
+    evaluate = ConvexProfile.evaluate
+
+    def counted(self, r):
+        calls.append(r)
+        return evaluate(self, r)
+
+    monkeypatch.setattr(ConvexProfile, "evaluate", counted)
+    for p in SAMPLES:
+        calls.clear()
+        check_j_factorization(p)
+        # each route has at most len(p.breakpoints) + 2 knots; both routes
+        # are evaluated at every knot and at one tail point, and an
+        # indicator edge costs four more
+        knots = 2 * (len(p.breakpoints) + 2)
+        assert len(calls) <= 2 * (knots + 1) + 4, (p, len(calls))
+
+
+def test_max_gap_detects_differences():
+    p = ConvexProfile(((0.0, 0.0), (1.0, 2.0)), 4.0)
+    q = ConvexProfile(((0.0, 0.0), (1.0, 2.5)), 4.0)
+    assert _max_gap(p, p) == 0.0
+    assert _max_gap(p, q) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_max_gap_tolerates_ulp_indicator_boundary():
+    p = ConvexProfile(((0.0, 0.0), (1.0, 1.0)), math.inf)
+    q = ConvexProfile(((0.0, 0.0), (1.0 + 1e-15, 1.0)), math.inf)
+    r = ConvexProfile(((0.0, 0.0), (1.5, 1.5)), math.inf)
+    assert _max_gap(p, q) < 1e-9
+    assert _max_gap(p, r) == math.inf
 
 
 def test_scale():

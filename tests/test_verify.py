@@ -19,7 +19,6 @@ from epidual.verify import (
     UnknownSuite,
     _brute_force_scan,
     _cap_radius,
-    _profile_gap,
     _tent_log_ratios,
     brute_force_lambda,
     run_suite,
@@ -130,21 +129,6 @@ def test_report_round_trips_to_dict():
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def test_profile_gap_detects_differences():
-    p = ConvexProfile(((0.0, 0.0), (1.0, 2.0)), 4.0)
-    q = ConvexProfile(((0.0, 0.0), (1.0, 2.5)), 4.0)
-    assert _profile_gap(p, p) == 0.0
-    assert _profile_gap(p, q) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_profile_gap_tolerates_ulp_indicator_boundary():
-    p = ConvexProfile(((0.0, 0.0), (1.0, 1.0)), math.inf)
-    q = ConvexProfile(((0.0, 0.0), (1.0 + 1e-15, 1.0)), math.inf)
-    r = ConvexProfile(((0.0, 0.0), (1.5, 1.5)), math.inf)
-    assert _profile_gap(p, q) < 1e-9
-    assert _profile_gap(p, r) == math.inf
 
 
 def test_cap_radius_clips_where_needed():
