@@ -40,7 +40,11 @@ from .profile import (
 )
 from .verify import SUITE_NAMES, ProfileSampler, run_suite
 
-_SOLVER_ERRORS = (BracketFailure, StationarityFailure, OneRootCase)
+# ArithmeticError: a gamma series or Newton iteration that does not settle;
+# ValueError: a sign-map root triple that fails its sign pattern (huge n)
+_SOLVER_ERRORS = (
+    BracketFailure, StationarityFailure, OneRootCase, ArithmeticError, ValueError
+)
 
 
 def _fmt(x: float) -> str:
@@ -196,6 +200,8 @@ def _cmd_scan_m(args) -> int:
         )
     except OneRootCase as exc:
         lines.append(f"# roots: OneRootCase ({exc})")
+    except _SOLVER_ERRORS as exc:
+        return _fail(f"solver failed at n={n}: {exc}")
     lines.append("# columns: z,sign_m,log_abs_m")
     for z in np.geomspace(lo, hi, args.points):
         z = float(z)
@@ -218,11 +224,14 @@ def _cmd_scan_g(args) -> int:
     else:
         try:
             seed = roots_of_m(n, math.lgamma(n + 1))
-        except OneRootCase as exc:
+        except _SOLVER_ERRORS as exc:
             return _fail(f"no scan bracket at lambda = n! for n={n}: {exc}")
         lo, hi = seed.z1, seed.z2
     grid = [float(a) for a in np.geomspace(lo, hi, args.points)]
-    vals = [big_g(a, n) for a in grid]
+    try:
+        vals = [big_g(a, n) for a in grid]
+    except _SOLVER_ERRORS as exc:
+        return _fail(f"solver failed at n={n}: {exc}")
     best = max(range(len(grid)), key=vals.__getitem__)
     log_factorial = math.lgamma(n + 1)
     lines = [

@@ -22,7 +22,8 @@ this condition, whose derivative comes in closed form from the same two
 gamma values, inside the positivity island of the sign map and started
 from its left end, near which the maximizer sits.  The island's ends, the
 sign-map roots, come from the same safeguarded Newton on g.  Two residuals
-that vanish at the true stationary point certify the result.
+that vanish at the true stationary point certify the result, and g >= 0 at
+the maximizer certifies that it lies in the island at the solved lambda.
 """
 
 from __future__ import annotations
@@ -215,18 +216,6 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     return RootTriple(z1, z2, z3, log_lambda, n)
 
 
-def _solved_island(n: int, log_lambda: float) -> RootTriple:
-    """The sign-map roots at a solved lambda.
-
-    The solved lambda can sit a hair above the tangency value, where the
-    island closes; the roots are then taken 1e-12 relative below it.
-    """
-    try:
-        return roots_of_m(n, log_lambda)
-    except OneRootCase:
-        return roots_of_m(n, log_lambda + math.log1p(-1e-12))
-
-
 # ---------------------------------------------------------------------------
 # tents
 
@@ -344,7 +333,9 @@ def _log_g(a: float, n: int, log_lower: float, log_lower_inv: float) -> float:
 def _gap_and_slope(a: float, n: int) -> tuple[float, float]:
     """The stationarity gap h(a) and its derivative, from two gamma values.
 
-    With d/da log gamma(n+1, a) = a^n e^(-a) / gamma(n+1, a),
+    h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a) is negative
+    where G increases and zero at its critical points.  With
+    d/da log gamma(n+1, a) = a^n e^(-a) / gamma(n+1, a),
 
         h'(a) = 1/a^2 - 1 - a^n e^(-a) / gamma(n+1, a)
                 + a^(-n-2) e^(-1/a) / gamma(n+1, 1/a).
@@ -361,14 +352,6 @@ def _gap_and_slope(a: float, n: int) -> tuple[float, float]:
         + math.exp(-(n + 2) * la - inv - log_lower_inv)
     )
     return gap, slope
-
-
-def _stationarity_gap(a: float, n: int) -> float:
-    """h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a).
-
-    Negative where G increases, zero at its critical points.
-    """
-    return _gap_and_slope(a, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +399,7 @@ def _newton_stationary(n: int, lo: float, hi: float) -> float:
     starts at lo, near the maximizer, from the gap and slope found there.
     """
     gap, slope = _gap_and_slope(lo, n)
-    if not gap < 0.0 < _stationarity_gap(hi, n):
+    if not gap < 0.0 < _gap_and_slope(hi, n)[0]:
         raise BracketFailure(
             f"stationarity gap does not change sign on [{lo}, {hi}] at n={n}"
         )
@@ -432,9 +415,11 @@ def solve_lambda(n: int) -> LambdaEstimate:
 
     The positivity island of the sign map at lambda = n! brackets the
     maximizer.  Safeguarded Newton on the stationarity gap h finds the
-    root of G's first-order condition there, the two first-order
-    residuals certify it (1e-8), and the roots are recomputed at the
-    solved lambda to confirm the maximizer stays inside the island.
+    root of G's first-order condition there and the two first-order
+    residuals certify it (1e-8).  The maximizer must also lie in the
+    island at the solved lambda, which one sign of the gap g decides:
+    Newton keeps it in the seed island left of g's local min, and there
+    g >= 0 exactly on the solved lambda's island.
     """
     _check_n(n)
     log_factorial = math.lgamma(n + 1)
@@ -457,10 +442,9 @@ def solve_lambda(n: int) -> LambdaEstimate:
             f"stationarity residuals {residual_n1:.3e}, {residual_n2:.3e} "
             f"exceed {_RESIDUAL_TOL} at n={n}"
         )
-    island = _solved_island(n, log_lambda)
-    if not island.z1 <= a_n <= island.z2:
+    if _log_gap(a_n, n, log_lambda) < 0.0:
         raise BracketFailure(
-            f"maximizer a={a_n} escaped the island [{island.z1}, {island.z2}]"
+            f"maximizer a={a_n} escaped the positivity island at n={n}"
         )
     return LambdaEstimate(
         n=n,

@@ -67,10 +67,18 @@ def _log_panel(logf, a: float, b: float) -> float:
     return m + math.log(acc) + math.log(half)
 
 
-def _log_adaptive(logf, a: float, b: float, depth: int = _MAX_DEPTH) -> float:
-    whole = _log_panel(logf, a, b)
+def _log_adaptive(
+    logf, a: float, b: float, depth: int = _MAX_DEPTH, whole: float | None = None
+) -> float:
+    """log integral of e^logf over [a, b] by adaptive Gauss-Legendre panels.
+
+    whole is the panel over [a, b] when the caller has already computed it.
+    """
+    if whole is None:
+        whole = _log_panel(logf, a, b)
     mid = 0.5 * (a + b)
-    split = log_add(_log_panel(logf, a, mid), _log_panel(logf, mid, b))
+    left, right = _log_panel(logf, a, mid), _log_panel(logf, mid, b)
+    split = log_add(left, right)
     if whole == split:  # covers the all-zero panel, -inf on both sides
         return split
     # composing m + log(acc) + log(half) rounds in proportion to the log
@@ -79,8 +87,8 @@ def _log_adaptive(logf, a: float, b: float, depth: int = _MAX_DEPTH) -> float:
     if abs(split - whole) <= _QUAD_TOL + 4e-15 * abs(split) or depth <= 0:
         return split
     return log_add(
-        _log_adaptive(logf, a, mid, depth - 1),
-        _log_adaptive(logf, mid, b, depth - 1),
+        _log_adaptive(logf, a, mid, depth - 1, left),
+        _log_adaptive(logf, mid, b, depth - 1, right),
     )
 
 

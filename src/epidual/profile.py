@@ -51,12 +51,12 @@ _WORDS = {
 }
 
 
-def _close(a: float, b: float, rtol: float = MERGE_RTOL) -> bool:
+def _close(a: float, b: float) -> bool:
     if a == b:
         return True
     if math.isinf(a) or math.isinf(b):
         return False
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= MERGE_RTOL * max(1.0, abs(a), abs(b))
 
 
 def _on_line(y: float, line: float) -> bool:
@@ -130,15 +130,13 @@ def _interpolate(pts: _Points, tail_slope: float, x: float) -> float:
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def _approx_same(
-    a: _Points, a_tail: float, b: _Points, b_tail: float, rtol: float
-) -> bool:
-    """Breakpoints and tail slopes agree pairwise to rtol (inf only to inf)."""
+def _approx_same(a: _Points, a_tail: float, b: _Points, b_tail: float) -> bool:
+    """Breakpoints and tail slopes agree pairwise to MERGE_RTOL (inf only to inf)."""
     return (
         len(a) == len(b)
-        and _close(a_tail, b_tail, rtol)
+        and _close(a_tail, b_tail)
         and all(
-            _close(p[0], q[0], rtol) and _close(p[1], q[1], rtol)
+            _close(p[0], q[0]) and _close(p[1], q[1])
             for p, q in zip(a, b)
         )
     )
@@ -199,9 +197,9 @@ class ConvexProfile:
             raise ValueError(f"profile domain is r >= 0, got {r}")
         return _interpolate(self.breakpoints, self.tail_slope, r)
 
-    def approx_equal(self, other: "ConvexProfile", rtol: float = MERGE_RTOL) -> bool:
+    def approx_equal(self, other: "ConvexProfile") -> bool:
         return _approx_same(
-            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope, rtol
+            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope
         )
 
 
@@ -258,10 +256,10 @@ class RadiusFunction:
             raise ValueError(f"radius domain is z >= 0, got {z}")
         return _interpolate(self.breakpoints, self.tail_slope, z)
 
-    def approx_equal(self, other: "RadiusFunction", rtol: float = MERGE_RTOL) -> bool:
+    def approx_equal(self, other: "RadiusFunction") -> bool:
         # a constant tail never matches a linear one, however shallow
         return (self.tail_slope == 0.0) == (other.tail_slope == 0.0) and _approx_same(
-            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope, rtol
+            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope
         )
 
 
@@ -452,9 +450,13 @@ def evaluation_grid(
     lo: float = 1e-3, hi: float = 1e3, points: int = 200,
     extras: Iterable[float] = (),
 ) -> list[float]:
-    """Geometric grid on [lo, hi] plus any finite positive extras, sorted."""
+    """Geometric grid on [lo, hi] plus any finite positive extras, sorted.
+
+    A single point is lo, as with np.geomspace.
+    """
     ratio = hi / lo
-    grid = {lo * ratio ** (i / (points - 1)) for i in range(points)}
+    steps = max(points - 1, 1)
+    grid = {lo * ratio ** (i / steps) for i in range(points)}
     for x in extras:
         if x > 0.0 and math.isfinite(x):
             grid.add(float(x))

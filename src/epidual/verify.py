@@ -20,8 +20,8 @@ import numpy as np
 from .extremal import (
     RootTriple,
     TentParams,
-    _solved_island,
     ck_coefficients,
+    roots_of_m,
     solve_lambda,
     t_map,
     tent_profile,
@@ -59,6 +59,8 @@ _INTEGRAL_TOL = 1e-10
 _SUBSTITUTION_TOL = 1e-12
 _RATIO_SLACK = 1e-8
 _TENT_ROUNDTRIP_TOL = 1e-10
+# largest tent increment b the grid oracle scans before b = inf
+_BRUTE_FORCE_B_MAX = 1e4
 
 
 class UnknownSuite(Exception):
@@ -69,29 +71,18 @@ class UnknownSuite(Exception):
 class ProfileSampler:
     """Deterministic stream of random convex profiles.
 
-    Segment count is uniform on {1, ..., max_segments}; slope and radius
-    increments are exponential with the given scales.  One profile in four
-    gets an indicator tail and one in five starts with a flat segment, so
-    the stream exercises both cutoff branches of the transforms.
+    Segment count is uniform on {1, ..., 6}; slope and radius increments
+    are unit exponentials.  One profile in four gets an indicator tail and
+    one in five starts with a flat segment, so the stream exercises both
+    cutoff branches of the transforms.
     """
 
     seed: int
-    max_segments: int = 6
-    slope_scale: float = 1.0
-    radius_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_segments < 1:
-            raise ValueError(f"max_segments must be >= 1, got {self.max_segments}")
-        for name in ("slope_scale", "radius_scale"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite > 0, got {v}")
 
     def draw(self, rng: np.random.Generator) -> ConvexProfile:
-        k = int(rng.integers(1, self.max_segments + 1))
-        widths = self.radius_scale * rng.exponential(size=k)
-        bumps = self.slope_scale * rng.exponential(size=k)
+        k = int(rng.integers(1, 7))
+        widths = rng.exponential(size=k)
+        bumps = rng.exponential(size=k)
         if rng.random() < 0.2:
             bumps[0] = 0.0
         slopes = np.cumsum(bumps)
@@ -104,7 +95,7 @@ class ProfileSampler:
         if rng.random() < 0.25:
             tail = INF
         else:
-            tail = float(slopes[-1] + self.slope_scale * rng.exponential())
+            tail = float(slopes[-1] + rng.exponential())
         return ConvexProfile(tuple(pts), tail)
 
     def stream(self) -> Iterator[ConvexProfile]:
@@ -150,7 +141,7 @@ class SuiteReport:
 
 @lru_cache(maxsize=None)
 def _island_roots(n: int) -> RootTriple:
-    return _solved_island(n, solve_lambda(n).log_lambda)
+    return roots_of_m(n, solve_lambda(n).log_lambda)
 
 
 def _radius_knots(rho: RadiusFunction) -> list[float]:
@@ -446,14 +437,13 @@ def _brute_force_scan(
     grid_a: int,
     grid_b: int,
     a_range: tuple[float, float],
-    b_max: float,
 ) -> tuple[float, float, float]:
     if not (0.0 < a_range[0] < a_range[1]):
         raise ValueError(f"slope range must satisfy 0 < lo < hi, got {a_range}")
     if grid_a < 2 or grid_b < 2:
         raise ValueError("need at least 2 grid points per axis")
     b_vals = np.concatenate(
-        [[0.0], np.geomspace(1e-2, b_max, grid_b - 1), [np.inf]]
+        [[0.0], np.geomspace(1e-2, _BRUTE_FORCE_B_MAX, grid_b - 1), [np.inf]]
     )
     best, best_a, best_b = -INF, math.nan, math.nan
     for a in np.geomspace(a_range[0], a_range[1], grid_a):
@@ -469,14 +459,13 @@ def brute_force_lambda(
     grid_a: int,
     grid_b: int,
     a_range: tuple[float, float] = (0.01, 5.0),
-    b_max: float = 1e4,
 ) -> float:
     """log of the grid maximum of the tent volume ratio, quadrature only.
 
     Scans slopes a geometrically over a_range and increments b over
-    {0} + geometric(1e-2, b_max) + {inf}; meant for small n where the
+    {0} + geometric(1e-2, 1e4) + {inf}; meant for small n where the
     kink-aligned composite 15-point rule on [0, 60] sits far below the
     1e-4 comparison tolerance against the solved constant.
     """
-    best, _, _ = _brute_force_scan(n, grid_a, grid_b, a_range, b_max)
+    best, _, _ = _brute_force_scan(n, grid_a, grid_b, a_range)
     return best

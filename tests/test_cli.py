@@ -110,6 +110,24 @@ def test_maximizer_reports_solver_fields(capsys):
     assert doc["tent"] == {"a": est.a_n, "b": "inf", "x0": 1.0}
 
 
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (["maximizer", "--n", "10000000000"], "lower gamma series stalled"),
+        (["maximizer", "--n", "10000000000000000"], "sign pattern broke"),
+        (["scan-m", "--n", "10000000000000000", "--points", "3"], "sign pattern broke"),
+        (["scan-g", "--n", "10000000000000000", "--points", "3"], "sign pattern broke"),
+        (["scan-g", "--n", "10000000000", "--points", "3"], "lower gamma series stalled"),
+    ],
+)
+def test_solver_arithmetic_failures_exit_two(capsys, argv, problem):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert problem in err
+
+
 def test_scan_m_default_has_three_flips_and_matching_roots(capsys):
     code, out, _ = run(capsys, ["scan-m", "--n", "10"])
     assert code == 0
@@ -212,6 +230,17 @@ def test_transform_polarity_samples_grid(capsys, monkeypatch):
     assert any(r[1] == "inf" for r in rows)  # polar of the slab is an indicator
     finite = [float(r[1]) for r in rows if r[1] != "inf"]
     assert all(v >= 0.0 for v in finite)
+
+
+def test_transform_polarity_single_point(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys,
+        ["transform", "A", "--points", "1", "--range", "0.5:10"],
+        stdin=json.dumps(TENT),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert [float(r[0]) for r in data_rows(out)] == [0.5]
 
 
 def test_transform_error_paths(capsys, monkeypatch, tmp_path):

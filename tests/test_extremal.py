@@ -14,10 +14,11 @@ from epidual.extremal import (
     StationarityFailure,
     TentParams,
     ZeroProfile,
+    _gap_and_slope,
     _gap_probes,
+    _log_gap,
     _newton_root,
     _newton_stationary,
-    _stationarity_gap,
     a_bracket,
     big_f,
     big_g,
@@ -323,6 +324,8 @@ def test_solver_certificates_and_bracket():
         # the maximizer also stays in the narrower island at the solved lambda
         island = roots_of_m(n, est.log_lambda)
         assert est.bracket[0] <= island.z1 <= est.a_n <= island.z2
+        # solve_lambda decides this by the sign of the gap, never near zero
+        assert _log_gap(est.a_n, n, est.log_lambda) > 0.1
 
 
 def _count_reg_gamma(monkeypatch):
@@ -395,8 +398,8 @@ def test_maximizer_scales_like_inverse_dimension():
 def test_stationarity_gap_brackets_maximizer():
     for n in (2, 9):
         est = solve_lambda(n)
-        assert _stationarity_gap(est.a_n * 0.9, n) < 0.0
-        assert _stationarity_gap(est.a_n * 1.1, n) > 0.0
+        assert _gap_and_slope(est.a_n * 0.9, n)[0] < 0.0
+        assert _gap_and_slope(est.a_n * 1.1, n)[0] > 0.0
 
 
 def test_bisect_raises_when_it_cannot_converge():

@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 from scipy.integrate import quad
 
+from epidual import measures
 from epidual.logdomain import NEG_INF
 from epidual.measures import (
     VolumePair,
@@ -103,6 +104,27 @@ def test_vol_mu_matches_quadrature(n):
         rho = to_radius(p)
         expect = math.log(oracle_mu(rho, n))
         assert vol_mu(rho, n) == pytest.approx(expect, abs=2e-11), p
+
+
+def test_vol_mu_evaluates_each_panel_once(monkeypatch):
+    panels = []
+    panel = measures._log_panel
+
+    def recorded(logf, a, b):
+        panels.append((a, b))
+        return panel(logf, a, b)
+
+    monkeypatch.setattr(measures, "_log_panel", recorded)
+    # the wide last segment makes every n refine at least once
+    wide = RadiusFunction(((0.0, 0.0), (1.0, 2.0), (60.0, 20.0)), 0.0)
+    for rho in [to_radius(p) for p in PROFILES] + [wide]:
+        for n in (1, 5, 30):
+            panels.clear()
+            vol_mu(rho, n)
+            # a refined panel passes its halves down instead of recomputing them
+            assert len(set(panels)) == len(panels), (rho, n)
+            if rho is wide:
+                assert len(panels) > 3 * (len(rho.breakpoints) - 1)
 
 
 def test_vol_mu_degenerate():

@@ -321,6 +321,12 @@ def test_double_polarity_on_samples():
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-9), (p, s)
 
 
+def test_evaluation_grid_single_point_is_lo():
+    assert evaluation_grid(2.0, 5.0, points=1) == [2.0]
+    assert evaluation_grid(2.0, 5.0, points=1, extras=(3.0,)) == [2.0, 3.0]
+    assert evaluation_grid(2.0, 5.0, points=2) == [2.0, 5.0]
+
+
 def test_factorization_on_samples():
     for p in SAMPLES:
         assert check_j_factorization(p) <= 1e-9, p

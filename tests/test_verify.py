@@ -48,26 +48,17 @@ def test_sampler_seed_changes_stream():
 
 
 def test_sampler_profiles_are_canonical_and_bounded():
-    stream = ProfileSampler(seed=9, max_segments=4).stream()
+    stream = ProfileSampler(seed=9).stream()
     for _ in range(200):
         p = next(stream)
         assert p.breakpoints[0] == (0.0, 0.0)
-        assert len(p.breakpoints) <= 5
+        assert len(p.breakpoints) <= 7
 
 
 def test_sampler_indicator_fraction_near_quarter():
     stream = ProfileSampler(seed=12).stream()
     hits = sum(math.isinf(next(stream).tail_slope) for _ in range(2000))
     assert 0.2 < hits / 2000 < 0.3
-
-
-def test_sampler_rejects_bad_config():
-    with pytest.raises(ValueError):
-        ProfileSampler(seed=0, max_segments=0)
-    with pytest.raises(ValueError):
-        ProfileSampler(seed=0, slope_scale=0.0)
-    with pytest.raises(ValueError):
-        ProfileSampler(seed=0, radius_scale=math.inf)
 
 
 def test_unknown_suite_lists_names():
@@ -170,7 +161,7 @@ def test_brute_force_matches_solver_on_coarse_grid():
 
 
 def test_brute_force_maximum_sits_at_infinite_b():
-    _, a_best, b_best = _brute_force_scan(1, 300, 60, (0.1, 1.0), 1e4)
+    _, a_best, b_best = _brute_force_scan(1, 300, 60, (0.1, 1.0))
     assert math.isinf(b_best)
     assert 0.2 < a_best < 0.5
 
