@@ -416,10 +416,11 @@ def solve_lambda(n: int) -> LambdaEstimate:
     The positivity island of the sign map at lambda = n! brackets the
     maximizer.  Safeguarded Newton on the stationarity gap h finds the
     root of G's first-order condition there and the two first-order
-    residuals certify it (1e-8).  The maximizer must also lie in the
-    island at the solved lambda, which one sign of the gap g decides:
-    Newton keeps it in the seed island left of g's local min, and there
-    g >= 0 exactly on the solved lambda's island.
+    residuals certify it (1e-8, or 4 ulps of log lambda if that is
+    larger).  The maximizer must also lie in the island at the solved
+    lambda, which one sign of the gap g decides: Newton keeps it in the
+    seed island left of g's local min, and there g >= 0 exactly on the
+    solved lambda's island.
     """
     _check_n(n)
     log_factorial = math.lgamma(n + 1)
@@ -437,10 +438,13 @@ def solve_lambda(n: int) -> LambdaEstimate:
     log_lambda = _log_g(a_n, n, log_lower, log_lower_inv)
     residual_n1 = math.expm1(-1.0 / a_n - log_lower - log_lambda)
     residual_n2 = math.expm1(a_n + log_lower_inv - log_lambda)
-    if max(abs(residual_n1), abs(residual_n2)) > _RESIDUAL_TOL:
+    # each residual's exponent cancels terms of size |log lambda|, so it
+    # cannot resolve less than a few of their ulps (6e-8 each at n = 3e7)
+    tol = max(_RESIDUAL_TOL, 4.0 * math.ulp(log_lambda))
+    if max(abs(residual_n1), abs(residual_n2)) > tol:
         raise StationarityFailure(
             f"stationarity residuals {residual_n1:.3e}, {residual_n2:.3e} "
-            f"exceed {_RESIDUAL_TOL} at n={n}"
+            f"exceed {tol:.3e} at n={n}"
         )
     if _log_gap(a_n, n, log_lambda) < 0.0:
         raise BracketFailure(

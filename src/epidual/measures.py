@@ -9,7 +9,7 @@ both reported as logs with the dimensional unit-ball constant divided out
 (log_kappa supplies it for callers that want absolute volumes).  Substituting
 w = 1/z shows nu(rho) = mu(rho_J), so vol_nu routes through the inversion
 transform; vol_nu_direct integrates the raw formula and exists so the two
-routes can be compared without sharing code.
+routes can be compared without sharing code (the nu-mu-substitution suite).
 
 Ratios follow the convention 0/0 = inf/inf = 1, which makes the degenerate
 profiles (identically zero, indicator of the origin) legal inputs everywhere.
@@ -41,6 +41,12 @@ _GL_WEIGHTS = tuple(float(w) for w in _GL_WEIGHTS)
 # Panel acceptance threshold on log values, i.e. relative error of the piece.
 _QUAD_TOL = 1e-13
 _MAX_DEPTH = 48
+# vol_nu_direct's sweeps stop once the rest is below e^-40 ~ 4e-18 of the
+# total, far under its rounding.  1000 doublings of a first width under 1e7
+# and 1000 halvings from 1/3 stay finite and normal, so the cap fires
+# before lo overflows or hi underflows.
+_TAIL_NATS = 40.0
+_MAX_SWEEP = 1000
 
 
 def _check_n(n: int) -> None:
@@ -86,6 +92,8 @@ def _log_adaptive(
     # from unit scale can never converge
     if abs(split - whole) <= _QUAD_TOL + 4e-15 * abs(split) or depth <= 0:
         return split
+    if math.isnan(split):
+        raise ArithmeticError(f"integrand is NaN on [{a}, {b}]")
     return log_add(
         _log_adaptive(logf, a, mid, depth - 1, left),
         _log_adaptive(logf, mid, b, depth - 1, right),
@@ -130,15 +138,20 @@ def vol_nu(rho: RadiusFunction, n: int) -> float:
 def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     """log nu by quadrature of the raw integrand, independent of vol_nu.
 
-    The weight e^(-1/z) z^(-(n+2)) rises until z = 1/(n+2) and the radius
-    never decreases, so below that point the integrand is monotone and the
-    interval is swept with halving panels; the upper tail decays only like
-    z^(-2) when the radius grows linearly and is swept with doubling
-    panels.  Both sweeps truncate once the integrand at the panel edge
-    drops below 1e-300 of the largest value seen.  Panels whose mass
-    provably cannot move the total get one fixed-order panel instead of
-    refinement: near 0 the refinement would never terminate, because
-    e^(-1/z) looks the same at every scale.
+    This is the oracle of the nu-mu-substitution suite: it integrates
+    f(z) = rho(z)^n e^(-1/z) z^(-(n+2)) as written and shares no code
+    with the J route.  Adaptive panels cover the weight peak 1/(n+2) up to
+    the last knot; two sweeps then add the tails, each stopping once a
+    rigorous bound on what it has left is _TAIL_NATS below the total:
+
+    - upper, doubling panels from lo: rho is concave with rho(0) >= 0, so
+      rho(z)/z does not increase and f(z) <= (rho(lo)/lo)^n z^(-2), whose
+      integral past lo is at most f(lo) lo e^(1/lo);
+    - lower, halving panels from the peak: weight and radius both rise
+      there, so f increases and the rest below hi is at most hi f(hi).
+
+    A sweep that has not stopped after _MAX_SWEEP panels raises
+    ArithmeticError, as does a NaN panel (a radius overflowing to inf).
     """
     _check_n(n)
     if rho.is_infinite:
@@ -147,49 +160,34 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
         return NEG_INF
 
     def logf(z: float) -> float:
-        if not (z > 0.0 and math.isfinite(z)):
-            return NEG_INF
         x = rho.evaluate(z)
         if x <= 0.0:
             return NEG_INF
         return n * math.log(x) - 1.0 / z - (n + 2) * math.log(z)
 
-    cutoff = math.log(1e-300)
     peak = 1.0 / (n + 2)
-    zs = [z for z, _ in rho.breakpoints]
+    knots = sorted({peak} | {z for z, _ in rho.breakpoints if z > peak})
     total = NEG_INF
-    knots = sorted({peak} | {z for z in zs if z > peak})
     for z0, z1 in zip(knots, knots[1:]):
         total = log_add(total, _log_adaptive(logf, z0, z1))
-    run_max = max(logf(z) for z in knots)
-    lo = max(zs[-1], peak)
+    lo = knots[-1]
     width = max(1.0, lo)
-    for _ in range(2000):
-        # three probes track the panel's size; between probes the smooth
-        # integrand can climb at most ~n log 3 nats, far under the margin
-        edge = max(logf(lo), logf(lo + 0.5 * width), logf(lo + width))
-        if edge + math.log(width) < total - 230.0:
-            piece = _log_panel(logf, lo, lo + width)
-        else:
-            piece = _log_adaptive(logf, lo, lo + width)
-        total = log_add(total, piece)
+    for _ in range(_MAX_SWEEP):
+        if logf(lo) + math.log(lo) + 1.0 / lo < total - _TAIL_NATS:
+            break
+        total = log_add(total, _log_adaptive(logf, lo, lo + width))
         lo += width
         width *= 2.0
-        run_max = max(run_max, edge)
-        if logf(lo) < run_max + cutoff:
-            break
+    else:
+        raise ArithmeticError(f"upper sweep of nu did not stop at n={n}")
     hi = peak
-    for _ in range(2000):
-        # below the weight peak the integrand increases, so hi * f(hi)
-        # bounds everything the rest of the sweep can contribute
-        if logf(hi) + math.log(hi) < total - 92.0:
-            piece = _log_panel(logf, 0.5 * hi, hi)
-        else:
-            piece = _log_adaptive(logf, 0.5 * hi, hi)
-        total = log_add(total, piece)
-        hi *= 0.5
-        if logf(hi) < run_max + cutoff:
+    for _ in range(_MAX_SWEEP):
+        if logf(hi) + math.log(hi) < total - _TAIL_NATS:
             break
+        total = log_add(total, _log_adaptive(logf, 0.5 * hi, hi))
+        hi *= 0.5
+    else:
+        raise ArithmeticError(f"lower sweep of nu did not stop at n={n}")
     return total
 
 

@@ -38,7 +38,8 @@ INF = float("inf")
 # approx_equal compares canonical breakpoints to the same tolerance relative
 # to max(1, |a|, |b|).
 MERGE_RTOL = 1e-12
-# Slack for accepting slope monotonicity from computed (rounded) inputs.
+# Slack for accepting slope monotonicity from computed (rounded) inputs,
+# relative to the larger slope, so it holds at every scale.
 CONVEXITY_SLACK = 1e-9
 
 _Points = tuple[tuple[float, float], ...]
@@ -71,7 +72,8 @@ def _canonical(
 
     Coordinates must be finite, x must strictly increase and y must not
     decrease; the slopes, the tail slope last, must turn in `direction`
-    (+1 convex, -1 concave) up to CONVEXITY_SLACK, or ValueError is raised.
+    (+1 convex, -1 concave) up to CONVEXITY_SLACK relative to the larger
+    slope of each pair, or ValueError is raised.
     Trailing points collinear with a finite tail are absorbed into it
     (popped from pts), then collinear runs are merged.  A point counts as
     collinear when dropping it moves its own value by at most MERGE_RTOL
@@ -90,12 +92,10 @@ def _canonical(
             raise ValueError(f"{ys} must not decrease: {y0} -> {y1}")
     slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
     for s0, s1 in zip(slopes, slopes[1:]):
-        if direction * s1 < direction * s0 - CONVEXITY_SLACK * max(
-            1.0, abs(s0), abs(s1)
-        ):
+        if direction * s1 < direction * s0 - CONVEXITY_SLACK * max(abs(s0), abs(s1)):
             raise ValueError(f"slopes must not {turn}: {s0} -> {s1}")
     if slopes and direction * tail_slope < direction * slopes[-1] - (
-        CONVEXITY_SLACK * max(1.0, abs(slopes[-1]))
+        CONVEXITY_SLACK * abs(slopes[-1])
     ):
         raise ValueError(f"tail slope {tail_slope} {side} final slope {slopes[-1]}")
     while len(pts) > 1 and not math.isinf(tail_slope):

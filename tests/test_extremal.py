@@ -361,6 +361,18 @@ def test_multiple_local_maxima_is_lazy(monkeypatch):
         assert calls[0] == solved
 
 
+def test_solver_residual_tolerance_follows_rounding():
+    # at n = 3e7 the first residual is one ulp of log lambda (6e-8), above
+    # the 1e-8 floor but as small as the arithmetic can resolve
+    n = 30_000_000
+    est = solve_lambda(n)
+    tol = 4.0 * math.ulp(est.log_lambda)
+    assert tol > 1e-8
+    assert max(abs(est.residual_n1), abs(est.residual_n2)) <= tol
+    # lambda / n! - 1 is below 1/n
+    assert est.log_lambda == pytest.approx(math.lgamma(n + 1), abs=1e-6)
+
+
 def test_solver_bracket_is_factorial_island():
     n = 7
     est = solve_lambda(n)

@@ -155,6 +155,46 @@ def test_substitution_identity(n):
         assert vol_nu_direct(rho, n) == pytest.approx(
             vol_nu(rho, n), abs=1e-12
         ), p
+        # the remainder bounds scale with the radius, so far from unit
+        # scale the sweeps still stop where the rest cannot move the log
+        for e in (100, -100):
+            rho = to_radius(scale(p, 10.0**e))
+            want = vol_nu(rho, n)
+            assert vol_nu_direct(rho, n) == pytest.approx(
+                want, abs=1e-12 * max(1.0, abs(want))
+            ), (p, e)
+
+
+def test_vol_nu_direct_stops_sweeps_on_remainder_bound(monkeypatch):
+    calls = []
+    evaluate = RadiusFunction.evaluate
+
+    def counted(self, z):
+        calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(RadiusFunction, "evaluate", counted)
+    # a linear tail decays only like z^-2, so the upper sweep needs about
+    # 60 doublings before its remainder bound is 40 nats under the total
+    vol_nu_direct(to_radius(PROFILES[2]), 1)
+    assert 0 < len(calls) < 5000
+
+
+@pytest.mark.parametrize("k, n, sweep", [(2, 1, "upper"), (1, 20, "lower")])
+def test_vol_nu_direct_sweep_cap_raises(monkeypatch, k, n, sweep):
+    # PROFILES[2] has a linear tail; PROFILES[1] at n = 20 needs no upper
+    # panel but three lower ones
+    monkeypatch.setattr(measures, "_MAX_SWEEP", 2)
+    with pytest.raises(ArithmeticError, match=sweep):
+        vol_nu_direct(to_radius(PROFILES[k]), n)
+
+
+def test_vol_nu_direct_raises_on_overflowing_radius():
+    # the radius slope is 5.8e299, so rho overflows to inf near z = 3e8 and
+    # every panel there is NaN; refining them would recurse towards 2^48
+    p = next(ProfileSampler(9_000_000).stream())
+    with pytest.raises(ArithmeticError, match="NaN"):
+        vol_nu_direct(to_radius(scale(p, 1e-300)), 1)
 
 
 def test_volume_pair_invariant():

@@ -100,6 +100,8 @@ def test_canonical_keeps_shallow_segments_beside_steep_ones():
         (((0.0, 0.0), (INF, 1.0)), INF),  # infinite radius
         (((0.0, 0.0), (1.0, 1e-10)), 0.0),  # zero tail after a positive value
         (((0.0, 0.0), (1.0, 1e-10), (2.0, 0.0)), 0.0),  # the same, inside
+        # the slack is relative to the slopes, so tiny ones are held to it too
+        (((0.0, 0.0), (1.0, 2e-12), (2.0, 3e-12)), INF),
     ],
 )
 def test_invalid_profiles_raise(pts, tail):
@@ -172,6 +174,7 @@ def test_radius_validation():
         (((0.0, 0.0), (1.0, INF)), 0.0),
         (((0.0, INF),), 1.0),  # the infinite radius has no tail slope
         (((0.0, INF), (1.0, INF)), 0.0),
+        (((0.0, 0.0), (1.0, 1e-12)), 2e-12),  # tail slope above final slope
     ]
     for pts, tail in bad:
         with pytest.raises(ValueError):
