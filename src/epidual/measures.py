@@ -18,6 +18,7 @@ profiles (identically zero, indicator of the origin) legal inputs everywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,16 @@ _GL_WEIGHTS = tuple(float(w) for w in _GL_WEIGHTS)
 # Panel acceptance threshold on log values, i.e. relative error of the piece.
 _QUAD_TOL = 1e-13
 _MAX_DEPTH = 48
-# vol_nu_direct's sweeps stop once the rest is below e^-40 ~ 4e-18 of the
-# total, far under its rounding.  1000 doublings of a first width under 1e7
-# and 1000 halvings from 1/3 stay finite and normal, so the cap fires
-# before lo overflows or hi underflows.
+# What lies below e^-40 ~ 4e-18 of a total is far under its rounding: the
+# quadrature stops refining such panels, vol_nu_direct's sweeps stop there.
 _TAIL_NATS = 40.0
+# vol_nu_direct's upper sweep takes panels _SWEEP_STEP wide in t = log z.
+# e^t overflows past t = _LOG_MAX ~ 709.8, which a sweep starting at t >=
+# log(1/(n+2)) reaches long before _MAX_SWEEP panels, so that sweep raises
+# before its next panel would pass _LOG_MAX.  1000 halvings from 1/3 stay
+# normal, so the lower sweep's cap fires before hi underflows.
+_SWEEP_STEP = 8.0
+_LOG_MAX = math.log(sys.float_info.max)
 _MAX_SWEEP = 1000
 
 
@@ -74,34 +80,65 @@ def _log_panel(logf, a: float, b: float) -> float:
 
 
 def _log_adaptive(
-    logf, a: float, b: float, depth: int = _MAX_DEPTH, whole: float | None = None
+    logf, a: float, b: float, depth: int = 0, whole: float | None = None,
+    floor: float = NEG_INF,
 ) -> float:
     """log integral of e^logf over [a, b] by adaptive Gauss-Legendre panels.
 
-    whole is the panel over [a, b] when the caller has already computed it.
+    A panel is accepted once its whole and split (two half panels)
+    estimates agree to _QUAD_TOL, or once both lie under the floor,
+    _TAIL_NATS below the largest whole or split estimate of the panels
+    enclosing it.  Each of those estimates a part of the integral, so
+    such a panel holds, as far as the rule sees, less than e^-40 ~ 4e-18
+    of it, far under the rounding of the result, and refining it could
+    change the result by no more than that.
+
+    The floor ends the recursion where the integrand vanishes to high
+    order, like z^n near 0 for n >= 30: past the rule's exact degree 29
+    every halving misses by the same relative amount, so the estimates
+    never agree.  It rises with the split estimates because a wide
+    panel's nodes can miss a narrow peak by millions of nats (e^-z on
+    [1e8, 1e9]); a floor fixed at the top-level estimate would then sit
+    far under the integral and accept nothing.  A panel that neither
+    agrees nor lies under the floor after _MAX_DEPTH halvings raises
+    ArithmeticError, as does a NaN panel.
+
+    whole is the panel over [a, b] when the caller has already computed
+    it; depth and floor are the recursion's own.
     """
     if whole is None:
         whole = _log_panel(logf, a, b)
     mid = 0.5 * (a + b)
     left, right = _log_panel(logf, a, mid), _log_panel(logf, mid, b)
     split = log_add(left, right)
+    floor = max(floor, whole - _TAIL_NATS, split - _TAIL_NATS)
     if whole == split:  # covers the all-zero panel, -inf on both sides
         return split
     # composing m + log(acc) + log(half) rounds in proportion to the log
     # magnitude, so the acceptance band must widen with it or panels far
     # from unit scale can never converge
-    if abs(split - whole) <= _QUAD_TOL + 4e-15 * abs(split) or depth <= 0:
+    if abs(split - whole) <= _QUAD_TOL + 4e-15 * abs(split):
+        return split
+    if whole < floor and split < floor:
         return split
     if math.isnan(split):
         raise ArithmeticError(f"integrand is NaN on [{a}, {b}]")
+    if depth >= _MAX_DEPTH:
+        raise ArithmeticError(
+            f"quadrature did not converge in {_MAX_DEPTH} halvings on [{a}, {b}]"
+        )
     return log_add(
-        _log_adaptive(logf, a, mid, depth - 1, left),
-        _log_adaptive(logf, mid, b, depth - 1, right),
+        _log_adaptive(logf, a, mid, depth + 1, left, floor),
+        _log_adaptive(logf, mid, b, depth + 1, right, floor),
     )
 
 
 def vol_mu(rho: RadiusFunction, n: int) -> float:
-    """log integral_0^inf rho(z)^n e^(-z) dz; tails in closed form."""
+    """log integral_0^inf rho(z)^n e^(-z) dz; tails in closed form.
+
+    Each segment is one _log_adaptive call; one that does not converge
+    raises ArithmeticError.
+    """
     _check_n(n)
     if rho.is_infinite:
         return INF
@@ -144,14 +181,19 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     the last knot; two sweeps then add the tails, each stopping once a
     rigorous bound on what it has left is _TAIL_NATS below the total:
 
-    - upper, doubling panels from lo: rho is concave with rho(0) >= 0, so
-      rho(z)/z does not increase and f(z) <= (rho(lo)/lo)^n z^(-2), whose
-      integral past lo is at most f(lo) lo e^(1/lo);
+    - upper, from lo in panels _SWEEP_STEP wide in t = log z, integrating
+      f(e^t) e^t dt: rho is concave with rho(0) >= 0, so rho(z)/z does
+      not increase and f(z) <= (rho(lo)/lo)^n z^(-2), whose integral past
+      lo is at most f(lo) lo e^(1/lo).  In t the integrand decays like
+      e^(-t) or faster, so few panels reach that bound (five for a linear
+      tail, which needs z ~ e^40);
     - lower, halving panels from the peak: weight and radius both rise
       there, so f increases and the rest below hi is at most hi f(hi).
 
-    A sweep that has not stopped after _MAX_SWEEP panels raises
-    ArithmeticError, as does a NaN panel (a radius overflowing to inf).
+    A sweep that has not stopped after _MAX_SWEEP panels, or an upper one
+    whose next panel would reach past the largest double, raises
+    ArithmeticError, as does a NaN panel (a radius overflowing to inf) or
+    a panel that does not converge (see _log_adaptive).
     """
     _check_n(n)
     if rho.is_infinite:
@@ -170,14 +212,19 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     total = NEG_INF
     for z0, z1 in zip(knots, knots[1:]):
         total = log_add(total, _log_adaptive(logf, z0, z1))
-    lo = knots[-1]
-    width = max(1.0, lo)
+
+    def log_zf(t: float) -> float:  # log of f(e^t) e^t, the integrand in t
+        return logf(math.exp(t)) + t
+
+    t = math.log(knots[-1])
     for _ in range(_MAX_SWEEP):
-        if logf(lo) + math.log(lo) + 1.0 / lo < total - _TAIL_NATS:
+        lo = math.exp(t)
+        if logf(lo) + t + 1.0 / lo < total - _TAIL_NATS:
             break
-        total = log_add(total, _log_adaptive(logf, lo, lo + width))
-        lo += width
-        width *= 2.0
+        if t + _SWEEP_STEP > _LOG_MAX:
+            raise ArithmeticError(f"upper sweep of nu reached z = {lo:.3g} at n={n}")
+        total = log_add(total, _log_adaptive(log_zf, t, t + _SWEEP_STEP))
+        t += _SWEEP_STEP
     else:
         raise ArithmeticError(f"upper sweep of nu did not stop at n={n}")
     hi = peak

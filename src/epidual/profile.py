@@ -10,7 +10,8 @@ constant tail.
 Both views are one kind of object, a piecewise-linear function with a tail
 slope, and differ only in the direction their slopes turn.  They share the
 module-level helpers: _canonical validates breakpoints and merges collinear
-ones, _interpolate evaluates them, _approx_same compares them.
+ones, _interpolate evaluates them (bisecting a tuple of abscissae that
+each object builds on its first evaluation), _approx_same compares them.
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
 from typing import Iterable
 
 INF = float("inf")
@@ -114,18 +115,20 @@ def _canonical(
     return tuple(merged)
 
 
-def _interpolate(pts: _Points, tail_slope: float, x: float) -> float:
+def _interpolate(
+    pts: _Points, xs: tuple[float, ...], tail_slope: float, x: float
+) -> float:
     """Value at x >= pts[0][0] of the breakpoints continued by tail_slope.
 
-    A tail slope of 0 holds the last value (also at x = inf), one of inf
-    jumps to +inf past the last breakpoint.
+    xs holds the abscissae of pts.  A tail slope of 0 holds the last value
+    (also at x = inf), one of inf jumps to +inf past the last breakpoint.
     """
     x_last, y_last = pts[-1]
     if x >= x_last:
         if x == x_last or tail_slope == 0.0:
             return y_last
         return y_last + tail_slope * (x - x_last)
-    idx = bisect_right(pts, x, key=itemgetter(0)) - 1
+    idx = bisect_right(xs, x) - 1
     (x0, y0), (x1, y1) = pts[idx], pts[idx + 1]
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
@@ -192,10 +195,14 @@ class ConvexProfile:
                 end = r
         return end
 
+    @cached_property
+    def _abscissae(self) -> tuple[float, ...]:
+        return tuple(r for r, _ in self.breakpoints)
+
     def evaluate(self, r: float) -> float:
-        if r < 0.0 or math.isnan(r):
+        if not r >= 0.0:
             raise ValueError(f"profile domain is r >= 0, got {r}")
-        return _interpolate(self.breakpoints, self.tail_slope, r)
+        return _interpolate(self.breakpoints, self._abscissae, self.tail_slope, r)
 
     def approx_equal(self, other: "ConvexProfile") -> bool:
         return _approx_same(
@@ -251,10 +258,14 @@ class RadiusFunction:
     def is_zero(self) -> bool:
         return self.breakpoints == ((0.0, 0.0),) and self.tail_slope == 0.0
 
+    @cached_property
+    def _abscissae(self) -> tuple[float, ...]:
+        return tuple(z for z, _ in self.breakpoints)
+
     def evaluate(self, z: float) -> float:
-        if z < 0.0 or math.isnan(z):
+        if not z >= 0.0:
             raise ValueError(f"radius domain is z >= 0, got {z}")
-        return _interpolate(self.breakpoints, self.tail_slope, z)
+        return _interpolate(self.breakpoints, self._abscissae, self.tail_slope, z)
 
     def approx_equal(self, other: "RadiusFunction") -> bool:
         # a constant tail never matches a linear one, however shallow

@@ -171,3 +171,32 @@ def test_upper_fraction_converges_at_huge_argument():
     got = reg_gamma(65.0, 3e16)
     assert got.log_q == pytest.approx(want, rel=1e-15)
     assert math.exp(got.log_p) == 1.0 and math.exp(got.log_q) == 0.0
+
+
+def _reference_logs(s, x):
+    """(log p, log q) at 40 digits, the smaller side direct, the other by log1p.
+
+    gammainc's lower series stops at its default term count for s = 10^5 + 1
+    (NoConvergence at x = s / 2), so the lower side sums 1F1(1; s+1; x),
+    p = x^s e^-x / Gamma(s+1) * 1F1, with more terms allowed.
+    """
+    with mpmath.workdps(40):
+        s, x = mpmath.mpf(s), mpmath.mpf(x)
+        if x < s:
+            log_pre = s * mpmath.log(x) - x - mpmath.loggamma(s + 1)
+            p = mpmath.exp(log_pre) * mpmath.hyp1f1(1, s + 1, x, maxterms=10**6)
+            return float(mpmath.log(p)), float(mpmath.log1p(-p))
+        q = mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+        return float(mpmath.log1p(-q)), float(mpmath.log(q))
+
+
+@pytest.mark.parametrize("s", [1e4 + 1.0, 1e5 + 1.0])
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99, 1.0, 1.01, 1.2, 2.0])
+def test_log_forms_against_mpmath_at_large_shapes(s, ratio):
+    # the worst gap is 1.4e-14 (s = 10^5 + 1, x = s); a complement side of
+    # about -e^(log of the other) has the other side's absolute error as its
+    # relative one, 1.2e-14 at s = 10^4 + 1, x = 0.9 s (log q = -2e-25)
+    want_lp, want_lq = _reference_logs(s, ratio * s)
+    g = reg_gamma(s, ratio * s)
+    assert g.log_p == pytest.approx(want_lp, rel=2e-14, abs=0.0)
+    assert g.log_q == pytest.approx(want_lq, rel=2e-14, abs=0.0)

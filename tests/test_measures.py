@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from epidual import measures
+from epidual.gammafn import reg_gamma
 from epidual.logdomain import NEG_INF
 from epidual.measures import (
     VolumePair,
@@ -127,6 +128,77 @@ def test_vol_mu_evaluates_each_panel_once(monkeypatch):
                 assert len(panels) > 3 * (len(rho.breakpoints) - 1)
 
 
+def _record_evaluations(monkeypatch):
+    """List that RadiusFunction.evaluate appends each argument to."""
+    calls = []
+    evaluate = RadiusFunction.evaluate
+
+    def counted(self, z):
+        calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(RadiusFunction, "evaluate", counted)
+    return calls
+
+
+def test_vol_mu_stops_refining_under_the_floor(monkeypatch):
+    # z^40 near 0 is past the degree 29 the 15-point rule integrates
+    # exactly, so every halving of the leftmost panel misses by the same
+    # relative amount; the floor accepts those panels 40 nats down instead
+    # of halving them until the depth cap
+    calls = _record_evaluations(monkeypatch)
+    got = vol_mu(RadiusFunction(((0.0, 0.0), (1.0, 1.0)), 0.0), 40)
+    lower = math.exp(math.lgamma(41) + reg_gamma(41, 1.0).log_p)  # gamma(41, 1)
+    assert got == pytest.approx(math.log(lower + math.exp(-1.0)), rel=1e-14, abs=1e-14)
+    assert 0 < len(calls) < 400
+
+
+def _cap_panels(monkeypatch, limit):
+    """Make _log_panel raise past `limit` calls, so runaway refinement fails fast."""
+    panel = measures._log_panel
+    calls = []
+
+    def budgeted(logf, a, b):
+        calls.append((a, b))
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} panels")
+        return panel(logf, a, b)
+
+    monkeypatch.setattr(measures, "_log_panel", budgeted)
+
+
+def test_log_adaptive_floor_rises_past_a_missed_peak(monkeypatch):
+    # the top-level nodes on [1e8, 1e9] sit about 5e6 nats under e^-z's
+    # mass at the left end; a floor fixed there refines about 800,000
+    # panels, one that rises with the split estimates about 100
+    _cap_panels(monkeypatch, 1000)
+    assert measures._log_adaptive(lambda z: -z, 1e8, 1e9) == pytest.approx(-1e8, rel=1e-14)
+
+
+def test_nu_of_narrow_segments_does_not_hang(monkeypatch):
+    # 60 segments 1e-9 wide: J(rho) has segments out to z = 1e9, whose
+    # integrand e^-z the top-level nodes miss by millions of nats; this
+    # took over a minute before the floor rose with the split estimates
+    pts = [(0.0, 0.0)] + [(k * 1e-9, k * (k + 1) / 2 * 1e-9) for k in range(1, 61)]
+    rho = to_radius(ConvexProfile(tuple(pts), 100.0))
+    want = vol_nu_direct(rho, 5)
+    _cap_panels(monkeypatch, 20_000)
+    assert vol_nu(rho, 5) == pytest.approx(want, rel=1e-14)
+
+
+def test_log_adaptive_raises_at_the_depth_cap(monkeypatch):
+    # a kink at 1/3 is never a panel edge, so its panel converges only by
+    # halving; it needs 31 halvings, within the cap of 48
+    def kinked(z):
+        return -abs(z - 1.0 / 3.0)
+
+    exact = math.log(2.0 - math.exp(-1.0 / 3.0) - math.exp(-2.0 / 3.0))
+    assert measures._log_adaptive(kinked, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
+    monkeypatch.setattr(measures, "_MAX_DEPTH", 4)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        measures._log_adaptive(kinked, 0.0, 1.0)
+
+
 def test_vol_mu_degenerate():
     assert vol_mu(to_radius(ZERO), 3) == INF
     assert vol_mu(to_radius(ORIGIN), 3) == NEG_INF
@@ -166,18 +238,12 @@ def test_substitution_identity(n):
 
 
 def test_vol_nu_direct_stops_sweeps_on_remainder_bound(monkeypatch):
-    calls = []
-    evaluate = RadiusFunction.evaluate
-
-    def counted(self, z):
-        calls.append(z)
-        return evaluate(self, z)
-
-    monkeypatch.setattr(RadiusFunction, "evaluate", counted)
-    # a linear tail decays only like z^-2, so the upper sweep needs about
-    # 60 doublings before its remainder bound is 40 nats under the total
+    calls = _record_evaluations(monkeypatch)
+    # a linear tail decays only like z^-2, so the remainder bound falls 40
+    # nats under the total only at z ~ e^40: about 60 doublings in z, but
+    # five panels 8 wide in t = log z, where the tail decays like e^-t
     vol_nu_direct(to_radius(PROFILES[2]), 1)
-    assert 0 < len(calls) < 5000
+    assert 0 < len(calls) < 1000
 
 
 @pytest.mark.parametrize("k, n, sweep", [(2, 1, "upper"), (1, 20, "lower")])
@@ -187,6 +253,15 @@ def test_vol_nu_direct_sweep_cap_raises(monkeypatch, k, n, sweep):
     monkeypatch.setattr(measures, "_MAX_SWEEP", 2)
     with pytest.raises(ArithmeticError, match=sweep):
         vol_nu_direct(to_radius(PROFILES[k]), n)
+
+
+def test_vol_nu_direct_upper_sweep_raises_before_z_overflows(monkeypatch):
+    # with a bound that never holds, the sweep in t = log z runs out of
+    # doubles near t = 709.8, long before _MAX_SWEEP panels; it must say
+    # so itself, not pass z = inf to the integrand and fail on a NaN
+    monkeypatch.setattr(measures, "_TAIL_NATS", 1e4)
+    with pytest.raises(ArithmeticError, match="upper sweep"):
+        vol_nu_direct(to_radius(PROFILES[2]), 1)
 
 
 def test_vol_nu_direct_raises_on_overflowing_radius():

@@ -119,8 +119,10 @@ def test_evaluate():
     assert q.evaluate(2.0) == 5.0
     assert q.evaluate(INF) == INF
     assert ZERO.evaluate(INF) == 0.0
-    with pytest.raises(ValueError):
-        p.evaluate(-1.0)
+    assert p.evaluate(-0.0) == 0.0
+    for r in (-1.0, -1e-300, -INF, math.nan):
+        with pytest.raises(ValueError):
+            p.evaluate(r)
 
 
 def test_radius_evaluate():
@@ -136,8 +138,10 @@ def test_radius_evaluate():
     assert lin.evaluate(3.0) == 4.0
     assert lin.evaluate(INF) == INF
     assert RadiusFunction.infinite().evaluate(2.0) == INF
-    with pytest.raises(ValueError):
-        lin.evaluate(-1.0)
+    assert lin.evaluate(-0.0) == 1.0
+    for z in (-1.0, -1e-300, -INF, math.nan):
+        with pytest.raises(ValueError):
+            lin.evaluate(z)
 
 
 def test_flat_end():
