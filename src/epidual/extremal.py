@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .logdomain import log_add, log_sub_signed, log_sum
-from .measures import _check_n
+from .logdomain import log_add, log_sub_signed
+from .measures import _check_n, _log_segment
 from .profile import INF, ConvexProfile, RadiusFunction
 from .gammafn import reg_gamma
 
@@ -67,10 +67,6 @@ class ZeroProfile(Exception):
 def _log_gamma_lower(s: int, x: float) -> float:
     """log of the lower incomplete gamma(s, x), unnormalized."""
     return reg_gamma(s, x).log_p + math.lgamma(s)
-
-
-def _log_gamma_upper(s: int, x: float) -> float:
-    return reg_gamma(s, x).log_q + math.lgamma(s)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +272,11 @@ def t_map(rho: RadiusFunction, roots: RootTriple) -> TentParams:
 def big_f(a: float, b: float, n: int) -> float:
     """log of the volume ratio of the tent with slopes (a, a+b) and kink 1.
 
-    F = [(a+b)^n N1 + a^n N2] / [(a+b)^n M1 + a^n M2] with N1 = e^(-1/a),
-    N2 = sum_k C(n,k) b^k gamma(k+1, 1/a), M1 = gamma(n+1, a) and
-    M2 = sum_k C(n,k) b^(n-k) Gamma(k+1, a).  A kink at x0 rescales into
-    this form: the ratio of T(a, b, x0) is F(a*x0, b*x0, n).
+    F = nu/mu, each two linear pieces in closed form (_log_segment): the
+    radius rises with slope 1/a to (a, 1), then with slope 1/(a+b); its J
+    image rises with slope b/(a+b) from 1/(a+b) to (1/a, 1/a), then stays
+    flat.  A kink at x0 rescales into this form: the ratio of T(a, b, x0)
+    is F(a*x0, b*x0, n).
     """
     _check_n(n)
     if not (a > 0.0 and math.isfinite(a)):
@@ -290,23 +287,15 @@ def big_f(a: float, b: float, n: int) -> float:
         return big_g(a, n)
     if b == 0.0:
         return -math.lgamma(n + 1)
-    la = math.log(a)
-    lab = math.log(a + b)
-    lb = math.log(b)
-    lbinom = [
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        for k in range(n + 1)
-    ]
-    n2 = log_sum(
-        [lbinom[k] + k * lb + _log_gamma_lower(k + 1, 1.0 / a) for k in range(n + 1)]
+    log_mu = log_add(
+        _log_segment(n, 1.0 / a, 0.0, 0.0, a),
+        _log_segment(n, 1.0 / (a + b), a, 1.0, INF),
     )
-    m2 = log_sum(
-        [lbinom[k] + (n - k) * lb + _log_gamma_upper(k + 1, a) for k in range(n + 1)]
+    log_nu = log_add(
+        _log_segment(n, b / (a + b), 0.0, 1.0 / (a + b), 1.0 / a),
+        _log_segment(n, 0.0, 1.0 / a, 1.0 / a, INF),
     )
-    m1 = _log_gamma_lower(n + 1, a)
-    num = log_add(n * lab - 1.0 / a, n * la + n2)
-    den = log_add(n * lab + m1, n * la + m2)
-    return num - den
+    return log_nu - log_mu
 
 
 def big_g(a: float, n: int) -> float:
@@ -501,6 +490,7 @@ def ck_coefficients(
             math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
         )
         pos = lbinom + _log_gamma_lower(k + 1, 1.0 / a)
-        neg = lbinom + log_lambda + _log_gamma_upper(n - k + 1, a)
+        upper = reg_gamma(n - k + 1, a).log_q + math.lgamma(n - k + 1)
+        neg = lbinom + log_lambda + upper
         out.append(log_sub_signed(pos, neg))
     return out

@@ -11,7 +11,9 @@ where the plain values underflow.  One side is computed directly and the
 other is its complement log(1 - e^side) from logdomain.log1mexp.
 
 The split follows the classical recipe: the lower series for x < s + 1, the
-upper continued fraction (modified Lentz) otherwise.  The prefactor
+upper continued fraction (modified Lentz) otherwise; the fraction is the
+scaled upper gamma Gamma(s, x) x^(-s) e^x, which measures._log_segment
+takes without the prefactor.  The prefactor
 x^s e^{-x} / Gamma(s+1) is evaluated via a Stirling-residual form around
 x = s so that the result keeps ~1e-15 absolute accuracy even for s ~ 1000,
 where naive use of lgamma loses five digits to cancellation.
@@ -109,8 +111,8 @@ def _lower_series(s: float, x: float) -> float:
     return _log_prefactor(s, x) + math.log(total)
 
 
-def _upper_cf(s: float, x: float) -> float:
-    """log q(s, x) by the upper continued fraction; requires x >= s + 1."""
+def _log_upper_scaled(s: float, x: float) -> float:
+    """log(Gamma(s, x) x^(-s) e^x) by the continued fraction; needs x >= s + 1."""
     b = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -131,8 +133,13 @@ def _upper_cf(s: float, x: float) -> float:
             break
     else:
         raise ArithmeticError(f"upper gamma fraction stalled at s={s}, x={x}")
+    return math.log(h)
+
+
+def _upper_cf(s: float, x: float) -> float:
+    """log q(s, x) by the upper continued fraction; requires x >= s + 1."""
     # x^s e^{-x} / Gamma(s) = exp(prefactor) * s
-    return _log_prefactor(s, x) + math.log(s) + math.log(h)
+    return _log_prefactor(s, x) + math.log(s) + _log_upper_scaled(s, x)
 
 
 def reg_gamma(s: float, x: float) -> RegularizedGamma:

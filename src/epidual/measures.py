@@ -11,6 +11,10 @@ w = 1/z shows nu(rho) = mu(rho_J), so vol_nu routes through the inversion
 transform; vol_nu_direct integrates the raw formula and exists so the two
 routes can be compared without sharing code (the nu-mu-substitution suite).
 
+On a linear piece of the radius mu is an incomplete-gamma closed form,
+_log_segment: vol_mu's tail and every piece of extremal.big_f's tents.
+vol_mu's finite segments still go through adaptive quadrature.
+
 Ratios follow the convention 0/0 = inf/inf = 1, which makes the degenerate
 profiles (identically zero, indicator of the origin) legal inputs everywhere.
 """
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gammafn import reg_gamma
-from .logdomain import NEG_INF, log_add, log_sub_signed, log_sum
+from .gammafn import _log_upper_scaled, reg_gamma
+from .logdomain import NEG_INF, log1mexp, log_add, log_sub_signed, log_sum
 from .profile import (
     INF,
     ConvexProfile,
@@ -133,11 +137,51 @@ def _log_adaptive(
     )
 
 
-def vol_mu(rho: RadiusFunction, n: int) -> float:
-    """log integral_0^inf rho(z)^n e^(-z) dz; tails in closed form.
+def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
+    """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz, z1 = inf allowed.
 
-    Each segment is one _log_adaptive call; one that does not converge
-    raises ArithmeticError.
+    With u = x0/s + z - z0 this is s^n e^(u0 - z0) [Gamma(n+1, u0) -
+    Gamma(n+1, u1)]; a flat piece (s = 0, or x0/s past the largest double)
+    is x0^n (e^(-z0) - e^(-z1)).  Past the mode (u0 >= n + 2) both ends are
+    worked in units of e^(-z0) through the scaled upper gamma, so neither
+    u0 - z0 (which cancels to about ulp(u0) when s is tiny against x0) nor
+    -z1 is formed.  Below it the bracket is n! Q(n+1, u0), or
+    n! [P(n+1, u1) - P(n+1, u0)].
+
+    A finite difference loses digits on a narrow piece, about ulp/w for
+    widths w = z1 - z0 far below 1; where its ends agree to rounding, one
+    15-point panel takes the piece instead.
+    """
+    u0 = x0 / s if s > 0.0 else INF
+    if u0 == INF:
+        if x0 <= 0.0:
+            return NEG_INF
+        return n * math.log(x0) - z0 + log1mexp(z0 - z1)
+    if u0 >= n + 2:
+        head = n * math.log(x0) + math.log(u0) + _log_upper_scaled(n + 1, u0)
+        if z1 == INF:
+            return head - z0
+        w = z1 - z0
+        u1 = u0 + w
+        rest = n * math.log(s * u1) - w + math.log(u1) + _log_upper_scaled(n + 1, u1)
+        sign, diff = log_sub_signed(head, rest)
+        lead = -z0
+    else:
+        lead = n * math.log(s) + u0 - z0 + math.lgamma(n + 1)
+        if z1 == INF:
+            return lead + reg_gamma(n + 1, u0).log_q
+        p1, p0 = reg_gamma(n + 1, u0 + (z1 - z0)).log_p, reg_gamma(n + 1, u0).log_p
+        sign, diff = log_sub_signed(p1, p0)
+    if sign == 1:
+        return diff + lead
+    return _log_panel(lambda z: n * math.log(x0 + s * (z - z0)) - z, z0, z1)
+
+
+def vol_mu(rho: RadiusFunction, n: int) -> float:
+    """log integral_0^inf rho(z)^n e^(-z) dz; the tail in closed form.
+
+    Each finite segment is one _log_adaptive call (one that does not
+    converge raises ArithmeticError), the tail one _log_segment.
     """
     _check_n(n)
     if rho.is_infinite:
@@ -155,15 +199,7 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
         for (z0, _), (z1, _) in zip(pts, pts[1:])
     ]
     z_m, x_m = pts[-1]
-    beta = rho.tail_slope
-    if beta == 0.0:
-        parts.append(NEG_INF if x_m <= 0.0 else n * math.log(x_m) - z_m)
-    else:
-        u0 = x_m / beta
-        g = reg_gamma(n + 1, u0)
-        parts.append(
-            n * math.log(beta) + u0 - z_m + math.lgamma(n + 1) + g.log_q
-        )
+    parts.append(_log_segment(n, rho.tail_slope, z_m, x_m, INF))
     return log_sum(parts)
 
 

@@ -11,7 +11,8 @@ Both views are one kind of object, a piecewise-linear function with a tail
 slope, and differ only in the direction their slopes turn.  They share the
 module-level helpers: _canonical validates breakpoints and merges collinear
 ones, _interpolate evaluates them (bisecting a tuple of abscissae that
-each object builds on its first evaluation), _approx_same compares them.
+each object builds on its first evaluation), and _max_gap compares two
+profiles (radii through from_radius).
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
@@ -35,9 +36,7 @@ from typing import Iterable
 INF = float("inf")
 
 # A breakpoint whose value lies within this tolerance, relative to that
-# value, of the line through its neighbours is merged away (see _canonical);
-# approx_equal compares canonical breakpoints to the same tolerance relative
-# to max(1, |a|, |b|).
+# value, of the line through its neighbours is merged away (see _canonical).
 MERGE_RTOL = 1e-12
 # Slack for accepting slope monotonicity from computed (rounded) inputs,
 # relative to the larger slope, so it holds at every scale.
@@ -51,14 +50,6 @@ _WORDS = {
     1: ("radii", "values", "decrease", "below"),
     -1: ("heights", "radius", "increase", "above"),
 }
-
-
-def _close(a: float, b: float) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= MERGE_RTOL * max(1.0, abs(a), abs(b))
 
 
 def _on_line(y: float, line: float) -> bool:
@@ -133,18 +124,6 @@ def _interpolate(
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
 
-def _approx_same(a: _Points, a_tail: float, b: _Points, b_tail: float) -> bool:
-    """Breakpoints and tail slopes agree pairwise to MERGE_RTOL (inf only to inf)."""
-    return (
-        len(a) == len(b)
-        and _close(a_tail, b_tail)
-        and all(
-            _close(p[0], q[0]) and _close(p[1], q[1])
-            for p, q in zip(a, b)
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # profile of psi
 
@@ -204,11 +183,6 @@ class ConvexProfile:
             raise ValueError(f"profile domain is r >= 0, got {r}")
         return _interpolate(self.breakpoints, self._abscissae, self.tail_slope, r)
 
-    def approx_equal(self, other: "ConvexProfile") -> bool:
-        return _approx_same(
-            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope
-        )
-
 
 # ---------------------------------------------------------------------------
 # radius functions
@@ -266,12 +240,6 @@ class RadiusFunction:
         if not z >= 0.0:
             raise ValueError(f"radius domain is z >= 0, got {z}")
         return _interpolate(self.breakpoints, self._abscissae, self.tail_slope, z)
-
-    def approx_equal(self, other: "RadiusFunction") -> bool:
-        # a constant tail never matches a linear one, however shallow
-        return (self.tail_slope == 0.0) == (other.tail_slope == 0.0) and _approx_same(
-            self.breakpoints, self.tail_slope, other.breakpoints, other.tail_slope
-        )
 
 
 @dataclass(frozen=True)

@@ -348,8 +348,6 @@ _SUITES: dict[str, tuple[SuiteBody, int, int]] = {
     "ck-negative": (_suite_ck_negative, 21, 99),
 }
 
-DEFAULT_SEEDS = {name: seed for name, (_, seed, _) in _SUITES.items()}
-DEFAULT_CASES = {name: cases for name, (_, _, cases) in _SUITES.items()}
 SUITE_NAMES = tuple(_SUITES)
 
 

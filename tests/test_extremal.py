@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epidual import extremal
+from epidual import extremal, measures
 from epidual.extremal import (
     BracketFailure,
     BracketInvalid,
@@ -227,9 +227,62 @@ def test_big_f_at_b_zero_is_inverse_factorial():
 @pytest.mark.parametrize("n", [1, 2, 5, 15, 30])
 @pytest.mark.parametrize("ab", [(0.3, 1.0), (1.0, 2.5), (0.05, 10.0)])
 def test_big_f_matches_quadrature(n, ab):
+    # big_f takes every piece in closed form, log_s_j_n the finite
+    # segments by quadrature
     a, b = ab
     profile = tent_profile(TentParams(a, b, 1.0))
     assert big_f(a, b, n) == pytest.approx(log_s_j_n(profile, n), abs=1e-9)
+
+
+def mp_tent_logs(a, b, n):
+    """(log nu, log mu) of the kink-1 tent with slopes (a, a+b), 60 digits.
+
+    mu integrates the radius z/a up to a, then 1 + (z - a)/(a+b); nu is mu
+    of its J image, 1/(a+b) + w b/(a+b) up to 1/a, then 1/a.
+    """
+    with mp.workdps(60):
+        a, b = mp.mpf(a), mp.mpf(b)
+        mu = (
+            a**-n * mp_lower(n + 1, a)
+            + (a + b) ** -n * mp.e**b * mp.gammainc(n + 1, a + b)
+        )
+        u0, u1 = 1 / b, 1 / b + 1 / a
+        if u0 < n + 1:  # take the difference on the side that does not cancel
+            piece = mp_lower(n + 1, u1) - mp_lower(n + 1, u0)
+        else:
+            piece = mp.gammainc(n + 1, u0) - mp.gammainc(n + 1, u1)
+        nu = (b / (a + b)) ** n * mp.e**u0 * piece + a**-n * mp.e ** (-1 / a)
+        return float(mp.log(nu)), float(mp.log(mu))
+
+
+@pytest.mark.parametrize("n", [1, 30, 1000])
+@pytest.mark.parametrize("a", [1e-3, 0.3, 10.0])
+@pytest.mark.parametrize("b", [1e-9, 1.0, 1e6])
+def test_big_f_matches_mpmath_tent(n, a, b):
+    # log F = log nu - log mu, so its rounding is set by the larger of the
+    # two logs, not by F (at n = 1 and b = 1e-9, log F is 5e-13), and by
+    # unit scale at least, where the pieces' own logs live
+    log_nu, log_mu = mp_tent_logs(a, b, n)
+    ulp = math.ulp(max(1.0, abs(log_nu), abs(log_mu)))
+    assert abs(big_f(a, b, n) - (log_nu - log_mu)) <= 4 * ulp
+
+
+def test_big_f_cost_does_not_grow_with_n(monkeypatch):
+    calls = []
+    reg_gamma = measures.reg_gamma
+
+    def counted(s, x):
+        calls.append(s)
+        return reg_gamma(s, x)
+
+    for module in (measures, extremal):
+        monkeypatch.setattr(module, "reg_gamma", counted)
+    counts = []
+    for n in (5, 1000):
+        calls.clear()
+        big_f(0.3, 1.0, n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 5
 
 
 def test_big_f_scaling_absorbs_kink():

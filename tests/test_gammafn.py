@@ -6,6 +6,7 @@ from scipy import integrate
 
 from epidual.logdomain import log1mexp, log_sub_signed
 from epidual.gammafn import (
+    _log_upper_scaled,
     check_gamma_half,
     check_small_a_bound,
     check_tail_bound,
@@ -171,6 +172,18 @@ def test_upper_fraction_converges_at_huge_argument():
     got = reg_gamma(65.0, 3e16)
     assert got.log_q == pytest.approx(want, rel=1e-15)
     assert math.exp(got.log_p) == 1.0 and math.exp(got.log_q) == 0.0
+
+
+@pytest.mark.parametrize(
+    "s, x", [(2.0, 3.0), (4.0, 40.0), (21.0, 22.0), (1001.0, 2000.0), (4.0, 1e14)]
+)
+def test_upper_scaled_matches_mpmath(s, x):
+    # log(Gamma(s, x) x^-s e^x) is about -log x far out, with no x - log
+    # terms left to cancel
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        want = float(mpmath.log(mpmath.gammainc(s, xm) * xm**-s * mpmath.e**xm))
+    assert _log_upper_scaled(s, x) == pytest.approx(want, rel=1e-15)
 
 
 def _reference_logs(s, x):

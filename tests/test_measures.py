@@ -107,6 +107,87 @@ def test_vol_mu_matches_quadrature(n):
         assert vol_mu(rho, n) == pytest.approx(expect, abs=2e-11), p
 
 
+def mp_segment(n, s, z0, x0, z1):
+    """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz at 80 digits."""
+    with mp.workdps(80):
+        n, s, z0, x0, z1 = (mp.mpf(v) for v in (n, s, z0, x0, z1))
+        if s == 0:
+            return float(n * mp.log(x0) + mp.log(mp.e ** -z0 - mp.e ** -z1))
+        u0 = x0 / s
+        u1 = u0 + (z1 - z0)
+        # from the side whose ends do not cancel to the working precision
+        if u0 < n + 1:
+            piece = mp.gammainc(n + 1, 0, u1) - mp.gammainc(n + 1, 0, u0)
+        else:
+            piece = mp.gammainc(n + 1, u0) - mp.gammainc(n + 1, u1)
+        return float(n * mp.log(s) + u0 - z0 + mp.log(piece))
+
+
+@pytest.mark.parametrize(
+    "n, s, z0, x0, z1",
+    [
+        (4, 0.0, 0.5, 1.7, 3.0),  # flat
+        (4, 0.0, 0.5, 1.7, INF),  # flat tail
+        (5, 2.0, 1.0, 0.5, INF),  # tail, u0 = 0.25 below the mode
+        (5, 0.01, 1.0, 3.0, INF),  # tail, u0 = 300 past it
+        (7, 1.5, 0.2, 0.3, 4.0),  # finite, u0 = 0.2
+        (7, 0.05, 2.0, 2.0, 5.0),  # finite, u0 = 40 >= n + 2
+        (10, 1.0, 0.0, 5.0, 20.0),  # u from 5 to 25 straddles n + 2
+        (3, 2.0, 0.0, 0.0, 1.5),  # starts at radius 0
+        (1000, 0.1, 3.0, 50.0, 40.0),  # u0 = 500 below the mode of n = 1000
+        (3, 1e-9, 0.0, 1.0, 1e-18),  # ends agree to rounding: one panel
+        (3, 1.0, 0.0, 1.0, 1e-18),  # the same below the mode
+    ],
+)
+def test_log_segment_matches_mpmath(n, s, z0, x0, z1):
+    want = mp_segment(n, s, z0, x0, z1)
+    assert measures._log_segment(n, s, z0, x0, z1) == pytest.approx(
+        want, rel=4e-15, abs=4e-15
+    )
+
+
+def test_log_segment_of_zero_radius_is_empty():
+    assert measures._log_segment(3, 0.0, 1.0, 0.0, INF) == NEG_INF
+    assert measures._log_segment(3, 0.0, 1.0, 0.0, 2.0) == NEG_INF
+
+
+def test_log_segment_factors_out_a_far_start():
+    # past the mode the piece is carried in units of e^(-z0), and -z0 is
+    # added once at the end, so the result near -1e9 is within one ulp
+    # (1.2e-7) of the exact value.  Ends formed as separate terms near -z0
+    # and -z1 would each round to that ulp before being subtracted, which
+    # on a piece 2^-7 wide costs 33 ulps.
+    n, s, z0, x0, w = 3, 1e-3, 1e9, 2.0, 2.0**-7
+    with mp.workdps(60):
+        u0 = mp.mpf(x0) / s
+        piece = mp.gammainc(n + 1, u0) - mp.gammainc(n + 1, u0 + w)
+        want = float(n * mp.log(s) + u0 + mp.log(piece) - z0)
+    got = measures._log_segment(n, s, z0, x0, z0 + w)
+    assert abs(got - want) <= math.ulp(want)
+
+
+@pytest.mark.parametrize("t", [1e9, 1e12, 1e14])
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_vol_mu_of_steep_tail(t, n):
+    # psi = r up to 1, then slope t: the radius tail starts at x = 1 with
+    # slope 1/t, so u0 = t, and mu exceeds the capped profile's by about
+    # n / (e t mu).  A tail formed as u0 - z + log Q(n+1, u0) cancels to
+    # about ulp(t), far above that excess once t reaches 1e9.
+    rho = to_radius(ConvexProfile(((0.0, 0.0), (1.0, 1.0)), t))
+    with mp.workdps(50):
+        tail = mp.mpf(t) ** -n * mp.e ** (t - 1) * mp.gammainc(n + 1, t)
+        want = float(mp.log(mp.gammainc(n + 1, 0, 1) + tail))
+    assert vol_mu(rho, n) == pytest.approx(want, rel=1e-13)
+
+
+def test_vol_mu_of_tail_too_shallow_for_its_radius():
+    # x/beta = 1e600 overflows; the tail is flat to far below rounding
+    rho = RadiusFunction(((0.0, 0.0), (1.0, 1e300)), 1e-300)
+    with mp.workdps(30):
+        want = float(600 * mp.log(10) + mp.log(mp.gammainc(3, 0, 1) + mp.e**-1))
+    assert vol_mu(rho, 2) == pytest.approx(want, rel=1e-14)
+
+
 def test_vol_mu_evaluates_each_panel_once(monkeypatch):
     panels = []
     panel = measures._log_panel

@@ -222,7 +222,7 @@ def test_j_involution_on_samples():
             # radius at 0 and tail slope trade places
             assert out.tail_slope == rho.breakpoints[0][1], p
             assert out.breakpoints[0][1] == rho.tail_slope, p
-        assert j_transform(out).approx_equal(rho), p
+        assert _max_gap(from_radius(j_transform(out)), from_radius(rho)) == 0.0, p
 
 
 def test_j_matches_pointwise_formula():
@@ -270,7 +270,7 @@ def test_legendre_matches_bruteforce_sup():
 
 def test_legendre_involution_on_samples():
     for p in SAMPLES:
-        assert legendre(legendre(p)).approx_equal(p), p
+        assert _max_gap(legendre(legendre(p)), p) == 0.0, p
 
 
 def test_legendre_order_reversing_sample():
@@ -401,7 +401,7 @@ def test_symmetrize_two_slopes():
 def test_symmetrize_symmetric_input_is_identity():
     for p in SAMPLES:
         out = symmetrize_line(LineConvexFunction(p, p))
-        assert out.approx_equal(p), p
+        assert _max_gap(out, p) == 0.0, p
 
 
 def test_symmetrize_mixed_tails():

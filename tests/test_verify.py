@@ -11,12 +11,11 @@ import epidual
 from epidual.extremal import solve_lambda
 from epidual.profile import ConvexProfile, RadiusFunction, to_radius
 from epidual.verify import (
-    DEFAULT_CASES,
-    DEFAULT_SEEDS,
     SUITE_NAMES,
     ProfileSampler,
     SuiteReport,
     UnknownSuite,
+    _SUITES,
     _brute_force_scan,
     _cap_radius,
     _tent_log_ratios,
@@ -69,14 +68,13 @@ def test_unknown_suite_lists_names():
 
 
 def test_default_tables_cover_all_suites():
-    assert set(DEFAULT_SEEDS) == set(SUITE_NAMES)
-    assert set(DEFAULT_CASES) == set(SUITE_NAMES)
-    assert all(c >= 99 for c in DEFAULT_CASES.values())
+    assert tuple(_SUITES) == SUITE_NAMES
+    assert all(c >= 99 for _, _, c in _SUITES.values())
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_passes_on_sampled_inputs(name):
-    cases = min(100, DEFAULT_CASES[name])
+    cases = min(100, _SUITES[name][2])
     report = run_suite(name, cases=cases)
     assert report.passed, report.failures[:3]
     assert report.cases == cases
