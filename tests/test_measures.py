@@ -128,6 +128,8 @@ def mp_segment(n, s, z0, x0, z1):
     [
         (4, 0.0, 0.5, 1.7, 3.0),  # flat
         (4, 0.0, 0.5, 1.7, INF),  # flat tail
+        (3, 0.0, 1.0, 0.0, 2.0),  # zero radius
+        (3, 0.0, 1.0, 0.0, INF),
         (5, 2.0, 1.0, 0.5, INF),  # tail, u0 = 0.25 below the mode
         (5, 0.01, 1.0, 3.0, INF),  # tail, u0 = 300 past it
         (7, 1.5, 0.2, 0.3, 4.0),  # finite, u0 = 0.2
@@ -144,11 +146,6 @@ def test_log_segment_matches_mpmath(n, s, z0, x0, z1):
     assert measures._log_segment(n, s, z0, x0, z1) == pytest.approx(
         want, rel=4e-15, abs=4e-15
     )
-
-
-def test_log_segment_of_zero_radius_is_empty():
-    assert measures._log_segment(3, 0.0, 1.0, 0.0, INF) == NEG_INF
-    assert measures._log_segment(3, 0.0, 1.0, 0.0, 2.0) == NEG_INF
 
 
 def test_log_segment_factors_out_a_far_start():
