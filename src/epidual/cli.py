@@ -40,8 +40,9 @@ from .profile import (
 )
 from .verify import SUITE_NAMES, ProfileSampler, run_suite
 
-# ArithmeticError: a gamma series or Newton iteration that does not settle;
-# ValueError: a sign-map root triple that fails its sign pattern (huge n)
+# ArithmeticError: a gamma series or Newton iteration that does not settle,
+# or a sign-map gap within its rounding bound (huge n); ValueError: a
+# sign-map root triple that fails its sign pattern
 _SOLVER_ERRORS = (
     BracketFailure, StationarityFailure, OneRootCase, ArithmeticError, ValueError
 )

@@ -29,6 +29,7 @@ the maximizer certifies that it lies in the island at the solved lambda.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -189,6 +190,15 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     the local min negative.  Each root is found by safeguarded Newton on
     the gap, whose slope is 1 + 1/z^2 - (n+2)/z, to about 1e-15 relative.
     A non-finite log_lambda raises ValueError.
+
+    At a probe the gap ((z - 1/z) - (n+2) log z) - log lambda cancels terms
+    of size D = (n+2)|log z| to O(log n).  To first order in u = eps/2, with
+    math.log within an ulp, its rounding error is at most u/z (1/z), u(z +
+    1/z) (first subtraction), 4u D (log, n+2 to float, product), u(z + 1/z
+    + D) and u(z + 1/z + D + |log lambda|) (last two subtractions): in all
+    u(3z + 4/z + 6D + |log lambda|) < eps (2z + 2/z + 3D + |log lambda|).
+    A probe gap not above that bound decides nothing and raises
+    ArithmeticError; at lambda = n! that happens from about n = 1.6e15.
     """
     _check_n(n)
     _check_log_lambda(log_lambda)
@@ -197,7 +207,16 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     def g(z: float) -> tuple[float, float]:
         return _log_gap(z, n, log_lambda), 1.0 + 1.0 / (z * z) - (n + 2) / z
 
-    if g(z_lo)[0] <= 0.0 or g(z_hi)[0] >= 0.0:
+    g_lo, g_hi = _log_gap(z_lo, n, log_lambda), _log_gap(z_hi, n, log_lambda)
+    for z, gap in ((z_lo, g_lo), (z_hi, g_hi)):
+        d = (n + 2) * abs(math.log(z))
+        bound = sys.float_info.epsilon * (2.0 * z + 2.0 / z + 3.0 * d + abs(log_lambda))
+        if abs(gap) <= bound:
+            raise ArithmeticError(
+                f"sign-map gap {gap:.3g} at z={z} is within its rounding bound "
+                f"{bound:.3g} (n={n})"
+            )
+    if g_lo <= 0.0 or g_hi >= 0.0:
         raise OneRootCase(
             f"sign map has a single root at n={n}, log_lambda={log_lambda}"
         )

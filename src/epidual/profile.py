@@ -162,10 +162,6 @@ class ConvexProfile:
         return len(self.breakpoints) == 1 and self.tail_slope == 0.0
 
     @property
-    def is_origin_indicator(self) -> bool:
-        return len(self.breakpoints) == 1 and math.isinf(self.tail_slope)
-
-    @property
     def flat_end(self) -> float:
         """Largest r with psi(r) = 0."""
         end = 0.0
@@ -361,63 +357,35 @@ def polarity(p: ConvexProfile, s: float) -> float:
 
 
 def _polar_profile(p: ConvexProfile) -> ConvexProfile:
-    """Profile of the polar: upper envelope of the per-segment candidate lines.
+    """Profile of the polar: upper envelope of the candidate lines of polarity.
 
-    Private plumbing for the factorization cross-check; the public polarity
-    stays pointwise.
+    A breakpoint (r, v) with v > 0 gives the line (r s - 1) / v, a finite
+    tail the line s / tail_slope, an indicator tail the zero line.  Lines of
+    consecutive breakpoints meet at sigma / psi*(sigma), sigma the slope
+    between them, which falls as sigma rises (psi* is convex, psi*(0) = 0),
+    so one reverse pass adds each line where it meets the last, up to the
+    flat cutoff 1 / flat_end.  Meeting points that rounding leaves out of
+    order make the constructor raise ValueError.  Private plumbing for
+    check_j_factorization; the public polarity stays pointwise.
     """
     if p.is_zero:
         return ConvexProfile(((0.0, 0.0),), INF)
-    if p.is_origin_indicator:
-        return ConvexProfile(((0.0, 0.0),), 0.0)
-    lines = [(0.0, 0.0)]
-    for r, v in p.breakpoints:
-        if v > 0.0:
-            lines.append((r / v, -1.0 / v))
-    if not math.isinf(p.tail_slope):
-        lines.append((1.0 / p.tail_slope, 0.0))
-    lines.sort()
-    dedup: list[tuple[float, float]] = []
-    for a, b in lines:
-        if dedup and dedup[-1][0] == a:
-            if b > dedup[-1][1]:
-                dedup[-1] = (a, b)
-        else:
-            dedup.append((a, b))
-    hull: list[tuple[float, float]] = []
-    starts: list[float] = []
-    for a, b in dedup:
-        x = 0.0
-        while hull:
-            a0, b0 = hull[-1]
-            x = (b0 - b) / (a - a0)
-            if x <= starts[-1]:
-                hull.pop()
-                starts.pop()
-            else:
-                break
-        if not hull:
-            if b < 0.0:
-                continue  # dominated at 0 by the zero line; enters later if at all
-            hull.append((a, b))
-            starts.append(0.0)
-        else:
-            hull.append((a, b))
-            starts.append(x)
     flat = p.flat_end
     cutoff = (1.0 / flat) if flat > 0.0 else INF
+    a0, b0 = 1.0 / p.tail_slope, 0.0  # 1 / inf = 0: the zero line
     out_pts = [(0.0, 0.0)]
-    for (a, b), x in zip(hull, starts):
-        if 0.0 < x < cutoff:
-            out_pts.append((x, a * x + b))
+    for r, v in reversed(p.breakpoints):
+        if v <= 0.0:
+            break
+        a, b = r / v, -1.0 / v
+        x = (b0 - b) / (a - a0)
+        if x >= cutoff:
+            break
+        out_pts.append((x, a * x + b))
+        a0, b0 = a, b
     if math.isinf(cutoff):
-        return ConvexProfile(tuple(out_pts), hull[-1][0])
-    a, b = hull[-1]
-    for (ai, bi), x in zip(hull, starts):
-        if x < cutoff:
-            a, b = ai, bi
-    if cutoff > out_pts[-1][0]:
-        out_pts.append((cutoff, a * cutoff + b))
+        return ConvexProfile(tuple(out_pts), a0)
+    out_pts.append((cutoff, a0 * cutoff + b0))
     return ConvexProfile(tuple(out_pts), INF)
 
 
@@ -480,7 +448,10 @@ def check_j_factorization(p: ConvexProfile) -> float:
     """Max pointwise gap between the radius route J and conjugate-of-polar L A.
 
     Both routes are exact piecewise-linear profiles, so _max_gap compares
-    them at their knots and in the tail.
+    them at their knots and in the tail.  _polar_profile's lines use psi's
+    breakpoint coordinates (r/v, 1/v), as J does, so this checks legendre
+    and the envelope's intersections, not the envelope against polarity's
+    definition; only test_polar_profile_matches_pointwise checks that.
     """
     return _max_gap(from_radius(j_transform(to_radius(p))), legendre(_polar_profile(p)))
 
@@ -520,6 +491,11 @@ def profile_to_dict(p: ConvexProfile) -> dict:
     }
 
 
+def _is_number(x: object) -> bool:
+    """A JSON number: an int or a float, but not a bool (a subclass of int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def profile_from_dict(doc: object) -> ConvexProfile:
     if not isinstance(doc, dict):
         raise ValueError(f"profile document must be an object, got {type(doc).__name__}")
@@ -528,20 +504,17 @@ def profile_from_dict(doc: object) -> ConvexProfile:
         raise ValueError(f"unknown profile fields: {sorted(unknown)}")
     if "breakpoints" not in doc or "tail_slope" not in doc:
         raise ValueError("profile document needs 'breakpoints' and 'tail_slope'")
-    raw = doc["breakpoints"]
+    raw, slope = doc["breakpoints"], doc["tail_slope"]
     if not isinstance(raw, list) or not all(
-        isinstance(bp, (list, tuple)) and len(bp) == 2 for bp in raw
+        isinstance(bp, (list, tuple)) and len(bp) == 2 and all(map(_is_number, bp))
+        for bp in raw
     ):
-        raise ValueError("'breakpoints' must be a list of [r, v] pairs")
+        raise ValueError("'breakpoints' must be a list of [r, v] number pairs")
+    if slope != "inf" and not _is_number(slope):
+        raise ValueError(f"'tail_slope' must be a number or \"inf\", got {slope!r}")
     try:
         pts = tuple((float(r), float(v)) for r, v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"non-numeric breakpoint: {exc}") from exc
-    slope = doc["tail_slope"]
-    if slope == "inf":
-        tail_slope = INF
-    elif isinstance(slope, (int, float)) and not isinstance(slope, bool):
-        tail_slope = float(slope)
-    else:
-        raise ValueError(f"'tail_slope' must be a number or \"inf\", got {slope!r}")
+        tail_slope = INF if slope == "inf" else float(slope)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"profile number out of float range: {exc}") from exc
     return ConvexProfile(pts, tail_slope)

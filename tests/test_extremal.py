@@ -150,6 +150,14 @@ def test_one_root_detection():
         roots_of_m(n, at_min - 0.1)  # local min pulled above zero
 
 
+@pytest.mark.parametrize("n", [10**16, 10**17, 10**20])
+def test_roots_refuse_a_gap_below_rounding(n):
+    # the local max is about +54 to +68, but the probe's terms of size
+    # n log n leave the computed gap inside its rounding bound
+    with pytest.raises(ArithmeticError, match="within its rounding bound"):
+        roots_of_m(n, math.lgamma(n + 1))
+
+
 def test_root_triple_validation():
     with pytest.raises(ValueError):
         RootTriple(1.0, 1.0, 2.0, 0.0, 1)

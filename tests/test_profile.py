@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -21,6 +22,7 @@ from epidual.profile import (
     symmetrize_line,
     to_radius,
 )
+from epidual.verify import ProfileSampler
 
 ZERO = ConvexProfile(((0.0, 0.0),), 0.0)
 ORIGIN = ConvexProfile(((0.0, 0.0),), INF)
@@ -306,7 +308,10 @@ def test_polarity_flat_cutoff():
 
 
 def test_polar_profile_matches_pointwise():
-    for p in SAMPLES:
+    # the factorization suite never compares the envelope with the
+    # definition of A, so this test is its only tie to polarity
+    sampled = itertools.islice(ProfileSampler(seed=13).stream(), 200)
+    for p in [*SAMPLES, *sampled]:
         q = _polar_profile(p)
         extras = [r for r, _ in q.breakpoints]
         for s in evaluation_grid(points=80, extras=extras):
@@ -438,6 +443,9 @@ def test_json_round_trip():
         {"breakpoints": [[0.0, 0.0]], "tail_slope": 1.0, "extra": 1},
         {"breakpoints": [[0.0, 0.0], [1.0, math.nan]], "tail_slope": "inf"},
         {"breakpoints": [[0.0, 0.0], [1.0, math.inf]], "tail_slope": "inf"},
+        {"breakpoints": [["0", "0"], ["1", "2"]], "tail_slope": "inf"},
+        {"breakpoints": [[0, 0], [True, 2]], "tail_slope": "inf"},
+        {"breakpoints": [[0, 0], [10**400, 2]], "tail_slope": "inf"},
     ],
 )
 def test_json_rejects_malformed(doc):
