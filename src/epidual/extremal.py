@@ -20,10 +20,15 @@ maximizer the first-order condition reads
 The solver finds its root directly: safeguarded Newton on the log form of
 this condition, whose derivative comes in closed form from the same two
 gamma values, inside the positivity island of the sign map and started
-from its left end, near which the maximizer sits.  The island's ends, the
-sign-map roots, come from the same safeguarded Newton on g.  Two residuals
-that vanish at the true stationary point certify the result, and g >= 0 at
-the maximizer certifies that it lies in the island at the solved lambda.
+from its left end, near which the maximizer sits.  The gap of the log form
+reads exactly 0.0 once it is within its rounding bound, 10 eps times the
+size of its terms (_gap_and_slope), so the iteration stops on a point it
+has evaluated; lambda and the certificates come from that evaluation's
+gamma values, and a bracket end whose gap is within the bound raises
+ArithmeticError.  The island's ends, the sign-map roots, come from the
+same safeguarded Newton on g.  Two residuals that vanish at the true
+stationary point certify the result, and g >= 0 at the maximizer
+certifies that it lies in the island at the solved lambda.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .logdomain import log_add, log_sub_signed
 from .measures import _check_n, _log_segment
@@ -43,6 +49,8 @@ _NEWTON_MAX_STEPS = 100
 # z1 and z3 lie a few halvings and doublings outside the probes
 _WIDEN_MAX_STEPS = 64
 _RESIDUAL_TOL = 1e-8
+# rounding bound of the stationarity gap, in eps times its terms' size
+_GAP_ROUNDING = 10.0 * sys.float_info.epsilon
 
 
 class OneRootCase(Exception):
@@ -110,8 +118,9 @@ def _newton_root(f, neg: float, pos: float, a: float, fa: float, dfa: float) -> 
 
     f(z) returns the value and slope at z (fa and dfa at a); f(neg) < 0 <
     f(pos).  A step that leaves this sign bracket, which every evaluation
-    shrinks, is replaced by bisection.  A step of at most 1e-15 relative
-    ends the iteration; ArithmeticError after _NEWTON_MAX_STEPS steps.
+    shrinks, is replaced by bisection.  A point where f is exactly 0.0 is
+    returned, and a step of at most 1e-15 relative ends the iteration too;
+    ArithmeticError after _NEWTON_MAX_STEPS steps.
     """
     for _ in range(_NEWTON_MAX_STEPS):
         if fa < 0.0:
@@ -338,8 +347,18 @@ def _log_g(a: float, n: int, log_lower: float, log_lower_inv: float) -> float:
     return num - den
 
 
-def _gap_and_slope(a: float, n: int) -> tuple[float, float]:
-    """The stationarity gap h(a) and its derivative, from two gamma values.
+class _Gap(NamedTuple):
+    """The stationarity gap at one point, with the gamma values behind it."""
+
+    value: float
+    slope: float
+    bound: float
+    log_lower: float
+    log_p_inv: float
+
+
+def _gap_and_slope(a: float, n: int) -> _Gap:
+    """The stationarity gap h(a), its derivative and its rounding bound.
 
     h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a) is negative
     where G increases and zero at its critical points.  With
@@ -347,19 +366,39 @@ def _gap_and_slope(a: float, n: int) -> tuple[float, float]:
 
         h'(a) = 1/a^2 - 1 - a^n e^(-a) / gamma(n+1, a)
                 + a^(-n-2) e^(-1/a) / gamma(n+1, 1/a).
+
+    The gap is summed as ((-1/a - a) - (P + L)) - (Q + L) from P = log
+    p(n+1, a), Q = log p(n+1, 1/a) and L = lgamma(n+1).  Let S = 1/a + a +
+    |P| + |Q| + 2L.  To first order in u = eps/2 the sum rounds by at most
+    u(4/a + 3a + 3|P| + 2|Q| + 5L) < 2 eps S, and L, taken twice within 2
+    ulps, adds 2 eps S.  reg_gamma's log p at (s, x) is within 3 eps
+    T(s, x), T = s|log x| + x + lgamma(s+1).  Here T(n+1, a) + T(n+1, 1/a)
+    = 2(n+1)|log a| + a + 1/a + 2 lgamma(n+2) < 2S, as the lower series
+    (at most e^a) gives |P| >= (n+1)|log a| + lgamma(n+2) for a <= 1, all
+    of the island; so P and Q add 6 eps S.
+    A gap within the bound 10 eps S could be a rounded root and is reported
+    as exactly 0.0, which ends _newton_root on this point.
     """
     inv = 1.0 / a
     la = math.log(a)
-    log_lower = _log_gamma_lower(n + 1, a)
-    log_lower_inv = _log_gamma_lower(n + 1, inv)
+    log_factorial = math.lgamma(n + 1)
+    log_p = reg_gamma(n + 1, a).log_p
+    log_p_inv = reg_gamma(n + 1, inv).log_p
+    log_lower = log_p + log_factorial
+    log_lower_inv = log_p_inv + log_factorial
     gap = -inv - a - log_lower - log_lower_inv
+    bound = _GAP_ROUNDING * (
+        inv + a + abs(log_p) + abs(log_p_inv) + 2.0 * log_factorial
+    )
     slope = (
         inv * inv
         - 1.0
         - math.exp(n * la - a - log_lower)
         + math.exp(-(n + 2) * la - inv - log_lower_inv)
     )
-    return gap, slope
+    if abs(gap) <= bound:
+        gap = 0.0
+    return _Gap(gap, slope, bound, log_lower, log_p_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +439,44 @@ class LambdaEstimate:
         return peaks > 1
 
 
-def _newton_stationary(n: int, lo: float, hi: float) -> float:
-    """Root of the stationarity gap in [lo, hi] by safeguarded Newton.
+def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
+    """Root of the stationarity gap in [lo, hi], with the gap evaluated there.
 
-    The sign bracket h(lo) < 0 < h(hi) is checked first; the iteration
-    starts at lo, near the maximizer, from the gap and slope found there.
+    The sign bracket h(lo) < 0 < h(hi) is checked first, lo before hi: an
+    end whose gap is within its rounding bound (_gap_and_slope) decides
+    nothing and raises ArithmeticError, as at the island's left end from
+    n = 1e10 on.  Safeguarded Newton then starts at lo, near the maximizer,
+    from the gap and slope found there.  It stops on the first point whose
+    gap is within its bound, unless a step below 1e-15 relative ends it
+    first; the last point evaluated is returned with its evaluation.
     """
-    gap, slope = _gap_and_slope(lo, n)
-    if not gap < 0.0 < _gap_and_slope(hi, n)[0]:
+
+    def decided(a: float) -> _Gap:
+        gap = _gap_and_slope(a, n)
+        if gap.value == 0.0:
+            raise ArithmeticError(
+                f"stationarity gap at a={a} is within its rounding bound "
+                f"{gap.bound:.3g} (n={n})"
+            )
+        return gap
+
+    start = decided(lo)
+    if not start.value < 0.0 < decided(hi).value:
         raise BracketFailure(
             f"stationarity gap does not change sign on [{lo}, {hi}] at n={n}"
         )
+    last = [lo, start]
+
+    def h(a: float) -> tuple[float, float]:
+        last[:] = a, _gap_and_slope(a, n)
+        return last[1].value, last[1].slope
+
     try:
-        return _newton_root(lambda a: _gap_and_slope(a, n), lo, hi, lo, gap, slope)
+        _newton_root(h, lo, hi, lo, start.value, start.slope)
     except ArithmeticError as exc:
         raise StationarityFailure(f"{exc} at n={n}") from exc
+    # _newton_root ends on the last point evaluated, or within 1e-15 of it
+    return last[0], last[1]
 
 
 @lru_cache(maxsize=None)
@@ -423,12 +485,14 @@ def solve_lambda(n: int) -> LambdaEstimate:
 
     The positivity island of the sign map at lambda = n! brackets the
     maximizer.  Safeguarded Newton on the stationarity gap h finds the
-    root of G's first-order condition there and the two first-order
-    residuals certify it (1e-8, or 4 ulps of log lambda if that is
-    larger).  The maximizer must also lie in the island at the solved
-    lambda, which one sign of the gap g decides: Newton keeps it in the
-    seed island left of g's local min, and there g >= 0 exactly on the
-    solved lambda's island.
+    root of G's first-order condition there; it stops on the first point
+    where h is within its rounding bound (10 eps times the size of h's
+    terms), and lambda and the two first-order residuals come from the
+    gamma values of that evaluation.  The residuals certify the root (1e-8,
+    or 4 ulps of log lambda if that is larger).  The maximizer must also
+    lie in the island at the solved lambda, which one sign of the gap g
+    decides: Newton keeps it in the seed island left of g's local min, and
+    there g >= 0 exactly on the solved lambda's island.
     """
     _check_n(n)
     log_factorial = math.lgamma(n + 1)
@@ -439,10 +503,9 @@ def solve_lambda(n: int) -> LambdaEstimate:
             f"no positivity island at lambda = n! for n={n}"
         ) from exc
     lo, hi = seed.z1, seed.z2
-    a_n = _newton_stationary(n, lo, hi)
-    log_lower = _log_gamma_lower(n + 1, a_n)
-    log_p_inv = reg_gamma(n + 1, 1.0 / a_n).log_p
-    log_lower_inv = log_p_inv + math.lgamma(n + 1)
+    a_n, gap = _newton_stationary(n, lo, hi)
+    log_lower = gap.log_lower
+    log_lower_inv = gap.log_p_inv + log_factorial
     log_lambda = _log_g(a_n, n, log_lower, log_lower_inv)
     residual_n1 = math.expm1(-1.0 / a_n - log_lower - log_lambda)
     residual_n2 = math.expm1(a_n + log_lower_inv - log_lambda)
@@ -465,7 +528,7 @@ def solve_lambda(n: int) -> LambdaEstimate:
         bracket=(lo, hi),
         residual_n1=residual_n1,
         residual_n2=residual_n2,
-        lambda_hat_minus_1=math.expm1(a_n + log_p_inv),
+        lambda_hat_minus_1=math.expm1(a_n + gap.log_p_inv),
     )
 
 

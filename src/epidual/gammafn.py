@@ -148,6 +148,14 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
     Checked against mpmath with absolute error below 1e-13 on p and q for
     s up to 1001 and x up to 1e6, and with relative error below 2e-14 on
     log_p and log_q at s = 10^4 + 1 and 10^5 + 1 for x from s/2 to 2s.
+    log_p is within 3 eps (s|log x| + x + lgamma(s+1)): to first order the
+    prefactor s log x - x - lgamma(s+1) rounds by at most 2.5 eps times
+    that sum (log within an ulp, lgamma within 2), and the series or the
+    fraction adds a few ulps of log_p.  The largest error seen against
+    mpmath, over some 30,000 points with s up to 10^4, is 2.0 eps times the
+    sum.  log_q carries no such bound below x = s + 1, where it is the
+    complement of log_p and scales its error by p/q (6 eps times the sum at
+    s = 1, x = 1.7).
     """
     if not (s >= 1.0) or math.isnan(x) or math.isinf(s):
         raise ValueError(f"reg_gamma needs s >= 1, got s={s}")

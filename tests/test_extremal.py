@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -401,11 +402,77 @@ def _count_reg_gamma(monkeypatch):
     return calls
 
 
+# two calls per gap evaluation: both bracket ends, then each Newton step
+_GAMMA_BUDGET = {1: 16, 10: 12, 100: 10, 1000: 10}
+
+
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
 def test_cold_solve_gamma_budget(monkeypatch, n):
     calls = _count_reg_gamma(monkeypatch)
     solve_lambda.__wrapped__(n)
-    assert calls[0] <= 30
+    assert calls[0] <= _GAMMA_BUDGET[n]
+
+
+def test_cold_solve_gamma_budget_over_the_sweep(monkeypatch):
+    calls = _count_reg_gamma(monkeypatch)
+    most = 0
+    for n in range(1, 1001):
+        before = calls[0]
+        solve_lambda.__wrapped__(n)
+        most = max(most, calls[0] - before)
+    assert most <= 16
+    assert calls[0] <= 10_200
+
+
+@pytest.mark.parametrize("n", [7, 100, 1000])
+def test_solve_certifies_from_the_last_gap_evaluation(monkeypatch, n):
+    # the iteration stops on a point it has evaluated, and lambda and the
+    # residuals come from that evaluation, not from a second one at a_n
+    seen = []
+    inner = extremal._gap_and_slope
+
+    def recorded(a, n):
+        seen.append(a)
+        return inner(a, n)
+
+    monkeypatch.setattr(extremal, "_gap_and_slope", recorded)
+    est = solve_lambda.__wrapped__(n)
+    assert est.a_n == seen[-1]
+    assert seen.count(est.a_n) == 1
+    assert inner(est.a_n, n).value == 0.0
+
+
+@pytest.mark.parametrize("k", range(10, 16))
+def test_solver_refuses_a_stationarity_bracket_below_rounding(k):
+    # h at the island's left end is within its rounding bound from n = 1e10
+    # on, so its sign there decides nothing
+    with pytest.raises(ArithmeticError, match="within its rounding bound"):
+        solve_lambda(10**k)
+
+
+def test_gap_zero_within_its_rounding_bound():
+    n = 100
+    est = solve_lambda(n)
+    gap = _gap_and_slope(est.a_n, n)
+    assert gap.value == 0.0
+    # the bound is about 10 eps times the size of the gap's terms, so a
+    # step of 1e-12 relative leaves it
+    assert 0.0 < gap.bound < 1e-10
+    assert _gap_and_slope(est.a_n * (1.0 - 1e-12), n).value < 0.0
+    assert _gap_and_slope(est.a_n * (1.0 + 1e-12), n).value > 0.0
+
+
+def test_roots_of_m_bit_identical():
+    # the sign-map roots at lambda = n!, as the solver found them before its
+    # stationarity gap gained a rounding bound: _newton_root is shared, and
+    # its roots for roots_of_m must not move
+    digest = hashlib.sha256()
+    for n in range(1, 1001):
+        r = roots_of_m(n, math.lgamma(n + 1))
+        digest.update(repr((r.z1, r.z2, r.z3)).encode())
+    assert digest.hexdigest() == (
+        "54fa03258f0fb7b44691185360d4a424bce2b7b3d41850676b277b8a6e8e6522"
+    )
 
 
 def test_multiple_local_maxima_is_lazy(monkeypatch):

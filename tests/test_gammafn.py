@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -213,3 +214,21 @@ def test_log_forms_against_mpmath_at_large_shapes(s, ratio):
     g = reg_gamma(s, ratio * s)
     assert g.log_p == pytest.approx(want_lp, rel=2e-14, abs=0.0)
     assert g.log_q == pytest.approx(want_lq, rel=2e-14, abs=0.0)
+
+
+def test_log_p_within_its_stated_rounding():
+    # reg_gamma's stated error on log_p, 3 eps (s|log x| + x + lgamma(s+1)),
+    # which the stationarity gap's rounding bound in extremal builds on; the
+    # last two points hold the largest errors of wider searches (2.0 and 1.9)
+    points = [
+        (s, x)
+        for s in (2, 3, 6, 11, 51, 142, 290, 735, 1001)
+        for x in (1e-3, 0.8, 1.0 / s, 0.5 * s, s - 1.0, s, s + 1.0, 2.0 * s, 10.0 * s)
+    ]
+    points += [(1, 0.8625), (735, 0.7986020419570531)]
+    for s, x in points:
+        size = s * abs(math.log(x)) + x + math.lgamma(s + 1)
+        with mpmath.workdps(30):
+            want = mpmath.log(mpmath.gammainc(s, 0, x, regularized=True))
+            err = abs(reg_gamma(s, x).log_p - want)
+        assert err <= 3.0 * sys.float_info.epsilon * size
