@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -161,21 +162,9 @@ def _cmd_lambda_table(args) -> int:
 def _cmd_maximizer(args) -> int:
     try:
         est = solve_lambda(args.n)
-        # the lazy scan of the bracket calls big_g, which can fail on its own
-        multiple_local_maxima = est.multiple_local_maxima
     except _SOLVER_ERRORS as exc:
         return _fail(f"solver failed at n={args.n}: {exc}")
-    doc = {
-        "n": est.n,
-        "log_lambda": est.log_lambda,
-        "a_n": est.a_n,
-        "bracket": list(est.bracket),
-        "residual_n1": est.residual_n1,
-        "residual_n2": est.residual_n2,
-        "lambda_hat_minus_1": est.lambda_hat_minus_1,
-        "multiple_local_maxima": multiple_local_maxima,
-        "tent": {"a": est.a_n, "b": "inf", "x0": 1.0},
-    }
+    doc = {**asdict(est), "tent": {"a": est.a_n, "b": "inf", "x0": 1.0}}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 

@@ -36,11 +36,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .logdomain import log_add, log_sub_signed
-from .measures import _check_n, _log_segment
+from .measures import _check_log_lambda, _check_n, _log_segment
 from .profile import INF, ConvexProfile, RadiusFunction
 from .gammafn import reg_gamma
 
@@ -84,11 +84,6 @@ def _log_gamma_lower(s: int, x: float) -> float:
 
 def _log_gap(z: float, n: int, log_lambda: float) -> float:
     return z - 1.0 / z - (n + 2) * math.log(z) - log_lambda
-
-
-def _check_log_lambda(log_lambda: float) -> None:
-    if not math.isfinite(log_lambda):
-        raise ValueError(f"log lambda must be finite, got {log_lambda}")
 
 
 def m_sign(z: float, n: int, log_lambda: float) -> int:
@@ -414,9 +409,8 @@ class LambdaEstimate:
     are the relative errors of the two first-order identities
     lambda = e^(-1/a) / gamma(n+1, a) and lambda = e^a gamma(n+1, 1/a).
     lambda_hat_minus_1 is lambda/n! - 1 computed through the regularized
-    gamma so no large-factorial cancellation occurs.  multiple_local_maxima
-    reports whether G peaks more than once on a 65-point scan of bracket;
-    the solve does not need it, so it is computed on first read.
+    gamma so no large-factorial cancellation occurs.  log_lambda is log
+    G(a_n, n) at the maximizer a_n.
     """
 
     n: int
@@ -426,17 +420,6 @@ class LambdaEstimate:
     residual_n1: float
     residual_n2: float
     lambda_hat_minus_1: float
-
-    @cached_property
-    def multiple_local_maxima(self) -> bool:
-        lo, hi = self.bracket
-        vals = [big_g(lo + (hi - lo) * i / 64.0, self.n) for i in range(65)]
-        peaks = sum(
-            1
-            for i in range(1, 64)
-            if vals[i - 1] < vals[i] >= vals[i + 1]
-        )
-        return peaks > 1
 
 
 def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
@@ -566,6 +549,7 @@ def ck_coefficients(
     _check_n(n)
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"slope a must be finite > 0, got {a}")
+    _check_log_lambda(log_lambda)
     out = []
     for k in range(n):
         lbinom = (

@@ -64,6 +64,11 @@ def _check_n(n: int) -> None:
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
 
 
+def _check_log_lambda(log_lambda: float) -> None:
+    if not math.isfinite(log_lambda):
+        raise ValueError(f"log lambda must be finite, got {log_lambda}")
+
+
 def log_kappa(n: int) -> float:
     """Log volume of the n-dimensional Euclidean unit ball."""
     _check_n(n)
@@ -140,28 +145,40 @@ def _log_adaptive(
 def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz, z1 = inf allowed.
 
-    With u = x0/s + z - z0 this is s^n e^(u0 - z0) [Gamma(n+1, u0) -
-    Gamma(n+1, u1)]; a flat piece (s = 0, or x0/s past the largest double)
-    is x0^n (e^(-z0) - e^(-z1)).  Past the mode (u0 >= n + 2) both ends are
-    worked in units of e^(-z0) through the scaled upper gamma, so neither
-    u0 - z0 (which cancels to about ulp(u0) when s is tiny against x0) nor
-    -z1 is formed.  Below it the bracket is n! Q(n+1, u0), or
-    n! [P(n+1, u1) - P(n+1, u0)].
+    A finite piece no wider than its integrand's scale, w (x0 + n s) < x0
+    with w = z1 - z0, is one 15-point panel of (x0 + s t)^n e^(-t) over t
+    in [0, w], with -z0 added.  The integrand's k-th derivative is at most
+    (1 + n s/x0)^k times its largest value, as (x0 + s t)^n contributes
+    n s/x0 per order and e^(-t) one: it varies on the scale
+    min(1, x0/(n s)).  The rule is exact to degree 29, so it misses by at
+    most w^31 (15!)^4 / (31 (30!)^3) < 5.1e-51 w^31 times the 30th
+    derivative, and the largest value is at most e^(w (1 + n s/x0)) times
+    the smallest: relative to the integral, under 5.1e-51 c^30 e^c for
+    w (1 + n s/x0) < c.  c = 1 puts that at 1.4e-50, and leaves the closed
+    forms below only pieces at least one scale long, whose ends no longer
+    agree to about the piece's width.  x0 = 0 never takes the panel.
 
-    A finite difference loses digits on a narrow piece, about ulp/w for
-    widths w = z1 - z0 far below 1; where its ends agree to rounding, one
-    15-point panel takes the piece instead.
+    Otherwise, with u = x0/s + z - z0 the piece is s^n e^(u0 - z0)
+    [Gamma(n+1, u0) - Gamma(n+1, u1)]; a flat piece (s = 0, or x0/s past
+    the largest double) is x0^n (e^(-z0) - e^(-z1)).  Past the mode (u0 >=
+    n + 2) both ends are worked in units of e^(-z0) through the scaled
+    upper gamma, so neither u0 - z0 (which cancels to about ulp(u0) when s
+    is tiny against x0) nor -z1 is formed.  Below it the bracket is n!
+    Q(n+1, u0), or n! [P(n+1, u1) - P(n+1, u0)].  A difference whose ends
+    still round equal raises ArithmeticError.
     """
+    w = z1 - z0
+    if w * (x0 + n * s) < x0:
+        return _log_panel(lambda t: n * math.log(x0 + s * t) - t, 0.0, w) - z0
     u0 = x0 / s if s > 0.0 else INF
     if u0 == INF:
         if x0 <= 0.0:
             return NEG_INF
-        return n * math.log(x0) - z0 + log1mexp(z0 - z1)
+        return n * math.log(x0) - z0 + log1mexp(-w)
     if u0 >= n + 2:
         head = n * math.log(x0) + math.log(u0) + _log_upper_scaled(n + 1, u0)
         if z1 == INF:
             return head - z0
-        w = z1 - z0
         u1 = u0 + w
         rest = n * math.log(s * u1) - w + math.log(u1) + _log_upper_scaled(n + 1, u1)
         sign, diff = log_sub_signed(head, rest)
@@ -170,11 +187,11 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
         lead = n * math.log(s) + u0 - z0 + math.lgamma(n + 1)
         if z1 == INF:
             return lead + reg_gamma(n + 1, u0).log_q
-        p1, p0 = reg_gamma(n + 1, u0 + (z1 - z0)).log_p, reg_gamma(n + 1, u0).log_p
+        p1, p0 = reg_gamma(n + 1, u0 + w).log_p, reg_gamma(n + 1, u0).log_p
         sign, diff = log_sub_signed(p1, p0)
-    if sign == 1:
-        return diff + lead
-    return _log_panel(lambda z: n * math.log(x0 + s * (z - z0)) - z, z0, z1)
+    if sign != 1:
+        raise ArithmeticError(f"ends of the piece [{z0}, {z1}] round equal at n={n}")
+    return diff + lead
 
 
 def vol_mu(rho: RadiusFunction, n: int) -> float:
@@ -316,6 +333,7 @@ def s_j_n(p: ConvexProfile, n: int) -> float:
 
 def delta(p: ConvexProfile, n: int, log_lambda: float) -> tuple[int, float]:
     """nu - lambda * mu as (sign, log magnitude); (0, -inf) when both vanish."""
+    _check_log_lambda(log_lambda)
     pair = volume_pair(p, n)
     if pair.log_mu == NEG_INF:
         return (0, NEG_INF)

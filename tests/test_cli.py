@@ -2,11 +2,18 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 
 import pytest
 
 from epidual.cli import main
-from epidual.extremal import BracketFailure, a_bracket, roots_of_m, solve_lambda
+from epidual.extremal import (
+    BracketFailure,
+    LambdaEstimate,
+    a_bracket,
+    roots_of_m,
+    solve_lambda,
+)
 from epidual.profile import profile_from_dict, profile_to_dict
 from epidual.verify import SuiteReport
 
@@ -105,9 +112,22 @@ def test_maximizer_reports_solver_fields(capsys):
     assert code == 0
     doc = json.loads(out)
     est = solve_lambda(7)
+    assert set(doc) == {f.name for f in fields(LambdaEstimate)} | {"tent"}
     assert doc["log_lambda"] == est.log_lambda
     assert doc["bracket"][0] < doc["a_n"] < doc["bracket"][1]
     assert doc["tent"] == {"a": est.a_n, "b": "inf", "x0": 1.0}
+
+
+def test_maximizer_solves_one_billion(capsys):
+    code, out, err = run(capsys, ["maximizer", "--n", "1000000000"])
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["n"] == 1_000_000_000
+    # the residuals cancel terms of size log lambda ~ 2e10
+    tol = max(1e-8, 4.0 * math.ulp(doc["log_lambda"]))
+    assert abs(doc["residual_n1"]) <= tol
+    assert abs(doc["residual_n2"]) <= tol
 
 
 @pytest.mark.parametrize(
@@ -121,8 +141,6 @@ def test_maximizer_reports_solver_fields(capsys):
         (["scan-g", "--n", "10000000000", "--points", "3"], "lower gamma series stalled"),
         # the gap's doubles cancel to 0 at the probe: no false OneRootCase
         (["scan-m", "--n", "100000000000000000000", "--points", "3"], "within its rounding bound"),
-        # 1e9 solves, but the scan for other maxima stalls a gamma series
-        (["maximizer", "--n", "1000000000"], "lower gamma series stalled"),
     ],
 )
 def test_solver_arithmetic_failures_exit_two(capsys, argv, problem):

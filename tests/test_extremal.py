@@ -475,20 +475,6 @@ def test_roots_of_m_bit_identical():
     )
 
 
-def test_multiple_local_maxima_is_lazy(monkeypatch):
-    calls = _count_reg_gamma(monkeypatch)
-    for n in (1, 3, 17, 80):
-        est = solve_lambda.__wrapped__(n)
-        assert "multiple_local_maxima" not in vars(est)
-        solved = calls[0]
-        assert not est.multiple_local_maxima
-        assert calls[0] > solved
-        # read again, the cached flag costs nothing
-        solved = calls[0]
-        assert not est.multiple_local_maxima
-        assert calls[0] == solved
-
-
 def test_solver_residual_tolerance_follows_rounding():
     # at n = 3e7 the first residual is one ulp of log lambda (6e-8), above
     # the 1e-8 floor but as small as the arithmetic can resolve
@@ -609,6 +595,13 @@ def test_ck_all_negative_at_maximizer(n):
     for sign, mag in ck_coefficients(n, est.a_n, est.log_lambda):
         assert sign == -1
         assert math.isfinite(mag)
+
+
+@pytest.mark.parametrize("log_lambda", [math.nan, math.inf, -math.inf])
+def test_ck_rejects_non_finite_lambda(log_lambda):
+    # with a nan lambda every c_k would read (-1, nan), i.e. negative
+    with pytest.raises(ValueError, match="log lambda must be finite"):
+        ck_coefficients(3, 0.3, log_lambda)
 
 
 def test_ck_value_against_mpmath():

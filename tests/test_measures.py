@@ -137,7 +137,7 @@ def mp_segment(n, s, z0, x0, z1):
         (10, 1.0, 0.0, 5.0, 20.0),  # u from 5 to 25 straddles n + 2
         (3, 2.0, 0.0, 0.0, 1.5),  # starts at radius 0
         (1000, 0.1, 3.0, 50.0, 40.0),  # u0 = 500 below the mode of n = 1000
-        (3, 1e-9, 0.0, 1.0, 1e-18),  # ends agree to rounding: one panel
+        (3, 1e-9, 0.0, 1.0, 1e-18),  # far narrower than its scale: one panel
         (3, 1.0, 0.0, 1.0, 1e-18),  # the same below the mode
     ],
 )
@@ -161,6 +161,56 @@ def test_log_segment_factors_out_a_far_start():
         want = float(n * mp.log(s) + u0 + mp.log(piece) - z0)
     got = measures._log_segment(n, s, z0, x0, z0 + w)
     assert abs(got - want) <= math.ulp(want)
+
+
+def mp_segment_binomial(n, s, z0, x0, z1):
+    """mp_segment as a sum of positive terms: no difference of gammas.
+
+    (x0 + s t)^n expands into C(n, k) x0^(n-k) s^k t^k, and t^k e^(-t)
+    integrates over [0, w] to the lower gamma(k+1, w).
+    """
+    with mp.workdps(60):
+        w = mp.mpf(z1) - mp.mpf(z0)
+        x0, s = mp.mpf(x0), mp.mpf(s)
+        total = mp.fsum(
+            mp.binomial(n, k) * x0 ** (n - k) * s**k * mp.gammainc(k + 1, 0, w)
+            for k in range(n + 1)
+        )
+        return float(mp.log(total) - z0)
+
+
+@pytest.mark.parametrize(
+    "n, s, x0, z0, w",
+    [
+        (n, s, x0, z0, w)
+        for n in (3, 40)
+        # u0 = 1 below the mode, u0 = 1e9 past it, and a start at radius 0
+        for s, x0 in ((1.0, 1.0), (1e-9, 1.0), (1.0, 0.0))
+        for z0 in (0.0, 9.24, 1e9)
+        for w in (1e-13, 1e-10, 1e-6, 0.1, 1.0, math.sqrt(n))
+        if z0 + w > z0  # no empty pieces under ulp(1e9)
+    ],
+)
+def test_log_segment_of_any_width_matches_binomial_sum(n, s, x0, z0, w):
+    # the ends of a piece far narrower than its integrand's scale
+    # min(1, x0/(n s)) agree to about w, so a closed-form difference there
+    # would cost up to 1.8e-4 relative (n = 3, s = 1e-9, w = 1e-13); the
+    # panel holds such pieces to an ulp.  Below the mode
+    # the closed form takes log P(n+1, u), which reg_gamma rounds in
+    # proportion to lgamma(n+2) among other terms, and adds lgamma(n+1)
+    # back, so the bound is in ulps of that as well.
+    z1 = z0 + w
+    want = mp_segment_binomial(n, s, z0, x0, z1)
+    got = measures._log_segment(n, s, z0, x0, z1)
+    assert abs(got - want) <= 4 * math.ulp(max(1.0, abs(want), math.lgamma(n + 2)))
+
+
+def test_log_segment_raises_when_its_ends_round_equal(monkeypatch):
+    # a closed-form difference that cancels completely is no value at all
+    p = measures.reg_gamma(4, 1.0)
+    monkeypatch.setattr(measures, "reg_gamma", lambda s, x: p)
+    with pytest.raises(ArithmeticError, match="round equal"):
+        measures._log_segment(3, 1.0, 0.0, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("t", [1e9, 1e12, 1e14])
@@ -436,6 +486,14 @@ def test_delta_degenerate_profiles():
     assert delta(ORIGIN, 3, 0.0) == (0, NEG_INF)
     with pytest.raises(ValueError):
         delta(ZERO, 3, 0.0)
+
+
+@pytest.mark.parametrize("log_lambda", [math.nan, math.inf, -math.inf])
+def test_delta_rejects_non_finite_lambda(log_lambda):
+    # with a nan lambda the deficit would read (-1, nan), i.e. negative
+    p = ConvexProfile(((0.0, 0.0),), 2.0)
+    with pytest.raises(ValueError, match="log lambda must be finite"):
+        delta(p, 3, log_lambda)
 
 
 def test_integrate_line_two_sided_exponential():
