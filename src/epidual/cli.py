@@ -271,13 +271,9 @@ def _cmd_transform(args) -> int:
 
 def _cmd_check(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    sampler_for = (
-        (lambda name: ProfileSampler(args.seed)) if args.seed is not None
-        else (lambda name: None)
-    )
-    reports = [
-        run_suite(name, sampler_for(name), args.cases) for name in sorted(names)
-    ]
+    # run_suite seeds a fresh generator from the sampler on every call
+    sampler = ProfileSampler(args.seed) if args.seed is not None else None
+    reports = [run_suite(name, sampler, args.cases) for name in sorted(names)]
     doc = {
         "passed": all(r.passed for r in reports),
         "suites": [r.to_dict() for r in reports],

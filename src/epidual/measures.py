@@ -165,9 +165,11 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     upper gamma, so neither u0 - z0 (which cancels to about ulp(u0) when s
     is tiny against x0) nor -z1 is formed.  Below it the bracket is n!
     Q(n+1, u0), or n! [P(n+1, u1) - P(n+1, u0)].  A difference whose ends
-    still round equal raises ArithmeticError.
+    still round equal raises ArithmeticError.  An empty piece is -inf.
     """
     w = z1 - z0
+    if w == 0.0:
+        return NEG_INF
     if w * (x0 + n * s) < x0:
         return _log_panel(lambda t: n * math.log(x0 + s * t) - t, 0.0, w) - z0
     u0 = x0 / s if s > 0.0 else INF

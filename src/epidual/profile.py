@@ -9,10 +9,11 @@ constant tail.
 
 Both views are one kind of object, a piecewise-linear function with a tail
 slope, and differ only in the direction their slopes turn.  They share the
-module-level helpers: _canonical validates breakpoints and merges collinear
-ones, _interpolate evaluates them (bisecting a tuple of abscissae that
-each object builds on its first evaluation), and _max_gap compares two
-profiles (radii through from_radius).
+module-level helpers: _canonical merges and validates breakpoints by one
+test of each value against its neighbours' line, to MERGE_RTOL, far above
+the line's rounding, so input convex as stored is never refused;
+_interpolate evaluates them (bisecting a tuple of abscissae built on first
+evaluation), and _max_gap compares two profiles (radii via from_radius).
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
@@ -35,12 +36,9 @@ from typing import Iterable
 
 INF = float("inf")
 
-# A breakpoint whose value lies within this tolerance, relative to that
-# value, of the line through its neighbours is merged away (see _canonical).
+# A breakpoint this close, relative to its value, to the line through its
+# neighbours is merged; one further off on the non-convex side is refused.
 MERGE_RTOL = 1e-12
-# Slack for accepting slope monotonicity from computed (rounded) inputs,
-# relative to the larger slope, so it holds at every scale.
-CONVEXITY_SLACK = 1e-9
 
 _Points = tuple[tuple[float, float], ...]
 
@@ -52,9 +50,9 @@ _WORDS = {
 }
 
 
-def _on_line(y: float, line: float) -> bool:
-    """y matches the interpolated value `line` to MERGE_RTOL relative to y."""
-    return abs(y - line) <= MERGE_RTOL * abs(y)
+def _off_line(y: float, line: float) -> float:
+    """y - line, or 0.0 where they match to MERGE_RTOL relative to y."""
+    return 0.0 if abs(y - line) <= MERGE_RTOL * abs(y) else y - line
 
 
 def _canonical(
@@ -62,16 +60,18 @@ def _canonical(
 ) -> _Points:
     """Validate breakpoints with a tail slope and return their canonical form.
 
-    Coordinates must be finite, x must strictly increase and y must not
-    decrease; the slopes, the tail slope last, must turn in `direction`
-    (+1 convex, -1 concave) up to CONVEXITY_SLACK relative to the larger
-    slope of each pair, or ValueError is raised.
-    Trailing points collinear with a finite tail are absorbed into it
-    (popped from pts), then collinear runs are merged.  A point counts as
-    collinear when dropping it moves its own value by at most MERGE_RTOL
-    relative.  The test scales with the units of x and y, so the canonical
-    form does not depend on them, and it compares values, not slopes, so a
-    steep segment elsewhere cannot loosen it.
+    Coordinates must be finite, x must strictly increase and y may fall by
+    at most MERGE_RTOL * max(1, |y|).  Trailing points on a finite tail's
+    line are absorbed into it (popped from pts), then points on the chord
+    of their neighbours in the merged run are dropped.  On means within
+    MERGE_RTOL of the point's own value, whatever the units of x and y or
+    steep segments elsewhere.  A point off its line on the side `direction`
+    asks for (+1 convex: below, -1 concave: above) is kept, one on the
+    other side raises ValueError.  Rounding cannot refuse convex input: the
+    chord ya + (y - ya) t, t = (xb - xa) / (x - xa) formed first so that no
+    product under- or overflows, takes six roundings, the tail line three;
+    where a point nearly meets its line and values do not fall, the line is
+    then under 10 eps of the value off, far inside MERGE_RTOL (4,500 eps).
     """
     xs, ys, turn, side = _WORDS[direction]
     for x, y in pts:
@@ -80,26 +80,24 @@ def _canonical(
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if not x1 > x0:
             raise ValueError(f"{xs} must strictly increase: {x0} -> {x1}")
-        if y1 < y0 - CONVEXITY_SLACK * max(1.0, abs(y0)):
+        if y1 < y0 - MERGE_RTOL * max(1.0, abs(y0)):
             raise ValueError(f"{ys} must not decrease: {y0} -> {y1}")
-    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
-    for s0, s1 in zip(slopes, slopes[1:]):
-        if direction * s1 < direction * s0 - CONVEXITY_SLACK * max(abs(s0), abs(s1)):
-            raise ValueError(f"slopes must not {turn}: {s0} -> {s1}")
-    if slopes and direction * tail_slope < direction * slopes[-1] - (
-        CONVEXITY_SLACK * abs(slopes[-1])
-    ):
-        raise ValueError(f"tail slope {tail_slope} {side} final slope {slopes[-1]}")
     while len(pts) > 1 and not math.isinf(tail_slope):
         (x0, y0), (x1, y1) = pts[-2], pts[-1]
-        if not _on_line(y1, y0 + tail_slope * (x1 - x0)):
+        off = direction * _off_line(y1, y0 + tail_slope * (x1 - x0))
+        if off > 0.0:
+            raise ValueError(f"tail slope {tail_slope} {side} final slope into {(x1, y1)}")
+        if off < 0.0:
             break
         pts.pop()
     merged = pts[:1]
     for x, y in pts[1:]:
         while len(merged) > 1:
             (xa, ya), (xb, yb) = merged[-2], merged[-1]
-            if not _on_line(yb, ya + (y - ya) * (xb - xa) / (x - xa)):
+            off = direction * _off_line(yb, ya + (y - ya) * ((xb - xa) / (x - xa)))
+            if off > 0.0:
+                raise ValueError(f"slopes must not {turn} at {(xb, yb)}")
+            if off < 0.0:
                 break
             merged.pop()
         merged.append((x, y))
@@ -134,9 +132,9 @@ class ConvexProfile:
 
     Canonicalized on construction: collinear breakpoints are merged, a
     trailing breakpoint whose incoming slope equals a finite tail slope is
-    absorbed.  Invalid data (r not strictly increasing, v decreasing, slopes
-    decreasing beyond slack, tail slope below the last slope, tail slope 0
-    after a positive value) raises ValueError.
+    absorbed.  Invalid data (r not strictly increasing, v decreasing, v
+    above its chord or tail line beyond MERGE_RTOL, tail slope 0 after a
+    positive value) raises ValueError; rounding alone never does.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -152,7 +150,7 @@ class ConvexProfile:
         if math.isnan(tail) or tail < 0.0:
             raise ValueError(f"tail slope must be in [0, inf], got {tail}")
         if tail == 0.0 and any(v > 0.0 for _, v in pts):
-            # within CONVEXITY_SLACK, but the radius would need slope 1/0
+            # even within MERGE_RTOL of flat: the radius would need slope 1/0
             raise ValueError(f"tail slope 0 after a positive value in {pts}")
         object.__setattr__(self, "breakpoints", _canonical(pts, tail, 1))
         object.__setattr__(self, "tail_slope", tail)

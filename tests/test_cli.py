@@ -240,6 +240,24 @@ def test_transform_legendre_of_indicator(capsys, monkeypatch):
     assert json.loads(out) == {"breakpoints": [[0.0, 0.0]], "tail_slope": 1.0}
 
 
+def test_transform_legendre_where_values_dwarf_a_rise(capsys, monkeypatch):
+    doc = {
+        "breakpoints": [
+            [0.0, 0.0],
+            [3548.7852381159514, 822.0138211183299],
+            [3548.8845498442433, 822.0374010376239],
+            [3548.8848825503387, 20208807.904420894],
+            [3554.9799458531575, 370223685175.9252],
+        ],
+        "tail_slope": 60847938288.73129,
+    }
+    code, out, _ = run(
+        capsys, ["transform", "L"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+    )
+    assert code == 0
+    assert profile_from_dict(json.loads(out)).tail_slope == math.inf
+
+
 def test_transform_polarity_samples_grid(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
@@ -275,7 +293,7 @@ def test_transform_error_paths(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, ["transform", "L", str(bad)])
     assert code == 2
     assert "invalid profile" in err
-    # a zero tail after a value within the convexity slack has no radius
+    # a zero tail after a positive value has no radius
     flat = json.dumps({"breakpoints": [[0, 0], [1, 1e-10]], "tail_slope": 0})
     code, _, err = run(capsys, ["transform", "J"], stdin=flat, monkeypatch=monkeypatch)
     assert code == 2

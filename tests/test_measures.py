@@ -205,6 +205,12 @@ def test_log_segment_of_any_width_matches_binomial_sum(n, s, x0, z0, w):
     assert abs(got - want) <= 4 * math.ulp(max(1.0, abs(want), math.lgamma(n + 2)))
 
 
+@pytest.mark.parametrize("x0", [1.0, 0.0])
+def test_log_segment_of_an_empty_piece_is_minus_inf(x0):
+    # x0 > 0 took a panel of half-width 0, x0 = 0 a difference of equal ends
+    assert measures._log_segment(3, 1.0, 2.0, x0, 2.0) == -math.inf
+
+
 def test_log_segment_raises_when_its_ends_round_equal(monkeypatch):
     # a closed-form difference that cancels completely is no value at all
     p = measures.reg_gamma(4, 1.0)

@@ -1,10 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from epidual.profile import (
     INF,
+    MERGE_RTOL,
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
@@ -28,6 +30,18 @@ ZERO = ConvexProfile(((0.0, 0.0),), 0.0)
 ORIGIN = ConvexProfile(((0.0, 0.0),), INF)
 INDICATOR = ConvexProfile(((0.0, 0.0), (1.0, 0.0)), INF)
 LINEAR = ConvexProfile(((0.0, 0.0),), 1.0)
+
+# convex as stored; its two steep slopes differ by 3e-10 relative
+W = ConvexProfile(
+    (
+        (0.0, 0.0),
+        (3548.7852381159514, 822.0138211183299),
+        (3548.8845498442433, 822.0374010376239),
+        (3548.8848825503387, 20208807.904420894),
+        (3554.9799458531575, 370223685175.9252),
+    ),
+    60847938288.73129,
+)
 
 # hand-built sample covering flat runs, kinks, finite and indicator tails
 SAMPLES = [
@@ -102,13 +116,44 @@ def test_canonical_keeps_shallow_segments_beside_steep_ones():
         (((0.0, 0.0), (INF, 1.0)), INF),  # infinite radius
         (((0.0, 0.0), (1.0, 1e-10)), 0.0),  # zero tail after a positive value
         (((0.0, 0.0), (1.0, 1e-10), (2.0, 0.0)), 0.0),  # the same, inside
-        # the slack is relative to the slopes, so tiny ones are held to it too
+        # the value test is relative to the point's own value, so tiny
+        # values are held to it too
         (((0.0, 0.0), (1.0, 2e-12), (2.0, 3e-12)), INF),
+        # 5e-11 above the chord, over MERGE_RTOL of the value 1
+        (((0.0, 0.0), (1.0, 1.0), (2.0, 2.0 - 1e-10)), INF),
+        # values may fall by MERGE_RTOL * max(1, |v|) only
+        (((0.0, 0.0), (1.0, -1e-10)), INF),
     ],
 )
 def test_invalid_profiles_raise(pts, tail):
     with pytest.raises(ValueError):
         ConvexProfile(pts, tail)
+
+
+def test_canonical_forms_the_chord_without_underflow():
+    # (y - ya) (xb - xa) underflows to 0 here; the chord fraction first does not
+    p = ConvexProfile(((0.0, 0.0), (1e-200, 1e-200), (2e-200, 3e-200)), INF)
+    assert p.breakpoints == ((0.0, 0.0), (1e-200, 1e-200), (2e-200, 3e-200))
+
+
+def _below_chords(p):
+    """Every interior breakpoint of p is on or below its neighbours' chord
+    up to MERGE_RTOL of its value, decided in exact rationals."""
+    q = [(Fraction(x), Fraction(y)) for x, y in p.breakpoints]
+    for (xa, ya), (xb, yb), (x, y) in zip(q, q[1:], q[2:]):
+        chord = ya + (y - ya) * (xb - xa) / (x - xa)
+        if yb - chord > Fraction(MERGE_RTOL) * abs(yb):
+            return False
+    return True
+
+
+def test_transform_images_are_convex_at_every_scale():
+    sampled = itertools.islice(ProfileSampler(seed=13).stream(), 200)
+    for p in sampled:
+        for a in (1e-100, 1.0, 1e100):
+            q = scale(p, a)
+            for image in (q, from_radius(j_transform(to_radius(q))), legendre(q)):
+                assert _below_chords(image), (p, a, image)
 
 
 def test_evaluate():
@@ -268,6 +313,17 @@ def test_legendre_matches_bruteforce_sup():
         brute = max(s * r - p.evaluate(r) for r in rs)
         assert out.evaluate(s) == pytest.approx(brute, abs=1e-12)
     assert out.evaluate(5.5) == INF
+
+
+def test_legendre_where_values_dwarf_a_rise():
+    # the conjugate has knots 17.65 apart near s = 6.07e10 with values near
+    # 2.2e14: a slope recomputed there loses about 1e-7 of itself, and a
+    # slope test rejected this conjugate of a valid profile
+    out = legendre(W)
+    for s, val in out.breakpoints:
+        best = max(Fraction(s) * Fraction(r) - Fraction(v) for r, v in W.breakpoints)
+        assert abs(Fraction(val) - best) <= Fraction(1e-12) * abs(best), (s, val)
+    assert out.tail_slope == INF
 
 
 def test_legendre_involution_on_samples():
