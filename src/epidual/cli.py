@@ -16,8 +16,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .extremal import (
     BracketFailure,
     BracketInvalid,
@@ -195,6 +193,8 @@ def _cmd_scan_m(args) -> int:
     except _SOLVER_ERRORS as exc:
         return _fail(f"solver failed at n={n}: {exc}")
     lines.append("# columns: z,sign_m,log_abs_m")
+    import numpy as np
+
     for z in np.geomspace(lo, hi, args.points):
         z = float(z)
         decay = -1.0 / z - (n + 2) * math.log(z)
@@ -219,6 +219,8 @@ def _cmd_scan_g(args) -> int:
         except _SOLVER_ERRORS as exc:
             return _fail(f"no scan bracket at lambda = n! for n={n}: {exc}")
         lo, hi = seed.z1, seed.z2
+    import numpy as np
+
     grid = [float(a) for a in np.geomspace(lo, hi, args.points)]
     try:
         vals = [big_g(a, n) for a in grid]
@@ -351,3 +353,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -25,8 +25,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gammafn import _log_upper_scaled, reg_gamma
 from .logdomain import NEG_INF, log1mexp, log_add, log_sub_signed, log_sum
 from .profile import (
@@ -39,9 +37,44 @@ from .profile import (
     to_radius,
 )
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL_NODES = tuple(float(t) for t in _GL_NODES)
-_GL_WEIGHTS = tuple(float(w) for w in _GL_WEIGHTS)
+# The 15-point Gauss-Legendre rule on [-1, 1]: the doubles that
+# numpy.polynomial.legendre.leggauss(15) returns, written out so that
+# importing the package does not load numpy; test_gauss_legendre_literals
+# in tests/test_measures.py pins them exactly.
+_GL_NODES = (
+    -0.9879925180204854,
+    -0.9372733924007058,
+    -0.8482065834104272,
+    -0.7244177313601701,
+    -0.5709721726085388,
+    -0.3941513470775634,
+    -0.20119409399743451,
+    0.0,
+    0.20119409399743451,
+    0.3941513470775634,
+    0.5709721726085388,
+    0.7244177313601701,
+    0.8482065834104272,
+    0.9372733924007058,
+    0.9879925180204854,
+)
+_GL_WEIGHTS = (
+    0.030753241996117203,
+    0.0703660474881084,
+    0.10715922046717141,
+    0.13957067792615444,
+    0.16626920581699398,
+    0.1861610000155622,
+    0.1984314853271116,
+    0.2025782419255613,
+    0.1984314853271116,
+    0.1861610000155622,
+    0.16626920581699398,
+    0.13957067792615444,
+    0.10715922046717141,
+    0.0703660474881084,
+    0.030753241996117203,
+)
 
 # Panel acceptance threshold on log values, i.e. relative error of the piece.
 _QUAD_TOL = 1e-13

@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .extremal import (
     RootTriple,
@@ -54,6 +52,11 @@ from .profile import (
     to_radius,
 )
 
+# numpy loads inside the functions that use it: the sampler, run_suite and
+# the brute-force oracle; the names below serve only the annotations
+if TYPE_CHECKING:
+    import numpy as np
+
 _TRANSFORM_TOL = 1e-9
 _INTEGRAL_TOL = 1e-10
 _SUBSTITUTION_TOL = 1e-12
@@ -85,7 +88,7 @@ class ProfileSampler:
         bumps = rng.exponential(size=k)
         if rng.random() < 0.2:
             bumps[0] = 0.0
-        slopes = np.cumsum(bumps)
+        slopes = bumps.cumsum()
         pts = [(0.0, 0.0)]
         r = v = 0.0
         for w, s in zip(widths, slopes):
@@ -100,6 +103,8 @@ class ProfileSampler:
 
     def stream(self) -> Iterator[ConvexProfile]:
         """Endless profile iterator, freshly seeded on every call."""
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         while True:
             yield self.draw(rng)
@@ -174,7 +179,7 @@ def _cap_radius(rho: RadiusFunction, cap: float) -> RadiusFunction:
 # suite bodies; each returns (residual, failure description or None)
 
 CaseResult = tuple[float, str | None]
-# quoted, so that importing the package does not load numpy.random
+# quoted, so that importing the package does not load numpy
 SuiteBody = Callable[[int, "np.random.Generator", ProfileSampler], CaseResult]
 
 
@@ -372,6 +377,8 @@ def run_suite(
         cases = default_cases
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
+    import numpy as np
+
     rng = np.random.default_rng(sampler.seed)
     failures: list[tuple[int, str]] = []
     worst = -INF
@@ -386,7 +393,6 @@ def run_suite(
 # ---------------------------------------------------------------------------
 # brute-force oracle for the dimensional constant
 
-_QUAD_NODES, _QUAD_WEIGHTS = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
 _QUAD_PANELS = 32
 _QUAD_TOP = 60.0  # exp(-60) is far below the 1e-4 oracle target
 
@@ -394,14 +400,16 @@ _QUAD_TOP = 60.0  # exp(-60) is far below the 1e-4 oracle target
 def _kink_aligned_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
     # Both integrands kink at z = a and z = 1/a whatever b is, so panels
     # split there keep the 15-point rule at spectral accuracy.
+    import numpy as np
+
     cuts = [z for z in (a, 1.0 / a) if 0.0 < z < _QUAD_TOP]
     edges = np.unique(
         np.concatenate([np.linspace(0.0, _QUAD_TOP, _QUAD_PANELS + 1), cuts])
     )
     half = 0.5 * np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    zs = (mids[:, None] + half[:, None] * _QUAD_NODES[None, :]).ravel()
-    ws = (half[:, None] * _QUAD_WEIGHTS[None, :]).ravel()
+    zs = (mids[:, None] + half[:, None] * np.array(_GL_NODES)[None, :]).ravel()
+    ws = (half[:, None] * np.array(_GL_WEIGHTS)[None, :]).ravel()
     return zs, ws * np.exp(-zs)
 
 
@@ -414,6 +422,8 @@ def _int_pow(x: np.ndarray, n: int) -> np.ndarray:
 
 def _tent_log_ratios(n: int, a: float, b_vals: np.ndarray) -> np.ndarray:
     """log nu/mu for the tents T(a, b, 1), one quadrature per b, b = inf ok."""
+    import numpy as np
+
     zs, ws = _kink_aligned_rule(a)
     z = zs[None, :]
     b = b_vals[:, None]
@@ -440,6 +450,8 @@ def _brute_force_scan(
         raise ValueError(f"slope range must satisfy 0 < lo < hi, got {a_range}")
     if grid_a < 2 or grid_b < 2:
         raise ValueError("need at least 2 grid points per axis")
+    import numpy as np
+
     b_vals = np.concatenate(
         [[0.0], np.geomspace(1e-2, _BRUTE_FORCE_B_MAX, grid_b - 1), [np.inf]]
     )

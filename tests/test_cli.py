@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import epidual
 from epidual.cli import main
 from epidual.extremal import (
     BracketFailure,
@@ -105,6 +109,20 @@ def test_runs_are_byte_identical(capsys):
     assert run(capsys, args)[1] == run(capsys, args)[1]
     args = ["scan-m", "--n", "4", "--points", "100"]
     assert run(capsys, args)[1] == run(capsys, args)[1]
+
+
+@pytest.mark.parametrize("module", ["epidual", "epidual.cli"])
+def test_python_dash_m_runs_the_cli(capsys, module):
+    expected = run(capsys, ["maximizer", "--n", "5"])[1].encode()
+    src = str(Path(epidual.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "maximizer", "--n", "5"],
+        env=env,
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
 
 
 def test_maximizer_reports_solver_fields(capsys):

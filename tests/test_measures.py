@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -71,6 +72,13 @@ def oracle_nu_direct(rho, n):
 
     with mp.workdps(30):
         return mp.quad(f, knots + [mp.inf])
+
+
+def test_gauss_legendre_literals():
+    # the rule is written out so that importing the package skips numpy
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert measures._GL_NODES == tuple(map(float, nodes))
+    assert measures._GL_WEIGHTS == tuple(map(float, weights))
 
 
 def test_log_kappa_small_dimensions():

@@ -24,12 +24,31 @@ from epidual.verify import (
 )
 
 
-def test_import_does_not_load_numpy_random():
-    # numpy.random adds about 6 MB to a bare import; only sampling needs it
+def test_import_and_solver_commands_do_not_load_numpy():
+    # numpy is most of a bare import's time and memory; only the sampler,
+    # the suites, the brute-force oracle and the two scans need it
     src = str(Path(epidual.__file__).resolve().parents[1])
-    code = "import sys, epidual; sys.exit('numpy.random' in sys.modules)"
+    code = """
+import contextlib, io, sys
+import epidual
+from epidual.cli import main
+loaded = ["import"] if "numpy" in sys.modules else []
+for argv in (
+    ["maximizer", "--n", "5"],
+    ["lambda-table", "--n-min", "1", "--n-max", "5"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    if "numpy" in sys.modules and not loaded:
+        loaded.append(argv[0])
+print(loaded)
+"""
     env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sampler_is_deterministic():
