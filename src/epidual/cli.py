@@ -21,6 +21,7 @@ from .extremal import (
     BracketInvalid,
     OneRootCase,
     StationarityFailure,
+    _island,
     a_bracket,
     big_g,
     roots_of_m,
@@ -215,10 +216,9 @@ def _cmd_scan_g(args) -> int:
         lo, hi = args.range
     else:
         try:
-            seed = roots_of_m(n, math.lgamma(n + 1))
+            lo, hi = _island(n, math.lgamma(n + 1))
         except _SOLVER_ERRORS as exc:
             return _fail(f"no scan bracket at lambda = n! for n={n}: {exc}")
-        lo, hi = seed.z1, seed.z2
     import numpy as np
 
     grid = [float(a) for a in np.geomspace(lo, hi, args.points)]

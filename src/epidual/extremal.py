@@ -18,16 +18,17 @@ maximizer the first-order condition reads
     gamma(n+1, a) gamma(n+1, 1/a) = e^(-a - 1/a)
 
 The solver finds its root directly: safeguarded Newton on the log form of
-this condition, whose derivative comes in closed form from the same two
-gamma values, inside the positivity island of the sign map and started
-from its left end, near which the maximizer sits.  The gap of the log form
-reads exactly 0.0 once it is within its rounding bound, 10 eps times the
-size of its terms (_gap_and_slope), so the iteration stops on a point it
-has evaluated; lambda and the certificates come from that evaluation's
-gamma values, and a bracket end whose gap is within the bound raises
-ArithmeticError.  The island's ends, the sign-map roots, come from the
-same safeguarded Newton on g.  Two residuals that vanish at the true
-stationary point certify the result, and g >= 0 at the maximizer
+this condition, inside the positivity island of the sign map and started
+from its left end, near which the maximizer sits.  The form's first and
+second derivatives come in closed form from the same two gamma values, so
+each step is a Halley step at the cost of a Newton step.  The gap of the
+log form reads exactly 0.0 once it is within its rounding bound, 10 eps
+times the size of its terms (_gap_and_slope), so the iteration stops on a
+point it has evaluated; lambda and the certificates come from that
+evaluation's gamma values, and a bracket end whose gap is within the bound
+raises ArithmeticError.  The island's ends, the first two sign-map roots,
+come from plain safeguarded Newton on g.  Two residuals that vanish at the
+true stationary point certify the result, and g >= 0 at the maximizer
 certifies that it lies in the island at the solved lambda.
 """
 
@@ -51,6 +52,8 @@ _WIDEN_MAX_STEPS = 64
 _RESIDUAL_TOL = 1e-8
 # rounding bound of the stationarity gap, in eps times its terms' size
 _GAP_ROUNDING = 10.0 * sys.float_info.epsilon
+# rounding bound of the residual exponents at a root, in gap bounds
+_RESIDUAL_ROUNDING = 2.0
 
 
 class OneRootCase(Exception):
@@ -186,14 +189,24 @@ class RootTriple:
                 )
 
 
-def roots_of_m(n: int, log_lambda: float) -> RootTriple:
-    """Locate all three roots of the sign map, or raise OneRootCase.
+def _sign_gap(n: int, log_lambda: float):
+    """The gap g at (n, lambda) as a function of z, with its slope."""
+
+    def g(z: float) -> tuple[float, float]:
+        return _log_gap(z, n, log_lambda), 1.0 + 1.0 / (z * z) - (n + 2) / z
+
+    return g
+
+
+def _island(n: int, log_lambda: float) -> tuple[float, float]:
+    """The positivity island (z1, z2) of the sign map, or raise OneRootCase.
 
     The gap rises from -inf to a local max, dips to a local min, then grows
     linearly; three roots exist exactly when the local max is positive and
-    the local min negative.  Each root is found by safeguarded Newton on
-    the gap, whose slope is 1 + 1/z^2 - (n+2)/z, to about 1e-15 relative.
-    A non-finite log_lambda raises ValueError.
+    the local min negative.  The island is the stretch between the first
+    two.  Each root is found by safeguarded Newton on the gap, whose slope
+    is 1 + 1/z^2 - (n+2)/z, to about 1e-15 relative.  A non-finite
+    log_lambda raises ValueError.
 
     At a probe the gap ((z - 1/z) - (n+2) log z) - log lambda cancels terms
     of size D = (n+2)|log z| to O(log n).  To first order in u = eps/2, with
@@ -207,10 +220,7 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     _check_n(n)
     _check_log_lambda(log_lambda)
     z_lo, z_hi = _gap_probes(n)
-
-    def g(z: float) -> tuple[float, float]:
-        return _log_gap(z, n, log_lambda), 1.0 + 1.0 / (z * z) - (n + 2) / z
-
+    g = _sign_gap(n, log_lambda)
     g_lo, g_hi = _log_gap(z_lo, n, log_lambda), _log_gap(z_hi, n, log_lambda)
     for z, gap in ((z_lo, g_lo), (z_hi, g_hi)):
         d = (n + 2) * abs(math.log(z))
@@ -230,6 +240,19 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     # about the local max z_lo falls short of z2: a start on z2's side.
     mirror = z_lo * z_lo / z1
     z2 = _newton_root(g, z_hi, z_lo, mirror, *g(mirror))
+    return z1, z2
+
+
+def roots_of_m(n: int, log_lambda: float) -> RootTriple:
+    """Locate all three roots of the sign map, or raise OneRootCase.
+
+    z1 and z2 bound the positivity island (_island, which also documents
+    the refusals); z3 is found past the local min by the same safeguarded
+    Newton on the gap.
+    """
+    z1, z2 = _island(n, log_lambda)
+    g = _sign_gap(n, log_lambda)
+    z_hi = _gap_probes(n)[1]
     right = _widen(g, z_hi, 2.0, 1.0)
     z3 = _newton_root(g, z_hi, right[0], *right)
     return RootTriple(z1, z2, z3, log_lambda, n)
@@ -347,20 +370,25 @@ class _Gap(NamedTuple):
 
     value: float
     slope: float
+    curvature: float
     bound: float
     log_lower: float
     log_p_inv: float
 
 
 def _gap_and_slope(a: float, n: int) -> _Gap:
-    """The stationarity gap h(a), its derivative and its rounding bound.
+    """The stationarity gap h(a), its first two derivatives, its rounding bound.
 
     h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a) is negative
     where G increases and zero at its critical points.  With
-    d/da log gamma(n+1, a) = a^n e^(-a) / gamma(n+1, a),
+    d/da log gamma(n+1, a) = a^n e^(-a) / gamma(n+1, a) and the two ratios
+    r1 = a^n e^(-a) / gamma(n+1, a), r2 = a^(-n-2) e^(-1/a) / gamma(n+1, 1/a),
 
-        h'(a) = 1/a^2 - 1 - a^n e^(-a) / gamma(n+1, a)
-                + a^(-n-2) e^(-1/a) / gamma(n+1, 1/a).
+        h'(a) = 1/a^2 - 1 - r1 + r2,
+        h''(a) = -2/a^3 - r1 (n/a - 1 - r1) + r2 (1/a^2 - (n+2)/a + r2),
+
+    as r1' = r1 (n/a - 1 - r1) and r2' = r2 (1/a^2 - (n+2)/a + r2): both
+    derivatives come from the same two gamma values as h.
 
     The gap is summed as ((-1/a - a) - (P + L)) - (Q + L) from P = log
     p(n+1, a), Q = log p(n+1, 1/a) and L = lgamma(n+1).  Let S = 1/a + a +
@@ -385,15 +413,29 @@ def _gap_and_slope(a: float, n: int) -> _Gap:
     bound = _GAP_ROUNDING * (
         inv + a + abs(log_p) + abs(log_p_inv) + 2.0 * log_factorial
     )
-    slope = (
-        inv * inv
-        - 1.0
-        - math.exp(n * la - a - log_lower)
-        + math.exp(-(n + 2) * la - inv - log_lower_inv)
+    r1 = math.exp(n * la - a - log_lower)
+    r2 = math.exp(-(n + 2) * la - inv - log_lower_inv)
+    slope = inv * inv - 1.0 - r1 + r2
+    curvature = (
+        -2.0 * inv * inv * inv
+        - r1 * (n * inv - 1.0 - r1)
+        + r2 * (inv * inv - (n + 2) * inv + r2)
     )
     if abs(gap) <= bound:
         gap = 0.0
-    return _Gap(gap, slope, bound, log_lower, log_p_inv)
+    return _Gap(gap, slope, curvature, bound, log_lower, log_p_inv)
+
+
+def _halley_slope(gap: _Gap) -> float:
+    """h' - h h''/(2h'), so that a Newton step with it is a Halley step.
+
+    Plain h' where that slope would be zero or of the other sign.
+    """
+    if gap.slope != 0.0:
+        halley = gap.slope - gap.value * gap.curvature / (2.0 * gap.slope)
+        if halley * gap.slope > 0.0:
+            return halley
+    return gap.slope
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +471,11 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
     end whose gap is within its rounding bound (_gap_and_slope) decides
     nothing and raises ArithmeticError, as at the island's left end from
     n = 1e10 on.  Safeguarded Newton then starts at lo, near the maximizer,
-    from the gap and slope found there.  It stops on the first point whose
-    gap is within its bound, unless a step below 1e-15 relative ends it
-    first; the last point evaluated is returned with its evaluation.
+    from the gap found there, and takes Halley steps: the slope it is
+    handed is h' - h h''/(2h') (_halley_slope), as h'' comes from the
+    gamma values already in hand.  It stops on the first point whose gap is
+    within its bound, unless a step below 1e-15 relative ends it first; the
+    last point evaluated is returned with its evaluation.
     """
 
     def decided(a: float) -> _Gap:
@@ -452,10 +496,10 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
 
     def h(a: float) -> tuple[float, float]:
         last[:] = a, _gap_and_slope(a, n)
-        return last[1].value, last[1].slope
+        return last[1].value, _halley_slope(last[1])
 
     try:
-        _newton_root(h, lo, hi, lo, start.value, start.slope)
+        _newton_root(h, lo, hi, lo, start.value, _halley_slope(start))
     except ArithmeticError as exc:
         raise StationarityFailure(f"{exc} at n={n}") from exc
     # _newton_root ends on the last point evaluated, or within 1e-15 of it
@@ -466,39 +510,52 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
 def solve_lambda(n: int) -> LambdaEstimate:
     """Maximize the capped-tent ratio G over a for dimension n.
 
-    The positivity island of the sign map at lambda = n! brackets the
-    maximizer.  Safeguarded Newton on the stationarity gap h finds the
-    root of G's first-order condition there; it stops on the first point
-    where h is within its rounding bound (10 eps times the size of h's
-    terms), and lambda and the two first-order residuals come from the
-    gamma values of that evaluation.  The residuals certify the root (1e-8,
-    or 4 ulps of log lambda if that is larger).  The maximizer must also
-    lie in the island at the solved lambda, which one sign of the gap g
-    decides: Newton keeps it in the seed island left of g's local min, and
-    there g >= 0 exactly on the solved lambda's island.
+    The positivity island of the sign map at lambda = n! (_island; its
+    third root is not needed) brackets the maximizer.  Safeguarded Newton
+    with Halley steps on the stationarity gap h finds the root of G's
+    first-order condition there; it stops on the first point where h is
+    within its rounding bound B = 10 eps S (S the size of h's terms,
+    _gap_and_slope), and lambda and the two first-order residuals come from
+    the gamma values of that evaluation.
+
+    The residuals certify the root: the exponent of each, log of the ratio
+    it measures, must be at most 1e-8 or 2B if that is larger.  With the
+    rounded logs P' = log gamma(n+1, a) and Q' = log gamma(n+1, 1/a) as
+    given, lambda is a weighted mean of X = e^(-1/a - P') and Y = e^(a +
+    Q'), whatever a^n rounds to, so each exponent in exact arithmetic is
+    at most |log X - log Y| = |h(P', Q')|.  That differs from the computed
+    gap only by the rounding of the gap's sums, 2 eps S (the gamma values'
+    own rounding sits in P' and Q' and cancels), and the computed gap at
+    the root is within B: so at most 12 eps S.  Forming the exponents and
+    log lambda (three sums, two log_add, two differences) adds under 6 eps
+    S, as n |log a| <= |P'| and |log lambda| <= S on the island, and exp
+    and log1p a few eps more: under 8 eps S, so both stay within 20 eps S
+    = 2B.
+
+    The maximizer must also lie in the island at the solved lambda, which
+    one sign of the gap g decides: the iteration keeps it in the seed
+    island left of g's local min, and there g >= 0 exactly on the solved
+    lambda's island.
     """
     _check_n(n)
     log_factorial = math.lgamma(n + 1)
     try:
-        seed = roots_of_m(n, log_factorial)
+        lo, hi = _island(n, log_factorial)
     except OneRootCase as exc:
         raise BracketFailure(
             f"no positivity island at lambda = n! for n={n}"
         ) from exc
-    lo, hi = seed.z1, seed.z2
     a_n, gap = _newton_stationary(n, lo, hi)
     log_lower = gap.log_lower
     log_lower_inv = gap.log_p_inv + log_factorial
     log_lambda = _log_g(a_n, n, log_lower, log_lower_inv)
-    residual_n1 = math.expm1(-1.0 / a_n - log_lower - log_lambda)
-    residual_n2 = math.expm1(a_n + log_lower_inv - log_lambda)
-    # each residual's exponent cancels terms of size |log lambda|, so it
-    # cannot resolve less than a few of their ulps (6e-8 each at n = 3e7)
-    tol = max(_RESIDUAL_TOL, 4.0 * math.ulp(log_lambda))
-    if max(abs(residual_n1), abs(residual_n2)) > tol:
+    exponent_n1 = -1.0 / a_n - log_lower - log_lambda
+    exponent_n2 = a_n + log_lower_inv - log_lambda
+    tol = max(_RESIDUAL_TOL, _RESIDUAL_ROUNDING * gap.bound)
+    if max(abs(exponent_n1), abs(exponent_n2)) > tol:
         raise StationarityFailure(
-            f"stationarity residuals {residual_n1:.3e}, {residual_n2:.3e} "
-            f"exceed {tol:.3e} at n={n}"
+            f"stationarity residual exponents {exponent_n1:.3e}, "
+            f"{exponent_n2:.3e} exceed {tol:.3e} at n={n}"
         )
     if _log_gap(a_n, n, log_lambda) < 0.0:
         raise BracketFailure(
@@ -509,8 +566,8 @@ def solve_lambda(n: int) -> LambdaEstimate:
         log_lambda=log_lambda,
         a_n=a_n,
         bracket=(lo, hi),
-        residual_n1=residual_n1,
-        residual_n2=residual_n2,
+        residual_n1=math.expm1(exponent_n1),
+        residual_n2=math.expm1(exponent_n2),
         lambda_hat_minus_1=math.expm1(a_n + gap.log_p_inv),
     )
 
