@@ -5,11 +5,11 @@ For a radius function rho the two quantities of interest are
     mu(rho)  = integral_0^inf rho(z)^n e^(-z) dz
     nu(rho)  = integral_0^inf rho(z)^n e^(-1/z) z^(-(n+2)) dz
 
-both reported as logs with the dimensional unit-ball constant divided out
-(log_kappa supplies it for callers that want absolute volumes).  Substituting
-w = 1/z shows nu(rho) = mu(rho_J), so vol_nu routes through the inversion
-transform; vol_nu_direct integrates the raw formula and exists so the two
-routes can be compared without sharing code (the nu-mu-substitution suite).
+both reported as logs with the dimensional unit-ball constant divided
+out.  Substituting w = 1/z shows nu(rho) = mu(rho_J), so vol_nu routes
+through the inversion transform; vol_nu_direct integrates the raw formula
+and exists so the two routes can be compared without sharing code (the
+nu-mu-substitution suite).
 
 On a linear piece of the radius mu is an incomplete-gamma closed form,
 _log_segment: vol_mu's tail and every piece of extremal.big_f's tents.
@@ -79,6 +79,8 @@ _GL_WEIGHTS = (
 # Panel acceptance threshold on log values, i.e. relative error of the piece.
 _QUAD_TOL = 1e-13
 _MAX_DEPTH = 48
+# Panels one _log_adaptive call may evaluate; callers take a few hundred.
+_MAX_PANELS = 4096
 # What lies below e^-40 ~ 4e-18 of a total is far under its rounding: the
 # quadrature stops refining such panels, vol_nu_direct's sweeps stop there.
 _TAIL_NATS = 40.0
@@ -102,12 +104,6 @@ def _check_log_lambda(log_lambda: float) -> None:
         raise ValueError(f"log lambda must be finite, got {log_lambda}")
 
 
-def log_kappa(n: int) -> float:
-    """Log volume of the n-dimensional Euclidean unit ball."""
-    _check_n(n)
-    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-
-
 def _log_panel(logf, a: float, b: float) -> float:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -121,10 +117,7 @@ def _log_panel(logf, a: float, b: float) -> float:
     return m + math.log(acc) + math.log(half)
 
 
-def _log_adaptive(
-    logf, a: float, b: float, depth: int = 0, whole: float | None = None,
-    floor: float = NEG_INF,
-) -> float:
+def _log_adaptive(logf, a: float, b: float) -> float:
     """log integral of e^logf over [a, b] by adaptive Gauss-Legendre panels.
 
     A panel is accepted once its whole and split (two half panels)
@@ -133,7 +126,8 @@ def _log_adaptive(
     enclosing it.  Each of those estimates a part of the integral, so
     such a panel holds, as far as the rule sees, less than e^-40 ~ 4e-18
     of it, far under the rounding of the result, and refining it could
-    change the result by no more than that.
+    change the result by no more than that.  A refined panel passes its
+    halves down to the children that refine them.
 
     The floor ends the recursion where the integrand vanishes to high
     order, like z^n near 0 for n >= 30: past the rule's exact degree 29
@@ -143,36 +137,44 @@ def _log_adaptive(
     [1e8, 1e9]); a floor fixed at the top-level estimate would then sit
     far under the integral and accept nothing.  A panel that neither
     agrees nor lies under the floor after _MAX_DEPTH halvings raises
-    ArithmeticError, as does a NaN panel.
-
-    whole is the panel over [a, b] when the caller has already computed
-    it; depth and floor are the recursion's own.
+    ArithmeticError (which keeps the recursion under Python's limit), as
+    do a NaN panel and a call past _MAX_PANELS panels: the depth cap alone
+    lets their count reach 2^_MAX_DEPTH.
     """
-    if whole is None:
-        whole = _log_panel(logf, a, b)
-    mid = 0.5 * (a + b)
-    left, right = _log_panel(logf, a, mid), _log_panel(logf, mid, b)
-    split = log_add(left, right)
-    floor = max(floor, whole - _TAIL_NATS, split - _TAIL_NATS)
-    if whole == split:  # covers the all-zero panel, -inf on both sides
-        return split
-    # composing m + log(acc) + log(half) rounds in proportion to the log
-    # magnitude, so the acceptance band must widen with it or panels far
-    # from unit scale can never converge
-    if abs(split - whole) <= _QUAD_TOL + 4e-15 * abs(split):
-        return split
-    if whole < floor and split < floor:
-        return split
-    if math.isnan(split):
-        raise ArithmeticError(f"integrand is NaN on [{a}, {b}]")
-    if depth >= _MAX_DEPTH:
-        raise ArithmeticError(
-            f"quadrature did not converge in {_MAX_DEPTH} halvings on [{a}, {b}]"
+    panels = 1  # the whole of [a, b]
+
+    def refine(lo: float, hi: float, depth: int, whole: float, floor: float) -> float:
+        nonlocal panels
+        panels += 2
+        if panels > _MAX_PANELS:
+            raise ArithmeticError(
+                f"quadrature did not converge in {_MAX_PANELS} panels on [{a}, {b}]"
+            )
+        mid = 0.5 * (lo + hi)
+        left, right = _log_panel(logf, lo, mid), _log_panel(logf, mid, hi)
+        split = log_add(left, right)
+        floor = max(floor, whole - _TAIL_NATS, split - _TAIL_NATS)
+        if whole == split:  # covers the all-zero panel, -inf on both sides
+            return split
+        # composing m + log(acc) + log(half) rounds in proportion to the log
+        # magnitude, so the acceptance band must widen with it or panels far
+        # from unit scale can never converge
+        if abs(split - whole) <= _QUAD_TOL + 4e-15 * abs(split):
+            return split
+        if whole < floor and split < floor:
+            return split
+        if math.isnan(split):
+            raise ArithmeticError(f"integrand is NaN on [{lo}, {hi}]")
+        if depth >= _MAX_DEPTH:
+            raise ArithmeticError(
+                f"quadrature did not converge in {_MAX_DEPTH} halvings on [{lo}, {hi}]"
+            )
+        return log_add(
+            refine(lo, mid, depth + 1, left, floor),
+            refine(mid, hi, depth + 1, right, floor),
         )
-    return log_add(
-        _log_adaptive(logf, a, mid, depth + 1, left, floor),
-        _log_adaptive(logf, mid, b, depth + 1, right, floor),
-    )
+
+    return refine(a, b, 0, _log_panel(logf, a, b), NEG_INF)
 
 
 def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
@@ -360,10 +362,6 @@ def volume_pair(p: ConvexProfile, n: int) -> VolumePair:
 def log_s_j_n(p: ConvexProfile, n: int) -> float:
     """log of the nu-to-mu volume ratio of one profile."""
     return volume_pair(p, n).log_ratio
-
-
-def s_j_n(p: ConvexProfile, n: int) -> float:
-    return math.exp(log_s_j_n(p, n))
 
 
 def delta(p: ConvexProfile, n: int, log_lambda: float) -> tuple[int, float]:

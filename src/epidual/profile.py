@@ -13,7 +13,7 @@ module-level helpers: _canonical merges and validates breakpoints by one
 test of each value against its neighbours' line, to MERGE_RTOL, far above
 the line's rounding, so input convex as stored is never refused;
 _interpolate evaluates them (bisecting a tuple of abscissae built on first
-evaluation), and _max_gap compares two profiles (radii via from_radius).
+evaluation), and two of them are compared exactly at their _knots.
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
@@ -408,21 +408,29 @@ def evaluation_grid(
     return sorted(grid)
 
 
-def _max_gap(p: ConvexProfile, q: ConvexProfile) -> float:
-    """Largest pointwise gap |p - q| between two profiles, decided exactly.
+def _knots(
+    p: ConvexProfile | RadiusFunction, q: ConvexProfile | RadiusFunction
+) -> list[float]:
+    """Sorted union of both breakpoint abscissae, then the tail point 2*top.
 
-    p - q is linear between adjacent knots of the two breakpoint sets and
-    past the last knot, so its values at those knots and at the tail point
-    2*top (which shows a tail-slope difference) decide equality up to
-    rounding; a denser grid or the midpoints add nothing.  Points where
-    both sides are +inf count as no gap; a point where exactly one side is
-    infinite returns inf, unless both indicator edges lie within 1e-9
-    relative of it.
+    p - q is linear between adjacent knots and past the last one, so its
+    values here (the last shows a tail-slope difference; top = 1 when 0 is
+    the only knot) decide it exactly; a denser grid or midpoints add nothing.
     """
-    knots = sorted({r for r, _ in p.breakpoints} | {r for r, _ in q.breakpoints})
+    knots = sorted({x for x, _ in p.breakpoints} | {x for x, _ in q.breakpoints})
     top = knots[-1] if knots[-1] > 0.0 else 1.0
+    return [*knots, 2.0 * top]
+
+
+def _max_gap(p: ConvexProfile, q: ConvexProfile) -> float:
+    """Largest pointwise gap |p - q| between two profiles, decided at _knots.
+
+    Points where both sides are +inf count as no gap; a point where
+    exactly one side is infinite returns inf, unless both indicator edges
+    lie within 1e-9 relative of it.
+    """
     worst = 0.0
-    for x in (*knots, 2.0 * top):
+    for x in _knots(p, q):
         a, b = p.evaluate(x), q.evaluate(x)
         if math.isinf(a) and math.isinf(b):
             continue

@@ -10,6 +10,7 @@ from epidual.profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
+    _knots,
     _max_gap,
     _polar_profile,
     check_j_factorization,
@@ -417,6 +418,17 @@ def test_factorization_evaluates_only_at_knots(monkeypatch):
         # indicator edge costs four more
         knots = 2 * (len(p.breakpoints) + 2)
         assert len(calls) <= 2 * (knots + 1) + 4, (p, len(calls))
+
+
+def test_knots_are_the_union_then_the_tail_point():
+    p = ConvexProfile(((0.0, 0.0), (1.0, 2.0), (3.0, 8.0)), 4.0)
+    q = ConvexProfile(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)), INF)
+    assert _knots(p, q) == [0.0, 1.0, 2.0, 3.0, 6.0]
+    rho = RadiusFunction(((0.0, 1.0), (0.5, 2.0)), 1.0)
+    assert _knots(rho, rho) == [0.0, 0.5, 1.0]
+    zero = ConvexProfile(((0.0, 0.0),), 0.0)
+    assert _knots(zero, zero) == [0.0, 2.0]
+    assert _knots(RadiusFunction.infinite(), RadiusFunction.infinite()) == [0.0, 2.0]
 
 
 def test_max_gap_detects_differences():

@@ -9,7 +9,8 @@ import pytest
 
 import epidual
 from epidual.extremal import solve_lambda
-from epidual.profile import ConvexProfile, RadiusFunction, to_radius
+from epidual import verify
+from epidual.profile import ConvexProfile, RadiusFunction, scale, to_radius
 from epidual.verify import (
     SUITE_NAMES,
     ProfileSampler,
@@ -124,6 +125,28 @@ def test_steiner_commute_suite_full_run():
     assert report.passed
     assert report.cases == 500
     assert report.worst_residual <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [5_000_514, 5_001_003])
+def test_order_preserving_decided_at_the_knots(seed):
+    # both J images agree at the knot z = 0; a sample of [1e-3, 1e3] misses
+    # it and reads -1.547e-3 and -4.147e-4 for these two seeds
+    assert run_suite("order-preserving", ProfileSampler(seed), cases=2).worst_residual == 0.0
+
+
+def test_scaling_invariance_draws_scales_over_200_decades(monkeypatch):
+    factors = []
+
+    def recorded(p, a):
+        factors.append(a)
+        return scale(p, a)
+
+    monkeypatch.setattr(verify, "scale", recorded)
+    report = run_suite("scaling-invariance", cases=100)
+    assert report.passed
+    assert report.worst_residual <= 1e-10
+    assert all(1e-100 <= a <= 1e100 for a in factors)
+    assert min(factors) < 1e-50 and max(factors) > 1e50
 
 
 def test_report_round_trips_to_dict():
