@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epidual import extremal, measures
+from epidual import extremal, gammafn, measures
 from epidual.extremal import (
     BracketFailure,
     BracketInvalid,
@@ -424,6 +424,27 @@ def test_cold_solve_gamma_budget_over_the_sweep(monkeypatch):
         most = max(most, calls[0] - before)
     assert most <= 10
     assert calls[0] <= 8_100
+
+
+def test_large_n_solves_take_the_expansion_near_the_mean(monkeypatch):
+    # near x = s the series and the fraction take about sqrt s steps, about
+    # 9 ms a solve at n = 10^9 before Temme's branch took that region over;
+    # no call of a large-n solve may reach them there
+    reached = []
+    for name in ("_lower_series", "_log_upper_scaled"):
+        def spied(s, x, inner=getattr(gammafn, name)):
+            reached.append((s, x))
+            return inner(s, x)
+
+        monkeypatch.setattr(gammafn, name, spied)
+    for k in range(5, 10):
+        solve_lambda.__wrapped__(10**k)
+    # the island's left end, far below the mean, still takes the series
+    assert reached
+    assert not [
+        (s, x) for s, x in reached
+        if s >= 20 and abs(x - s) <= min(0.5 * s, 8.0 * math.sqrt(s))
+    ]
 
 
 @pytest.mark.parametrize("n", [7, 100, 1000])

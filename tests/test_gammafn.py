@@ -1,12 +1,16 @@
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 from scipy import integrate
 
 from epidual.logdomain import log1mexp, log_sub_signed
+from epidual import gammafn
 from epidual.gammafn import (
+    _TEMME_C,
+    _log1pmx,
     _log_upper_scaled,
     check_gamma_half,
     check_small_a_bound,
@@ -232,3 +236,158 @@ def test_log_p_within_its_stated_rounding():
             want = mpmath.log(mpmath.gammainc(s, 0, x, regularized=True))
             err = abs(reg_gamma(s, x).log_p - want)
         assert err <= 3.0 * sys.float_info.epsilon * size
+
+
+def _temme_rows(count, top):
+    """Exact Taylor coefficients in eta of Temme's c_0..c_(count-1).
+
+    Row k runs to eta^(top - 2k - 1).  mu(eta) comes from mu mu' = eta (1 +
+    mu), the derivative of eta^2/2 = mu - log(1 + mu); the Stirling
+    coefficients g_k of Gamma*(z) ~ sum g_k z^-k exponentiate the Bernoulli
+    series of log Gamma*; then c_0 = 1/mu - 1/eta and c_k = c_{k-1}'/eta +
+    (-1)^k g_k / mu (DLMF 8.12.9-8.12.11).
+    """
+    order = top + 2
+    m = [Fraction(0), Fraction(1)]
+    for j in range(2, order + 1):
+        acc = m[j - 1] - sum((j + 1 - i) * m[i] * m[j + 1 - i] for i in range(2, j))
+        m.append(acc / (j + 1))
+    # eta / mu = sum v_j eta^j, the reciprocal of mu / eta = sum m_(j+1) eta^j
+    v = [Fraction(1)]
+    for j in range(1, order):
+        v.append(-sum(m[i + 1] * v[j - i] for i in range(1, j + 1)))
+    bern = [Fraction(1)]
+    for j in range(1, count + 2):
+        bern.append(-sum(math.comb(j + 1, i) * bern[i] for i in range(j)) / (j + 1))
+    log_g = [Fraction(0)] * (count + 1)
+    for i in range(1, count // 2 + 2):
+        if 2 * i - 1 <= count:
+            log_g[2 * i - 1] = bern[2 * i] / (2 * i * (2 * i - 1))
+    g = [Fraction(1)]
+    for j in range(1, count + 1):
+        g.append(sum(i * log_g[i] * g[j - i] for i in range(1, j + 1)) / j)
+    rows = [[v[j + 1] for j in range(top)]]
+    for k in range(1, count):
+        prev, sign = rows[-1], (-1) ** k
+        assert prev[1] == -sign * g[k]  # the 1/eta poles cancel
+        rows.append(
+            [(i + 2) * prev[i + 2] + sign * g[k] * v[i + 1] for i in range(top - 2 * k)]
+        )
+    return rows
+
+
+def test_temme_coefficients_follow_the_recurrence():
+    # every literal is the double nearest its exact rational, as
+    # test_gauss_legendre_literals checks the quadrature rule
+    exact = _temme_rows(len(_TEMME_C), 26)
+    for row, want in zip(_TEMME_C, exact):
+        assert row == tuple(float(a) for a in want[: len(row)])
+    # the heads DLMF 8.12 prints
+    assert exact[0][:4] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135),
+                            Fraction(1, 864)]
+    assert exact[1][0] == Fraction(-1, 540)
+    assert exact[2][0] == Fraction(25, 6048)
+
+
+def test_temme_truncation_as_derived():
+    # the numbers _temme's docstring derives the row lengths and the cut from:
+    # on the region's eta range, with the tail weight 0.62 and s >= 20
+    exact = _temme_rows(14, 36)
+    lo = -math.sqrt(-2.0 * (math.log(0.5) + 0.5))
+    hi = math.sqrt(-2.0 * (math.log(1.5) - 0.5))
+    grid = [lo + (hi - lo) * i / 200 for i in range(201)]
+
+    def worst(coeffs, start):
+        return max(
+            abs(sum(float(a) * e**j for j, a in enumerate(coeffs) if j >= start))
+            for e in grid
+        )
+
+    for k, row in enumerate(_TEMME_C):
+        assert 0.62 * worst(exact[k], len(row)) * 20.0**-k <= 1e-18, k
+    for k in range(1, 14):
+        assert worst(exact[k], 0) <= 0.0091, k
+    dropped = [0.62 * worst(exact[k], 0) * 20.0**-k for k in (11, 12, 13)]
+    assert dropped[0] <= 4.8e-18 and dropped[1] <= 1.4e-18 and dropped[2] <= 5e-20
+
+
+def _reference_tails(s, x):
+    """(log p, log q) at 60 digits from the upper gamma, p = 1 - q.
+
+    mpmath's lower gammainc stops with NoConvergence at s = 10^7.
+    """
+    with mpmath.workdps(60):
+        q = mpmath.gammainc(mpmath.mpf(s), mpmath.mpf(x), mpmath.inf, regularized=True)
+        return float(mpmath.log1p(-q)), float(mpmath.log(q))
+
+
+@pytest.mark.parametrize("c", [-1.0, -5.0])
+def test_reg_gamma_returns_near_the_mean_at_huge_shapes(c):
+    # the lower series took about sqrt s terms here and stalled past its
+    # iteration cap at s = 10^10 + 1
+    s = 1e10 + 1.0
+    x = s + c * math.sqrt(s)
+    want_lp, want_lq = _reference_tails(s, x)
+    g = reg_gamma(s, x)
+    assert g.log_p == pytest.approx(want_lp, rel=2e-14, abs=0.0)
+    assert g.log_q == pytest.approx(want_lq, rel=2e-14, abs=0.0)
+
+
+def _assert_logs_close(got, want_lp, want_lq):
+    """The smaller tail's log to 2e-14 relative, the other side as it allows.
+
+    The larger side is log1mexp of the smaller, so it carries the smaller
+    side's absolute error times the tail ratio small/big, plus its own
+    rounding: near -e^small, its relative error is that absolute error.
+    """
+    (got_small, want_small), (got_big, want_big) = sorted(
+        [(got.log_p, want_lp), (got.log_q, want_lq)], key=lambda pair: pair[1]
+    )
+    assert abs(got_small - want_small) <= 2e-14 * abs(want_small)
+    ratio = math.exp(want_small - want_big)
+    allowed = ratio * 2e-14 * abs(want_small) + 2.0 * sys.float_info.epsilon * abs(want_big)
+    assert abs(got_big - want_big) <= allowed
+
+
+@pytest.mark.parametrize("s", [21.0, 1e3 + 1.0, 1e5 + 1.0, 1e7 + 1.0, 1e10 + 1.0])
+def test_temme_region_against_mpmath(s):
+    # x = s + c sqrt s across the region, whose edge is s/2 off at s = 21
+    step = min(math.sqrt(s), s / 16.0)
+    for c in (-7.99, -4.0, -1.0, -0.3, 0.0, 0.3, 1.0, 4.0, 7.99):
+        x = s + c * step
+        _assert_logs_close(reg_gamma(s, x), *_reference_tails(s, x))
+
+
+@pytest.mark.parametrize(
+    "s, edge",
+    [(21.0, 10.5), (21.0, 31.5), (1001.0, 1001.0 - 8.0 * math.sqrt(1001.0)),
+     (1001.0, 1001.0 + 8.0 * math.sqrt(1001.0)),
+     (1e5 + 1.0, 1e5 + 1.0 - 8.0 * math.sqrt(1e5 + 1.0)),
+     (1e5 + 1.0, 1e5 + 1.0 + 8.0 * math.sqrt(1e5 + 1.0))],
+)
+def test_temme_region_edge_is_seamless(monkeypatch, s, edge):
+    # an ulp inside the edge takes the expansion, an ulp outside does not,
+    # and both meet mpmath's values; the two points' own values differ by
+    # up to 2e-14 relative at s = 10^5 + 1, so they are not compared with
+    # each other
+    seen = []
+    inner = gammafn._temme
+
+    def spied(s, x):
+        seen.append(x)
+        return inner(s, x)
+
+    monkeypatch.setattr(gammafn, "_temme", spied)
+    inside = math.nextafter(edge, s)
+    for x in (inside, math.nextafter(edge, 2.0 * edge - s)):
+        _assert_logs_close(reg_gamma(s, x), *_reference_tails(s, x))
+    assert seen == [inside]
+
+
+def test_log1pmx_against_mpmath():
+    for e in range(3, 300):
+        for sign in (1.0, -1.0):
+            d = sign * 0.2 * 10.0 ** (-e / 20.0)
+            with mpmath.workdps(40):
+                want = float(mpmath.log1p(d) - d)
+            assert _log1pmx(d) == pytest.approx(want, rel=2.0 * sys.float_info.epsilon)
