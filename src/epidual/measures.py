@@ -13,7 +13,15 @@ nu-mu-substitution suite).
 
 On a linear piece of the radius mu is an incomplete-gamma closed form,
 _log_segment: vol_mu's tail and every piece of extremal.big_f's tents.
-vol_mu's finite segments still go through adaptive quadrature.
+vol_mu's finite segments still go through adaptive quadrature, but only
+those that can matter.  On a piece [z0, z1] rho lies between its end
+values x0 and x1, so the piece's integral lies between min(x0, x1)^n and
+max(x0, x1)^n times e^(-z0) (1 - e^(-(z1 - z0))).  The largest lower bound
+and the exact tail are lower bounds on mu; of k finite pieces, one whose
+upper bound is more than 40 + log k nats under that holds less than
+e^-40 mu / k, so the pieces skipped hold less than e^-40 of mu together.
+The margin widens by a rounding allowance, 16 eps times the sizes of the
+compared values' terms, which vol_mu's docstring derives.
 
 Ratios follow the convention 0/0 = inf/inf = 1, which makes the degenerate
 profiles (identically zero, indicator of the origin) legal inputs everywhere.
@@ -82,7 +90,8 @@ _MAX_DEPTH = 48
 # Panels one _log_adaptive call may evaluate; callers take a few hundred.
 _MAX_PANELS = 4096
 # What lies below e^-40 ~ 4e-18 of a total is far under its rounding: the
-# quadrature stops refining such panels, vol_nu_direct's sweeps stop there.
+# quadrature stops refining such panels, vol_mu skips such pieces and
+# vol_nu_direct's sweeps stop there.
 _TAIL_NATS = 40.0
 # vol_nu_direct's upper sweep takes panels _SWEEP_STEP wide in t = log z.
 # e^t overflows past t = _LOG_MAX ~ 709.8, which a sweep starting at t >=
@@ -234,8 +243,36 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
 def vol_mu(rho: RadiusFunction, n: int) -> float:
     """log integral_0^inf rho(z)^n e^(-z) dz; the tail in closed form.
 
-    Each finite segment is one _log_adaptive call (one that does not
-    converge raises ArithmeticError), the tail one _log_segment.
+    The tail is one _log_segment.  Each finite piece [z0, z1] is one
+    _log_adaptive call (one that does not converge raises ArithmeticError)
+    unless a bound shows it cannot matter.  rho is linear on the piece, so
+    it lies between its end values x0 and x1 (rho does not decrease, up to
+    the MERGE_RTOL a breakpoint may fall), and the piece's integral lies
+    between min(x0, x1)^n and max(x0, x1)^n times
+
+        integral_z0^z1 e^(-z) dz = e^(-z0) (1 - e^(-(z1 - z0))).
+
+    The largest lower bound and the exact tail are each at most mu, so
+    their maximum L is a lower bound on mu.  A piece whose upper bound lies
+    more than _TAIL_NATS + log k nats under L, with k the number of finite
+    pieces, holds less than e^-40 mu / k; the at most k pieces skipped hold
+    less than e^-40 ~ 4e-18 of mu together, far under its rounding, and a
+    piece of radius 0 throughout (upper bound -inf) is always skipped.
+
+    A computed bound B = n log x + log(1 - e^-w) - z0 rounds within a
+    few eps of the sum of its terms' sizes.  The middle term is at most 745
+    in size for any w > 0 a double holds, so n |log x| <= |B| + z0 + 745
+    and the sum is at most |B| + 2 z0 + 1490.  The tail T is built alike,
+    with two more logs of doubles (log u0, the scaled gamma) past its mode,
+    or lgamma(n+1), u0 < n + 2 and |log Q(n+1, u0)| < 2.1 below it, so its
+    sum is at most |T| + 2 z_m + 2 lgamma(n+2) + 2n + 2980, z_m the last
+    knot.
+    An upper bound hi and L together err by less than 16 eps (|hi| + |L|
+    + 4 z_m + 2 lgamma(n+2) + 2n + 4500), and the margin widens by that:
+    about 2e-11 nats for unit-scale radii at n = 64, while it keeps the
+    skip sound where z passes 2^52, whose ulp is a nat.  Quadrature
+    estimates would not serve for L: a wide panel's nodes can miss the
+    peak of the piece it covers by a hundred nats.
     """
     _check_n(n)
     if rho.is_infinite:
@@ -248,12 +285,31 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
         return n * math.log(x) - z
 
     pts = rho.breakpoints
+    z_m, x_m = pts[-1]
+    tail = _log_segment(n, rho.tail_slope, z_m, x_m, INF)
+    floor = tail
+    pieces = []  # (z0, z1, upper bound on log integral_z0^z1)
+    z0, x0 = pts[0]
+    a = n * math.log(x0) if x0 > 0.0 else NEG_INF
+    for z1, x1 in pts[1:]:
+        b = n * math.log(x1) if x1 > 0.0 else NEG_INF
+        mass = math.log(-math.expm1(z0 - z1)) - z0
+        lo, hi = (a + mass, b + mass) if a <= b else (b + mass, a + mass)
+        floor = lo if lo > floor else floor
+        pieces.append((z0, z1, hi))
+        z0, a = z1, b
+    slack = 16.0 * sys.float_info.epsilon
+    cut = (
+        floor - _TAIL_NATS - math.log(max(len(pieces), 1))
+        - slack * (abs(floor) + 4.0 * z_m + 2.0 * (math.lgamma(n + 2) + n) + 4500.0)
+    )
+    # hi = -inf (radius 0 throughout) makes the left side NaN: skipped
     parts = [
         _log_adaptive(logf, z0, z1)
-        for (z0, _), (z1, _) in zip(pts, pts[1:])
+        for z0, z1, hi in pieces
+        if hi + slack * abs(hi) >= cut
     ]
-    z_m, x_m = pts[-1]
-    parts.append(_log_segment(n, rho.tail_slope, z_m, x_m, INF))
+    parts.append(tail)
     return log_sum(parts)
 
 

@@ -5,10 +5,20 @@ and then asserts, so the suite both reports and enforces.
 """
 
 import math
+import sys
 
-from epidual.extremal import a_bracket, big_f, big_g, m_sign, roots_of_m, solve_lambda
+from epidual.extremal import (
+    TentParams,
+    a_bracket,
+    big_f,
+    big_g,
+    m_sign,
+    roots_of_m,
+    solve_lambda,
+    tent_profile,
+)
 from epidual.extremal import BracketInvalid
-from epidual.measures import log_s_j_n
+from epidual.measures import log_s_j_n, volume_pair
 from epidual.profile import INF, ConvexProfile
 from epidual.verify import SUITE_NAMES, brute_force_lambda, run_suite
 
@@ -127,3 +137,24 @@ def test_criterion_8_root_structure():
                 f"island escapes the alpha={alpha} window at n={n}"
             )
     report(8, windows > 0, f"pattern holds on 1..300, {windows} windows contained")
+
+
+def test_criterion_9_extremal_tent_ratio_is_lambda():
+    # the capped tent of slope a_n / x0 up to its kink x0 has ratio lambda(n)
+    # by construction, at every scale x0.  log nu - log mu comes from
+    # quadrature, log lambda from two incomplete gamma values (_log_g), and
+    # each log rounds within about 2 eps of the sizes of its terms.  Those are |log mu| + n for mu (n log rho and -z
+    # at the integrand's peak near z = n, which cancel to log mu), the same
+    # for nu, and |log lambda| + n; 1 more covers values under unit size.
+    # The tolerance is twice that sum (see CHANGES.md)
+    eps = sys.float_info.epsilon
+    ns = list(range(1, 201)) + [250, 300, 400, 500, 700, 1000, 1500, 2000, 3000, 5000]
+    worst = 0.0
+    for n in ns:
+        est = solve_lambda(n)
+        for x0 in (1e-3, 1.0, 7.5, 1e3):
+            pair = volume_pair(tent_profile(TentParams(est.a_n / x0, INF, x0)), n)
+            size = abs(pair.log_mu) + abs(pair.log_nu) + abs(est.log_lambda) + 3 * n + 1
+            tol = 4.0 * eps * size
+            worst = max(worst, abs(pair.log_ratio - est.log_lambda) / tol)
+    report(9, worst <= 1.0, f"worst gap {worst:.3f} of its tolerance over {4 * len(ns)} tents")

@@ -28,6 +28,7 @@ from epidual.profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
+    j_transform,
     scale,
     to_radius,
 )
@@ -288,6 +289,85 @@ def test_vol_mu_stops_refining_under_the_floor(monkeypatch):
     lower = math.exp(math.lgamma(41) + reg_gamma(41, 1.0).log_p)  # gamma(41, 1)
     assert got == pytest.approx(math.log(lower + math.exp(-1.0)), rel=1e-14, abs=1e-14)
     assert 0 < len(calls) < 400
+
+
+def mp_mu(rho, n):
+    """log mu at 50 digits: each linear piece by mpmath quadrature, flat tail."""
+    assert rho.tail_slope == 0.0
+    with mp.workdps(50):
+        pts = [(mp.mpf(z), mp.mpf(x)) for z, x in rho.breakpoints]
+        total = mp.mpf(0)
+        for (z0, x0), (z1, x1) in zip(pts, pts[1:]):
+            s = (x1 - x0) / (z1 - z0)
+            total += mp.quad(lambda z: (x0 + s * (z - z0)) ** n * mp.exp(-z), [z0, z1])
+        z_m, x_m = pts[-1]
+        return float(mp.log(total + x_m**n * mp.exp(-z_m)))
+
+
+def test_vol_mu_skips_pieces_far_under_mu(monkeypatch):
+    # rho = sqrt(z) at the knots: mu is about Gamma(3.5) at n = 5, and the
+    # piece [2, 4] alone bounds it from below by e^-0.41.  The piece from
+    # z0 = 64 is at most sqrt(128)^5 e^-64 ~ e^-51.9, under that bound by
+    # more than 40 + log 12 nats for its 12 pieces, and those past it lie
+    # lower still, so no panel may fall past z = 64
+    zs = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
+    rho = RadiusFunction(tuple((z, math.sqrt(z)) for z in zs), 0.0)
+    panels = []
+    panel = measures._log_panel
+
+    def recorded(logf, a, b):
+        panels.append((a, b))
+        return panel(logf, a, b)
+
+    monkeypatch.setattr(measures, "_log_panel", recorded)
+    got = vol_mu(rho, 5)
+    assert panels and max(b for _, b in panels) <= 64.0
+    want = mp_mu(rho, 5)
+    assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_piece_integrals_lie_between_their_endpoint_bounds():
+    # the skip rests on this: rho is linear on a piece, so the piece's
+    # integral lies between min(x0, x1)^n and max(x0, x1)^n times the
+    # integral of e^-z over it.  Checked on the radius and its J image,
+    # both of which vol_mu integrates, far from unit scale too; the
+    # tolerance is the quadrature's acceptance band
+    stream = ProfileSampler(seed=0).stream()
+    for n in range(1, 65):
+        p = next(stream)
+        for e in (0, 100, -100):
+            rho = to_radius(scale(p, 10.0**e))
+            for r in (rho, j_transform(rho)):
+
+                def logf(z, r=r):
+                    x = r.evaluate(z)
+                    return n * math.log(x) - z if x > 0.0 else NEG_INF
+
+                for (z0, x0), (z1, x1) in zip(r.breakpoints, r.breakpoints[1:]):
+                    mass = math.log(-math.expm1(z0 - z1)) - z0
+                    lo = n * math.log(min(x0, x1)) + mass if min(x0, x1) > 0.0 else NEG_INF
+                    hi = n * math.log(max(x0, x1)) + mass
+                    got = measures._log_adaptive(logf, z0, z1)
+                    tol = measures._QUAD_TOL + 4e-15 * abs(got)
+                    assert lo - tol <= got <= hi + tol, (p, n, e, z0, z1)
+
+
+def test_ratio_of_a_wide_inverted_piece_keeps_its_peak():
+    # ratio-stream pool input 697.  J(rho) has the piece [1.009, 23954.5],
+    # whose integrand peaks near z = 26 at about e^-26.3; the top-level
+    # panel's nodes all lie past z = 145 and estimate it at e^-159.1.  A
+    # floor built from such estimates, or the skip's floor handed to the
+    # quadrature, accepts that panel as negligible and gives -59.4437
+    # instead; the skip compares only rigorous bounds
+    p = ConvexProfile(
+        (
+            (0.0, 0.0),
+            (0.0005921284538539332, 4.1745777385584895e-05),
+            (0.37351024076961026, 0.9910935911121781),
+        ),
+        3.1093959957889847,
+    )
+    assert log_s_j_n(p, 26) == pytest.approx(-58.00651182815555, rel=1e-13)
 
 
 def _cap_panels(monkeypatch, limit):
