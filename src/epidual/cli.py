@@ -29,11 +29,9 @@ from .extremal import (
 )
 from .logdomain import log_sub_signed
 from .profile import (
-    evaluation_grid,
     from_radius,
     j_transform,
     legendre,
-    polarity,
     profile_from_dict,
     profile_to_dict,
     to_radius,
@@ -62,10 +60,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _profile_json(p) -> str:
-    return json.dumps(profile_to_dict(p), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +233,14 @@ def _cmd_scan_g(args) -> int:
     return 0
 
 
+# A = L J: the paper factors J = L A, and L is an involution
+_TRANSFORMS = {
+    "J": lambda p: from_radius(j_transform(to_radius(p))),
+    "L": legendre,
+    "A": lambda p: legendre(from_radius(j_transform(to_radius(p)))),
+}
+
+
 def _cmd_transform(args) -> int:
     if args.input is None:
         raw = sys.stdin.read()
@@ -257,17 +259,11 @@ def _cmd_transform(args) -> int:
         p = profile_from_dict(doc)
     except ValueError as exc:
         return _fail(f"invalid profile: {exc}")
-    if args.op == "J":
-        _emit(_profile_json(from_radius(j_transform(to_radius(p)))), args.out)
-        return 0
-    if args.op == "L":
-        _emit(_profile_json(legendre(p)), args.out)
-        return 0
-    lo, hi = args.range if args.range else (1e-3, 1e3)
-    lines = [f"# polarity sampled on [{_fmt(lo)}, {_fmt(hi)}]", "# columns: s,polar"]
-    for s in evaluation_grid(lo, hi, args.points):
-        lines.append(f"{_fmt(s)},{_fmt(polarity(p, s))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    try:
+        image = _TRANSFORMS[args.op](p)
+    except (ValueError, ArithmeticError) as exc:
+        return _fail(f"{args.op} image is not representable: {exc}")
+    _emit(json.dumps(profile_to_dict(image), sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -327,8 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trans = sub.add_parser("transform", help="apply J, L or A to a profile JSON")
     trans.add_argument("op", choices=("J", "L", "A"))
     trans.add_argument("input", nargs="?", default=None, help="path, or stdin")
-    trans.add_argument("--range", type=_range_pair, default=None)
-    trans.add_argument("--points", type=_positive_int, default=200)
     trans.add_argument("--out", default=None)
     trans.set_defaults(func=_cmd_transform)
 

@@ -17,9 +17,10 @@ evaluation), and two of them are compared exactly at their _knots.
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
-All three transforms (inversion J, conjugation L, polarity A) are exact on
-the piecewise-linear representation; polarity is exposed pointwise only.
-So identities between them are decided exactly, at the knots, by _max_gap.
+All three transforms are exact on the piecewise-linear representation:
+inversion J, conjugation L and polarity A = L J (the paper factors J = L A,
+and L is an involution); `polarity` evaluates A pointwise from its
+definition.  So identities are decided exactly, at the knots.
 
 Two degenerate profiles are representable and flow through everything:
 psi == 0 (radius identically +inf) and the indicator of {0} (radius
@@ -159,14 +160,10 @@ class ConvexProfile:
     def is_zero(self) -> bool:
         return len(self.breakpoints) == 1 and self.tail_slope == 0.0
 
-    @property
+    @cached_property
     def flat_end(self) -> float:
         """Largest r with psi(r) = 0."""
-        end = 0.0
-        for r, v in self.breakpoints:
-            if v <= 0.0:
-                end = r
-        return end
+        return max(r for r, v in self.breakpoints if v <= 0.0)
 
     @cached_property
     def _abscissae(self) -> tuple[float, ...]:
@@ -336,55 +333,29 @@ def polarity(p: ConvexProfile, s: float) -> float:
 
     Division conventions: positive/0 = +inf, nonpositive/0 = 0, finite/inf
     = 0.  On each linear segment the ratio is monotone, so the supremum is
-    attained at breakpoints or as the tail limit s / tail_slope.
+    attained at breakpoints or as the tail limit s / tail_slope.  It is
+    the oracle for A's profile L(J psi).
     """
+    return _polar_line(p, s)[0]
+
+
+def _polar_line(p: ConvexProfile, s: float) -> tuple[float, float]:
+    """polarity(p, s) and the slope of a line attaining it (0.0 at +inf)."""
     if s < 0.0 or math.isnan(s):
         raise ValueError(f"polarity domain is s >= 0, got {s}")
     if p.is_zero:
-        return INF if s > 0.0 else 0.0
-    flat = p.flat_end
-    if flat > 0.0 and s * flat - 1.0 > 0.0:
-        return INF
-    best = 0.0
+        return (INF if s > 0.0 else 0.0), 0.0
+    if p.flat_end > 0.0 and s * p.flat_end - 1.0 > 0.0:
+        return INF, 0.0
+    best, slope = 0.0, 0.0
     for r, v in p.breakpoints:
         if v > 0.0:
-            best = max(best, (s * r - 1.0) / v)
-    if not math.isinf(p.tail_slope):
-        best = max(best, s / p.tail_slope)
-    return best
-
-
-def _polar_profile(p: ConvexProfile) -> ConvexProfile:
-    """Profile of the polar: upper envelope of the candidate lines of polarity.
-
-    A breakpoint (r, v) with v > 0 gives the line (r s - 1) / v, a finite
-    tail the line s / tail_slope, an indicator tail the zero line.  Lines of
-    consecutive breakpoints meet at sigma / psi*(sigma), sigma the slope
-    between them, which falls as sigma rises (psi* is convex, psi*(0) = 0),
-    so one reverse pass adds each line where it meets the last, up to the
-    flat cutoff 1 / flat_end.  Meeting points that rounding leaves out of
-    order make the constructor raise ValueError.  Private plumbing for
-    check_j_factorization; the public polarity stays pointwise.
-    """
-    if p.is_zero:
-        return ConvexProfile(((0.0, 0.0),), INF)
-    flat = p.flat_end
-    cutoff = (1.0 / flat) if flat > 0.0 else INF
-    a0, b0 = 1.0 / p.tail_slope, 0.0  # 1 / inf = 0: the zero line
-    out_pts = [(0.0, 0.0)]
-    for r, v in reversed(p.breakpoints):
-        if v <= 0.0:
-            break
-        a, b = r / v, -1.0 / v
-        x = (b0 - b) / (a - a0)
-        if x >= cutoff:
-            break
-        out_pts.append((x, a * x + b))
-        a0, b0 = a, b
-    if math.isinf(cutoff):
-        return ConvexProfile(tuple(out_pts), a0)
-    out_pts.append((cutoff, a0 * cutoff + b0))
-    return ConvexProfile(tuple(out_pts), INF)
+            y = (s * r - 1.0) / v
+            if y > best:
+                best, slope = y, r / v
+    if not math.isinf(p.tail_slope) and s / p.tail_slope > best:
+        best, slope = s / p.tail_slope, 1.0 / p.tail_slope
+    return best, slope
 
 
 # ---------------------------------------------------------------------------
@@ -422,44 +393,76 @@ def _knots(
     return [*knots, 2.0 * top]
 
 
-def _max_gap(p: ConvexProfile, q: ConvexProfile) -> float:
-    """Largest pointwise gap |p - q| between two profiles, decided at _knots.
+def _compared(f, g, x: float) -> tuple[float, float, float] | None:
+    """(x', f(x'), g(x')) to compare at knot x; None where both are +inf.
 
-    Points where both sides are +inf count as no gap; a point where
-    exactly one side is infinite returns inf, unless both indicator edges
-    lie within 1e-9 relative of it.
+    Where one alone is +inf, x' = x (1 - 1e-9) if both indicator edges lie
+    within 1e-9 relative of x (a one-ulp disagreement), else x' = x.
+    """
+    a, b = f(x), g(x)
+    if min(a, b) == INF:
+        return None
+    if max(a, b) == INF:
+        lo, hi = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
+        fa, ga = f(lo), g(lo)
+        if min(f(hi), g(hi)) == INF and max(fa, ga) < INF:
+            return lo, fa, ga
+    return x, a, b
+
+
+def _max_gap(p: ConvexProfile, q: ConvexProfile) -> float:
+    """Largest gap |p - q| between two profiles, decided at _knots.
+
+    Indicator edges follow _compared; one side alone at +inf gives inf.
     """
     worst = 0.0
     for x in _knots(p, q):
-        a, b = p.evaluate(x), q.evaluate(x)
-        if math.isinf(a) and math.isinf(b):
-            continue
-        if math.isinf(a) or math.isinf(b):
-            # ignore a one-ulp disagreement about where an indicator starts
-            lo, hi = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
-            pa, qa = p.evaluate(lo), q.evaluate(lo)
-            if (
-                math.isinf(p.evaluate(hi))
-                and math.isinf(q.evaluate(hi))
-                and not (math.isinf(pa) or math.isinf(qa))
-            ):
-                worst = max(worst, abs(pa - qa))
-                continue
-            return INF
-        worst = max(worst, abs(a - b))
+        pair = _compared(p.evaluate, q.evaluate, x)
+        if pair is not None:
+            worst = max(worst, abs(pair[1] - pair[2]))
     return worst
 
 
 def check_j_factorization(p: ConvexProfile) -> float:
-    """Max pointwise gap between the radius route J and conjugate-of-polar L A.
+    """Largest gap between q = L(J psi) and A psi by its definition.
 
-    Both routes are exact piecewise-linear profiles, so _max_gap compares
-    them at their knots and in the tail.  _polar_profile's lines use psi's
-    breakpoint coordinates (r/v, 1/v), as J does, so this checks legendre
-    and the envelope's intersections, not the envelope against polarity's
-    definition; only test_polar_profile_matches_pointwise checks that.
+    The paper factors J = L A and L is an involution, so A psi = q.  A gap
+    |q - P| at s, P = polarity(p, s), counts relative to 1 + |P| + sigma s,
+    sigma the steeper of q's slope and that of a line attaining P: the
+    rounding of s moves either side by sigma ulp(s).
+
+    Both are 0 at s = 0.  Between adjacent _knots a < b, q is linear and
+    A psi, a sup of lines, convex, so d = A psi - q is convex.  If d is 0
+    at a, b and m = (a + b) / 2, it is <= 0 under its chord, and for x in
+    [a, m), m = t x + (1 - t) b with 0 < t <= 1 gives 0 = d(m) <= t d(x);
+    with (m, b] alike, d = 0 on [a, b].  Past the tail point 2 top, q keeps
+    the slope of A psi's steepest line, r / v at psi's first positive
+    breakpoint as J forms it (v / r does not fall along a convex psi
+    through 0; to MERGE_RTOL where J's canonical form absorbs it), so d is
+    convex with final slope 0: 0 on [top, 2 top], it stays 0.  Past a flat
+    start's cutoff 1 / flat_end both are +inf.
     """
-    return _max_gap(from_radius(j_transform(to_radius(p))), legendre(_polar_profile(p)))
+    q = legendre(from_radius(j_transform(to_radius(p))))
+    knots, pts = _knots(q, q), q.breakpoints
+    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+    lines: dict[float, float] = {}
+
+    def polar(x: float) -> float:
+        value, lines[x] = _polar_line(p, x)
+        return value
+
+    worst = 0.0
+    for a, b, slope in zip(knots, knots[1:], [*slopes, q.tail_slope]):
+        for s in (a + 0.5 * (b - a), b):
+            pair = _compared(q.evaluate, polar, s)
+            if pair is None:
+                continue
+            x, u, v = pair
+            if max(u, v) == INF:
+                return INF
+            sigma = max(slope, lines[x])
+            worst = max(worst, abs(u - v) / (1.0 + abs(v) + sigma * x))
+    return worst
 
 
 def scale(p: ConvexProfile, a: float) -> ConvexProfile:

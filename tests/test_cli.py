@@ -18,11 +18,47 @@ from epidual.extremal import (
     roots_of_m,
     solve_lambda,
 )
-from epidual.profile import profile_from_dict, profile_to_dict
+from epidual.profile import (
+    ConvexProfile,
+    check_j_factorization,
+    from_radius,
+    j_transform,
+    legendre,
+    profile_from_dict,
+    profile_to_dict,
+    scale,
+    to_radius,
+)
 from epidual.verify import SuiteReport
 
 TENT = {"breakpoints": [[0, 0], [1, 2]], "tail_slope": "inf"}
 INDICATOR = {"breakpoints": [[0, 0], [1, 0]], "tail_slope": "inf"}
+
+# two profiles on which a polar envelope built from the meeting points of
+# its lines raised: rounded values that are not convex, and two meeting
+# points that round to one
+POLAR_WITNESSES = [
+    ConvexProfile(
+        (
+            (0.0, 0.0),
+            (9.49205909116655e-05, 1.0728851142748011e-10),
+            (9.514882870457269e-05, 1.07546488045802e-10),
+            (9.521322251176364e-05, 7762434.843311669),
+        ),
+        120546333801613.83,
+    ),
+    ConvexProfile(
+        (
+            (0.0, 0.0),
+            (2602.789369891231, 3.5520921769563033e-12),
+            (2742.351245412214, 5.295884778861328e-12),
+            (3771.2658471410505, 1.2744632035943696e-09),
+            (3771.266150502868, 1.2327708116998277),
+            (3771.2684584471185, 220606268.76850805),
+        ),
+        95585613697.13121,
+    ),
+]
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -276,30 +312,60 @@ def test_transform_legendre_where_values_dwarf_a_rise(capsys, monkeypatch):
     assert profile_from_dict(json.loads(out)).tail_slope == math.inf
 
 
-def test_transform_polarity_samples_grid(capsys, monkeypatch):
-    code, out, _ = run(
-        capsys,
-        ["transform", "A", "--points", "50", "--range", "0.1:10"],
-        stdin=json.dumps(INDICATOR),
-        monkeypatch=monkeypatch,
-    )
+def test_transform_polarity_prints_the_exact_profile(capsys, monkeypatch):
+    # A psi (s) = max(0, (s - 1) / 2) for the tent psi = 2 r on [0, 1]
+    outputs = [
+        run(capsys, ["transform", "A"], stdin=json.dumps(TENT), monkeypatch=monkeypatch)
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    code, out, _ = outputs[0]
     assert code == 0
-    rows = data_rows(out)
-    assert len(rows) == 50
-    assert any(r[1] == "inf" for r in rows)  # polar of the slab is an indicator
-    finite = [float(r[1]) for r in rows if r[1] != "inf"]
-    assert all(v >= 0.0 for v in finite)
+    assert json.loads(out) == {"breakpoints": [[0.0, 0.0], [1.0, 0.0]], "tail_slope": 0.5}
+    # the sampling flags are gone with the sampling
+    for flag in ("--points", "--range"):
+        code, _, _ = run(capsys, ["transform", "A", flag, "1"], stdin="{}", monkeypatch=monkeypatch)
+        assert code == 2
 
 
-def test_transform_polarity_single_point(capsys, monkeypatch):
+def test_transform_polarity_of_the_slab_is_the_slab(capsys, monkeypatch):
     code, out, _ = run(
-        capsys,
-        ["transform", "A", "--points", "1", "--range", "0.5:10"],
-        stdin=json.dumps(TENT),
-        monkeypatch=monkeypatch,
+        capsys, ["transform", "A"], stdin=json.dumps(INDICATOR), monkeypatch=monkeypatch
     )
     assert code == 0
-    assert [float(r[0]) for r in data_rows(out)] == [0.5]
+    assert json.loads(out) == {"breakpoints": [[0.0, 0.0], [1.0, 0.0]], "tail_slope": "inf"}
+
+
+@pytest.mark.parametrize("a", [1.0, 1e100, 1e-100])
+@pytest.mark.parametrize("witness", range(len(POLAR_WITNESSES)))
+def test_transform_polarity_of_envelope_witnesses(capsys, monkeypatch, witness, a):
+    p = scale(POLAR_WITNESSES[witness], a)
+    code, out, err = run(
+        capsys,
+        ["transform", "A"],
+        stdin=json.dumps(profile_to_dict(p)),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0, err
+    assert profile_from_dict(json.loads(out)) == legendre(from_radius(j_transform(to_radius(p))))
+    assert check_j_factorization(p) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "op, doc",
+    [
+        # J's breakpoint (1 / v, r / v) overflows for a subnormal v
+        ("J", {"breakpoints": [[0, 0], [1, 1e-310]], "tail_slope": 1}),
+        ("A", {"breakpoints": [[0, 0], [1, 1e-310]], "tail_slope": 1}),
+        # L's value r s overflows
+        ("L", {"breakpoints": [[0, 0], [1e-300, 1e10]], "tail_slope": "inf"}),
+    ],
+)
+def test_transform_unrepresentable_image_is_an_input_error(capsys, monkeypatch, op, doc):
+    code, out, err = run(capsys, ["transform", op], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {op} image is not representable")
 
 
 def test_transform_error_paths(capsys, monkeypatch, tmp_path):
