@@ -26,10 +26,13 @@ log form reads exactly 0.0 once it is within its rounding bound, 10 eps
 times the size of its terms (_gap_and_slope), so the iteration stops on a
 point it has evaluated; lambda and the certificates come from that
 evaluation's gamma values, and a bracket end whose gap is within the bound
-raises ArithmeticError.  The island's ends, the first two sign-map roots,
-come from plain safeguarded Newton on g.  Two residuals that vanish at the
-true stationary point certify the result, and g >= 0 at the maximizer
-certifies that it lies in the island at the solved lambda.
+raises ArithmeticError.  The right end's sign needs no gamma value where
+elementary bounds on the two incomplete gammas decide it, through a lower
+bound on the gap in closed form; only where they do not (n = 1 on the
+island) is the gap evaluated there.  The island's ends, the first two
+sign-map roots, come from plain safeguarded Newton on g.  Two residuals
+that vanish at the true stationary point certify the result, and g >= 0 at
+the maximizer certifies that it lies in the island at the solved lambda.
 """
 
 from __future__ import annotations
@@ -426,6 +429,39 @@ def _gap_and_slope(a: float, n: int) -> _Gap:
     return _Gap(gap, slope, curvature, bound, log_lower, log_p_inv)
 
 
+def _gap_lower_bound(a: float, n: int) -> float:
+    """A lower bound on the stationarity gap h(a) in closed form, past rounding.
+
+    With x = 1/a < n + 2, gamma(n+1, a) <= a^(n+1)/(n+1), as e^(-t) <= 1
+    under the integral, and gamma(n+1, x) <= x^(n+1) e^(-x)/(n+1) (n+2)/(n+2
+    - x): the lower series, whose term ratios x/(n+2+k) are at most x/(n+2),
+    bounded by its geometric majorant.  As a^(n+1) x^(n+1) = 1, the product
+    of the two is at most e^(-x) (n+2)/((n+1)^2 (n+2-x)), and
+
+        h(a) >= 2 log(n+1) - log(n+2) - a + log(n+2-x),
+
+    which needs no reg_gamma.  At the island's right end it is 1.06 against
+    h = 1.61 at n = 2 and 33.13 against 33.15 at n = 10^9, far above h's
+    rounding bound; at n = 1 it is -0.02 against h = 0.66.
+
+    Its rounding allowance.  With u = eps/2, x rounds by u x and the room
+    d = n+2-x by u d, so log d moves by at most 2u(x + d)/d = eps (n+2)/d
+    while that relative move stays under 1/2, which a room above eps (n+2)
+    ensures; below it the room may be 0, and -inf is returned.  Each log
+    rounds within an ulp and each of the three sums by u times its result,
+    so with T = 2 log(n+1) + log(n+2) + a + |log d| the computed bound is
+    within A = eps (3T + (n+2)/d) of its exact value, and A is subtracted.
+    """
+    room = (n + 2) - 1.0 / a
+    if not room > sys.float_info.epsilon * (n + 2):
+        return -math.inf
+    log_n1, log_n2, log_room = math.log(n + 1), math.log(n + 2), math.log(room)
+    allowance = sys.float_info.epsilon * (
+        3.0 * (2.0 * log_n1 + log_n2 + a + abs(log_room)) + (n + 2) / room
+    )
+    return 2.0 * log_n1 - log_n2 - a + log_room - allowance
+
+
 def _halley_slope(gap: _Gap) -> float:
     """h' - h h''/(2h'), so that a Newton step with it is a Halley step.
 
@@ -470,12 +506,28 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
     The sign bracket h(lo) < 0 < h(hi) is checked first, lo before hi: an
     end whose gap is within its rounding bound (_gap_and_slope) decides
     nothing and raises ArithmeticError, as at the island's left end from
-    n = 1e10 on.  Safeguarded Newton then starts at lo, near the maximizer,
-    from the gap found there, and takes Halley steps: the slope it is
-    handed is h' - h h''/(2h') (_halley_slope), as h'' comes from the
-    gamma values already in hand.  It stops on the first point whose gap is
-    within its bound, unless a step below 1e-15 relative ends it first; the
-    last point evaluated is returned with its evaluation.
+    n = 1e10 on.
+
+    At hi a lower bound on h in closed form, less its own rounding
+    allowance (_gap_lower_bound), decides first.  With a = hi, the gap is
+    within 10 eps S of h(a), S = 1/a + a + |P| + |Q| + 2L (_gap_and_slope),
+    and reads 0.0 within its own computed 10 eps S.  The first term of the
+    lower series gives p(n+1, t) >= t^(n+1) e^(-t)/(n+1)!, so with x = 1/a,
+    |P| + |Q| <= a + x + 2 lgamma(n+2), the two logs cancelling, and S <=
+    S+ = 2(a + x + 2 lgamma(n+2)) as lgamma(n+1) <= lgamma(n+2).  A bound
+    above 20 eps S+ thus puts h(hi) there and, to first order in eps, the
+    computed gap above 10 eps S+: positive and outside its rounding bound,
+    so it is not evaluated.  Elsewhere it is, as at n = 1 on the island.
+    BracketFailure and ArithmeticError fire where they would with both
+    ends evaluated, and the bracket is still [lo, hi]: the gap at hi only
+    ever served its sign.
+
+    Safeguarded Newton then starts at lo, near the maximizer, from the gap
+    found there, and takes Halley steps: the slope it is handed is h' - h
+    h''/(2h') (_halley_slope), as h'' comes from the gamma values already
+    in hand.  It stops on the first point whose gap is within its bound,
+    unless a step below 1e-15 relative ends it first; the last point
+    evaluated is returned with its evaluation.
     """
 
     def decided(a: float) -> _Gap:
@@ -488,7 +540,14 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
         return gap
 
     start = decided(lo)
-    if not start.value < 0.0 < decided(hi).value:
+    s_plus = 2.0 * (1.0 / hi + hi + 2.0 * math.lgamma(n + 2))
+    if not (
+        start.value < 0.0
+        and (
+            _gap_lower_bound(hi, n) > 2.0 * _GAP_ROUNDING * s_plus
+            or decided(hi).value > 0.0
+        )
+    ):
         raise BracketFailure(
             f"stationarity gap does not change sign on [{lo}, {hi}] at n={n}"
         )
@@ -511,12 +570,16 @@ def solve_lambda(n: int) -> LambdaEstimate:
     """Maximize the capped-tent ratio G over a for dimension n.
 
     The positivity island of the sign map at lambda = n! (_island; its
-    third root is not needed) brackets the maximizer.  Safeguarded Newton
-    with Halley steps on the stationarity gap h finds the root of G's
-    first-order condition there; it stops on the first point where h is
-    within its rounding bound B = 10 eps S (S the size of h's terms,
-    _gap_and_slope), and lambda and the two first-order residuals come from
-    the gamma values of that evaluation.
+    third root is not needed) brackets the maximizer.  The stationarity gap
+    h is evaluated at its left end; at its right end a bound in closed
+    form shows h > 0 for n >= 2 on the island, and only at n = 1 is h
+    evaluated there (_newton_stationary).  Safeguarded Newton with Halley
+    steps on h then finds the root of G's first-order condition; it stops
+    on the first point where h is within its rounding bound B = 10 eps S (S
+    the size of h's terms, _gap_and_slope), and lambda and the two
+    first-order residuals come from the gamma values of that evaluation.
+    For n from 23 to 1000 that is three gap evaluations, six reg_gamma
+    calls, a cold solve; n from 2 to 22 take one Halley step more.
 
     The residuals certify the root: the exponent of each, log of the ratio
     it measures, must be at most 1e-8 or 2B if that is larger.  With the

@@ -12,11 +12,13 @@ other is its complement log(1 - e^side) from logdomain.log1mexp.
 
 The split has three branches.  Near the mean, for s >= 20 and |x - s| <=
 min(s/2, 8 sqrt s), Temme's uniform expansion gives the smaller tail in
-O(1) work at every s (_temme).  Elsewhere the classical recipe: the lower
-series for x < s + 1, the upper continued fraction (modified Lentz)
-otherwise; the fraction is the scaled upper gamma Gamma(s, x) x^(-s) e^x,
-which measures._log_segment takes without the prefactor.  Both take about
-sqrt s steps near the mean, which is why the expansion takes over there.
+O(1) work at every s (_temme), summing only the coefficients that its bin
+of (s, eta), from a table built at import, needs.  Elsewhere the classical
+recipe: the lower series for x < s + 1, the upper continued fraction
+(modified Lentz) otherwise; the fraction is the scaled upper gamma
+Gamma(s, x) x^(-s) e^x, which measures._log_segment takes without the
+prefactor.  Both take about sqrt s steps near the mean, which is why the
+expansion takes over there.
 The series' and the fraction's prefactor x^s e^{-x} / Gamma(s+1) is
 evaluated via a Stirling-residual form around x = s so that the result
 keeps ~1e-15 absolute accuracy even for s ~ 1000, where naive use of lgamma
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .logdomain import log1mexp
 
@@ -140,6 +144,62 @@ _TEMME_C = (
 )
 # _temme stops once s^-(k+1) falls below this
 _TEMME_CUT = 1e-16
+# a trimmed row's dropped terms, times 0.62 s^-k, stay below this (_temme)
+_TEMME_TRIM = 2e-19
+# |eta| at mu = -1/2, the largest on the region |mu| <= 1/2, rounded up
+_TEMME_ETA_MAX = 0.6216
+# _TEMME_BINS[i][j] serves s in [2^(i+4), 2^(i+5)) and |eta| in [2^(f-1),
+# 2^f), f = j - _TEMME_ETA_BINS, the exponents math.frexp returns; the last
+# s bin is open above (s >= 2^40), the first eta bin open below
+_TEMME_S_BINS = 37
+_TEMME_ETA_BINS = 24
+
+
+def _temme_bins() -> tuple[tuple[tuple[tuple[float, ...], ...], ...], ...]:
+    """The rows of _TEMME_C that each (s, |eta|) bin needs, highest power first.
+
+    Bin (i, j) serves s >= s_min = max(20, 2^(i+4)) and |eta| <= eta_max =
+    min(_TEMME_ETA_MAX, 2^(j - _TEMME_ETA_BINS)).  It holds the rows that
+    _temme's loop reaches at s_min, each with its top terms dropped while
+    0.62 s_min^-k sum |c_kj| eta_max^j over the dropped ones stays at most
+    _TEMME_TRIM.
+    """
+    edges = [
+        min(_TEMME_ETA_MAX, 2.0 ** (j - _TEMME_ETA_BINS))
+        for j in range(_TEMME_ETA_BINS + 1)
+    ]
+    powers = [[e**j for j in range(len(_TEMME_C[0]))] for e in edges]
+    # per row and edge: 0, then sum |c_kj| eta_max^j over its top 1, 2, ... terms
+    tails = [
+        [
+            list(accumulate([abs(c) * p for c, p in zip(row, pw)][::-1], initial=0.0))
+            for pw in powers
+        ]
+        for row in _TEMME_C
+    ]
+    # each row's heads, highest power first, by the number of terms kept
+    heads = [[row[:kept][::-1] for kept in range(len(row) + 1)] for row in _TEMME_C]
+    bins = []
+    for i in range(_TEMME_S_BINS):
+        s_min = max(20.0, 2.0 ** (i + 4))
+        allowed = []
+        spow = 1.0
+        for _ in _TEMME_C:
+            allowed.append(_TEMME_TRIM / (0.62 * spow))
+            spow /= s_min
+            if spow < _TEMME_CUT:
+                break
+        rows = list(zip(heads, tails, allowed))
+        bins.append(tuple([
+            tuple([
+                head[len(head) - bisect_right(tail[j], cap)] for head, tail, cap in rows
+            ])
+            for j in range(len(edges))
+        ]))
+    return tuple(bins)
+
+
+_TEMME_BINS = _temme_bins()
 
 
 @dataclass(frozen=True)
@@ -260,22 +320,34 @@ def _temme(s: float, x: float) -> RegularizedGamma:
     0.4349], and e^(-y^2) / sqrt(2 pi s) is at most 0.62 times the tail
     (its largest value, at s = 20 and mu = 1/2, by mpmath over the
     region), so an error d in the sum moves the tail by at most 0.62 d
-    relative.  Each row of _TEMME_C is cut where the dropped Taylor terms
-    of c_k, times 0.62 * 20^-k, stay below 1e-18 on that eta range.  For
-    k <= 13, |c_k| <= 0.0091 there, so stopping once s^-(k+1) < _TEMME_CUT
-    drops less than 0.62 * 0.0091 * 1e-16 (1 + 1/20 + ...) < 1e-18; where
-    the rows run out first (s^11 < 1e16, s < 29), the dropped c_11, c_12
-    and c_13 terms are at most 4.8e-18, 1.4e-18 and 5e-20 at s = 20.  The
-    whole truncation is thus below 2e-17, under eps/10 of the tail.
+    relative.  The sum drops three kinds of terms:
+    - Each row of _TEMME_C is cut where the dropped Taylor terms of c_k,
+      times 0.62 * 20^-k, stay below 1e-18 on that eta range: under
+      1.1e-17 over the 11 rows.
+    - For k <= 13, |c_k| <= 0.0091 there, so stopping once s^-(k+1) <
+      _TEMME_CUT drops less than 0.62 * 0.0091 * 1e-16 (1 + 1/20 + ...) <
+      1e-18; where the rows run out first (s^11 < 1e16, s < 29), the
+      dropped c_11, c_12 and c_13 terms are at most 4.8e-18, 1.4e-18 and
+      5e-20 at s = 20: under 6.3e-18.
+    - Each call sums the rows of its bin (_temme_bins): s at least the
+      bin's s_min and |eta| at most its eta_max, so the top terms a row
+      leaves out weigh at most 0.62 s^-k sum_j |c_kj| |eta|^j <=
+      _TEMME_TRIM = 2e-19: under 2.2e-18 over the 11 rows.
+    The whole truncation is thus below 2e-17, under eps/10 of the tail.
+    At s = 1001 and |eta| in [1/8, 1/4), where the lambda(1000) solve
+    calls it, 56 of the 111 terms in the six rows in reach remain.
     """
     mu = (x - s) / s
     log1pmx = _log1pmx(mu)
     eta = math.copysign(math.sqrt(-2.0 * log1pmx), mu)
+    rows = _TEMME_BINS[min(math.frexp(s)[1] - 5, _TEMME_S_BINS - 1)][
+        max(math.frexp(eta)[1], -_TEMME_ETA_BINS) + _TEMME_ETA_BINS
+    ]
     total = 0.0
     spow = 1.0
-    for row in _TEMME_C:
+    for row in rows:
         c_k = 0.0
-        for coeff in reversed(row):
+        for coeff in row:
             c_k = c_k * eta + coeff
         total += c_k * spow
         spow /= s

@@ -16,7 +16,9 @@ from epidual.extremal import (
     StationarityFailure,
     TentParams,
     ZeroProfile,
+    _GAP_ROUNDING,
     _gap_and_slope,
+    _gap_lower_bound,
     _gap_probes,
     _island,
     _log_gap,
@@ -404,8 +406,9 @@ def _count_reg_gamma(monkeypatch):
     return calls
 
 
-# two calls per gap evaluation: both bracket ends, then each Halley step
-_GAMMA_BUDGET = {1: 10, 10: 10, 100: 8, 1000: 8}
+# two calls per gap evaluation: the bracket's left end, its right end at
+# n = 1 only, then each Halley step (three of them for n = 2..22, two after)
+_GAMMA_BUDGET = {1: 10, 10: 8, 100: 6, 1000: 6}
 
 
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
@@ -423,7 +426,63 @@ def test_cold_solve_gamma_budget_over_the_sweep(monkeypatch):
         solve_lambda.__wrapped__(n)
         most = max(most, calls[0] - before)
     assert most <= 10
-    assert calls[0] <= 8_100
+    # 6,046 measured: 10 at n = 1, 8 for n = 2..22, 6 from there on
+    assert calls[0] <= 6_060
+
+
+# n = 1..1000 and log-spaced n up to 10^9
+_RIGHT_END_NS = list(range(1, 1001)) + [int(10 ** (k / 4)) for k in range(13, 37)]
+
+
+def test_gap_lower_bound_holds_across_the_island():
+    # at the island's right end and 8 interior points the bound stays under
+    # the gap, which lies within its bound of the exact h (2 bounds when it
+    # reads 0.0), and S+ of _newton_stationary bounds the size of h's terms
+    for n in _RIGHT_END_NS:
+        lo, hi = _island(n, math.lgamma(n + 1))
+        for a in [lo + k / 9 * (hi - lo) for k in range(1, 9)] + [hi]:
+            gap = _gap_and_slope(a, n)
+            assert _gap_lower_bound(a, n) <= gap.value + 2.0 * gap.bound, (n, a)
+            s_plus = 2.0 * (1.0 / a + a + 2.0 * math.lgamma(n + 2))
+            assert gap.bound <= _GAP_ROUNDING * s_plus, (n, a)
+            # the right end is decided without the gap from n = 2 on
+            if a == hi and n >= 2:
+                assert _gap_lower_bound(a, n) > 2.0 * _GAP_ROUNDING * s_plus, n
+    # at n = 1 the bound falls short of zero, though h is 0.66 there
+    lo, hi = _island(1, 0.0)
+    assert -0.03 < _gap_lower_bound(hi, 1) < 0.0 < 0.6 < _gap_and_slope(hi, 1).value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+def test_gap_lower_bound_against_mpmath(n):
+    lo, hi = _island(n, math.lgamma(n + 1))
+    for a in [lo + k / 9 * (hi - lo) for k in range(1, 9)] + [hi]:
+        with mp.workdps(40):
+            x = mp.mpf(a)
+            h = (
+                -1 / x - x
+                - mp.log(mp_lower(n + 1, x))
+                - mp.log(mp_lower(n + 1, 1 / x))
+            )
+        assert _gap_lower_bound(a, n) <= float(h), (n, a)
+
+
+def test_right_end_gap_is_evaluated_only_at_n_1(monkeypatch):
+    seen = []
+    inner = extremal._gap_and_slope
+
+    def recorded(a, n):
+        seen.append(a)
+        return inner(a, n)
+
+    monkeypatch.setattr(extremal, "_gap_and_slope", recorded)
+    at_right_end = []
+    for n in _RIGHT_END_NS:
+        seen.clear()
+        est = solve_lambda.__wrapped__(n)
+        if est.bracket[1] in seen:
+            at_right_end.append(n)
+    assert at_right_end == [1]
 
 
 def test_large_n_solves_take_the_expansion_near_the_mean(monkeypatch):
@@ -544,6 +603,21 @@ def test_roots_of_m_bit_identical():
         digest.update(repr((r.z1, r.z2, r.z3)).encode())
     assert digest.hexdigest() == (
         "54fa03258f0fb7b44691185360d4a424bce2b7b3d41850676b277b8a6e8e6522"
+    )
+
+
+def test_solve_lambda_bit_identical():
+    # the solver's outputs before the right end was decided in closed form
+    # and Temme's rows were trimmed per bin: both keep every bit
+    digest = hashlib.sha256()
+    for n in range(1, 1001):
+        e = solve_lambda(n)
+        digest.update(repr((
+            e.log_lambda, e.a_n, e.residual_n1, e.residual_n2,
+            e.lambda_hat_minus_1, e.bracket,
+        )).encode())
+    assert digest.hexdigest() == (
+        "90d5442deb94b7382270614d0a9e04a62d203016df7720bc25a325ca34fb84bf"
     )
 
 

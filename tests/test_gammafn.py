@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -382,6 +383,35 @@ def test_temme_region_edge_is_seamless(monkeypatch, s, edge):
     for x in (inside, math.nextafter(edge, 2.0 * edge - s)):
         _assert_logs_close(reg_gamma(s, x), *_reference_tails(s, x))
     assert seen == [inside]
+
+
+def test_trimmed_temme_rows_match_the_full_sum(monkeypatch):
+    # each (s, |eta|) bin leaves out terms that weigh under 2e-19 together,
+    # so the trimmed sum moves the tails by an ulp or two at most; x is
+    # uniform over the branch's band or log-uniformly close to s, so that
+    # the small-eta bins are reached too
+    rng = random.Random(21)
+    points = []
+    for _ in range(20_000):
+        s = 20.0 * 10.0 ** rng.uniform(0.0, math.log10(1e12 / 20.0))
+        half = min(0.5 * s, 8.0 * math.sqrt(s))
+        near = 10.0 ** -rng.uniform(0.0, 8.0)
+        offset = half * (rng.random() if rng.random() < 0.5 else near)
+        points.append((s, s + math.copysign(offset, rng.random() - 0.5)))
+    trimmed = [gammafn._temme(s, x) for s, x in points]
+    full = tuple(row[::-1] for row in _TEMME_C)
+    monkeypatch.setattr(
+        gammafn, "_TEMME_BINS",
+        tuple(tuple(full for _ in row) for row in gammafn._TEMME_BINS),
+    )
+    moved = 0
+    for (s, x), got in zip(points, trimmed):
+        want = gammafn._temme(s, x)
+        for g, w in ((got.log_p, want.log_p), (got.log_q, want.log_q)):
+            assert abs(g - w) <= 2.0 * math.ulp(w), (s, x)
+        moved += got != want
+    # none moved when the bins were introduced
+    assert moved <= 20
 
 
 def test_log1pmx_against_mpmath():
