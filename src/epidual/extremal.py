@@ -18,19 +18,21 @@ maximizer the first-order condition reads
     gamma(n+1, a) gamma(n+1, 1/a) = e^(-a - 1/a)
 
 The solver finds its root directly: safeguarded Newton on the log form of
-this condition, inside the positivity island of the sign map and started
-from its left end, near which the maximizer sits.  The form's first and
+this condition, inside the positivity island of the sign map.  It starts
+from a seed that needs no gamma value: the root of a lower bound on the
+gap in closed form, which lies right of the maximizer, so the seed's own
+evaluation is the bracket's right end.  The left end's sign comes from an
+upper bound in closed form, past its rounding allowance; only where that
+does not decide it is the gap evaluated there.  The form's first and
 second derivatives come in closed form from the same two gamma values, so
 each step is a Halley step at the cost of a Newton step.  The gap of the
 log form reads exactly 0.0 once it is within its rounding bound, 10 eps
 times the size of its terms (_gap_and_slope), so the iteration stops on a
 point it has evaluated; lambda and the certificates come from that
 evaluation's gamma values, and a bracket end whose gap is within the bound
-raises ArithmeticError.  The right end's sign needs no gamma value where
-elementary bounds on the two incomplete gammas decide it, through a lower
-bound on the gap in closed form; only where they do not (n = 1 on the
-island) is the gap evaluated there.  The island's ends, the first two
-sign-map roots, come from plain safeguarded Newton on g.  Two residuals
+raises ArithmeticError.  From n = 44 a cold solve evaluates the gap twice,
+and from about n = 8e4 once.  The island's ends, the first two sign-map
+roots, come from safeguarded Newton on g, seeded in log z.  Two residuals
 that vanish at the true stationary point certify the result, and g >= 0 at
 the maximizer certifies that it lies in the island at the solved lambda.
 """
@@ -50,9 +52,15 @@ from .gammafn import reg_gamma
 
 _NEWTON_RTOL = 1e-15
 _NEWTON_MAX_STEPS = 100
-# z1 and z3 lie a few halvings and doublings outside the probes
+# z3 lies a few doublings outside its probe, and z1's seed a few rounding
+# errors inside z1 at most
 _WIDEN_MAX_STEPS = 64
+_SEED_WIDEN = 1.0 - 2.0**-30
 _RESIDUAL_TOL = 1e-8
+# the stationarity seed's Newton stops at this relative step, in at most 6
+# steps for every n up to 1e9
+_SEED_RTOL = 1e-9
+_SEED_MAX_STEPS = 16
 # rounding bound of the stationarity gap, in eps times its terms' size
 _GAP_ROUNDING = 10.0 * sys.float_info.epsilon
 # rounding bound of the residual exponents at a root, in gap bounds
@@ -208,8 +216,21 @@ def _island(n: int, log_lambda: float) -> tuple[float, float]:
     linearly; three roots exist exactly when the local max is positive and
     the local min negative.  The island is the stretch between the first
     two.  Each root is found by safeguarded Newton on the gap, whose slope
-    is 1 + 1/z^2 - (n+2)/z, to about 1e-15 relative.  A non-finite
-    log_lambda raises ValueError.
+    is 1 + 1/z^2 - (n+2)/z, until a step is under 1e-15 relative; at lambda
+    = n! the roots lie within 7.7e-15 of the exact ones, the gap's rounding
+    over its slope.  A non-finite log_lambda raises ValueError.
+
+    The solves start from seeds found in t = log(z/z_lo) with no sign-map
+    evaluation: as z_lo + 1/z_lo = n + 2, the gap there is G(t) = g_lo +
+    z_lo (e^t - 1 - t) - (e^-t - 1 + t)/z_lo, near g_lo - t^2/(2 z_lo), so
+    with c = g_lo z_lo two Newton steps in t start from sqrt(2c) for z2 and
+    from -log(1 + c + sqrt(2c)) for z1 (-sqrt(2c) to second order, and near
+    the root where e^-t dominates).  G is concave for z < 1, so after a
+    step the iterate lies left of z1, where the gap is negative; should
+    rounding read it otherwise, the seed is widened by factors 1 - 2^-30.
+    z2's seed must only lie between the probes, else their midpoint stands
+    in.  At lambda = n! an island takes 8.32 sign-map evaluations on
+    average over n = 1..1000, the probes included.
 
     At a probe the gap ((z - 1/z) - (n+2) log z) - log lambda cancels terms
     of size D = (n+2)|log z| to O(log n).  To first order in u = eps/2, with
@@ -237,12 +258,25 @@ def _island(n: int, log_lambda: float) -> tuple[float, float]:
         raise OneRootCase(
             f"sign map has a single root at n={n}, log_lambda={log_lambda}"
         )
-    left = _widen(g, z_lo, 0.5, -1.0)
-    z1 = _newton_root(g, left[0], z_lo, *left)
-    # The gap's third derivative in log z is positive, so z1's mirror image
-    # about the local max z_lo falls short of z2: a start on z2's side.
-    mirror = z_lo * z_lo / z1
-    z2 = _newton_root(g, z_hi, z_lo, mirror, *g(mirror))
+
+    def seed(t: float) -> float:
+        for _ in range(2):
+            up, down = math.expm1(t), math.expm1(-t)
+            value = g_lo + z_lo * (up - t) - (down + t) / z_lo
+            t -= value / (z_lo * up + down / z_lo)
+        return z_lo * math.exp(t)
+
+    c = g_lo * z_lo
+    r = math.sqrt(2.0 * c)
+    z = seed(-math.log1p(c + r))
+    value, slope = g(z)
+    if not value < 0.0:
+        z, value, slope = _widen(g, z, _SEED_WIDEN, -1.0)
+    z1 = _newton_root(g, z, z_lo, z, value, slope)
+    z = seed(r)
+    if not z_lo < z < z_hi:
+        z = 0.5 * (z_lo + z_hi)
+    z2 = _newton_root(g, z_hi, z_lo, z, *g(z))
     return z1, z2
 
 
@@ -430,36 +464,114 @@ def _gap_and_slope(a: float, n: int) -> _Gap:
 
 
 def _gap_lower_bound(a: float, n: int) -> float:
-    """A lower bound on the stationarity gap h(a) in closed form, past rounding.
+    """A lower bound on the stationarity gap h(a) in closed form, for a < n + 2.
 
-    With x = 1/a < n + 2, gamma(n+1, a) <= a^(n+1)/(n+1), as e^(-t) <= 1
-    under the integral, and gamma(n+1, x) <= x^(n+1) e^(-x)/(n+1) (n+2)/(n+2
-    - x): the lower series, whose term ratios x/(n+2+k) are at most x/(n+2),
-    bounded by its geometric majorant.  As a^(n+1) x^(n+1) = 1, the product
-    of the two is at most e^(-x) (n+2)/((n+1)^2 (n+2-x)), and
+    gamma(n+1, 1/a) <= n! bounds one log from below.  The lower series
+    gamma(n+1, a) = a^(n+1) e^(-a)/(n+1) (1 + a/(n+2) + ...), whose term
+    ratios a/(n+2+k) are at most a/(n+2), is at most its geometric majorant
+    a^(n+1) e^(-a)/(n+1) / (1 - a/(n+2)).  So
 
-        h(a) >= 2 log(n+1) - log(n+2) - a + log(n+2-x),
+        h(a) >= L(a) = -1/a - (n+1) log a + log(n+1) - lgamma(n+1)
+                       + log(1 - a/(n+2)),
 
-    which needs no reg_gamma.  At the island's right end it is 1.06 against
-    h = 1.61 at n = 2 and 33.13 against 33.15 at n = 10^9, far above h's
-    rounding bound; at n = 1 it is -0.02 against h = 0.66.
-
-    Its rounding allowance.  With u = eps/2, x rounds by u x and the room
-    d = n+2-x by u d, so log d moves by at most 2u(x + d)/d = eps (n+2)/d
-    while that relative move stays under 1/2, which a room above eps (n+2)
-    ensures; below it the room may be 0, and -inf is returned.  Each log
-    rounds within an ulp and each of the three sums by u times its result,
-    so with T = 2 log(n+1) + log(n+2) + a + |log d| the computed bound is
-    within A = eps (3T + (n+2)/d) of its exact value, and A is subtracted.
+    and what L drops is -log p(n+1, 1/a) >= 0 and O(a^2/n^2) of the series.
+    Its root, where h >= 0, is the solve's seed (_stationary_seed).  The
+    value is returned as computed, within about 2.5 eps times its
+    cancelling terms of the exact L (as C in _gap_upper_bound): the seed
+    needs no more.
     """
-    room = (n + 2) - 1.0 / a
-    if not room > sys.float_info.epsilon * (n + 2):
-        return -math.inf
-    log_n1, log_n2, log_room = math.log(n + 1), math.log(n + 2), math.log(room)
-    allowance = sys.float_info.epsilon * (
-        3.0 * (2.0 * log_n1 + log_n2 + a + abs(log_room)) + (n + 2) / room
+    return (
+        -1.0 / a
+        - (n + 1) * math.log(a)
+        + math.log(n + 1)
+        - math.lgamma(n + 1)
+        + math.log1p(-a / (n + 2))
     )
-    return 2.0 * log_n1 - log_n2 - a + log_room - allowance
+
+
+def _gap_upper_bound(a: float, n: int) -> float:
+    """An upper bound on the stationarity gap h(a) in closed form, past rounding.
+
+    With s = n + 1 and x = 1/a > n = s - 1, the first term of the lower
+    series gives gamma(s, a) >= a^s e^(-a)/s.  Gamma(s, x) = x^(s-1) e^(-x)
+    int_0^inf (1 + t/x)^(s-1) e^(-t) dt, and (1 + t/x)^(s-1) <= e^((s-1)t/x),
+    so Gamma(s, x) <= x^s e^(-x)/(x - n) and gamma(s, x) >= Gamma(s)(1 -
+    Q), Q = x^s e^(-x) / (Gamma(s) (x - n)).  So while Q < 1
+
+        h(a) <= U(a) = C + log(n+1) - log(1 - Q),
+        C = -x - (n+1) log a - lgamma(n+1),   log Q = C - log(x - n),
+
+    which needs no reg_gamma.  x > n holds on all of [lo, a_n], as 1/a_n >
+    n + 1, and there Q approximates q(s, x), O(1/n).  At the island's left
+    end U is -1.09, -0.342, -0.136 and -2.1e-4 at n = 1, 100, 1000 and
+    10^9, allowance included, against h = -1.15, -0.342, -0.136 and
+    -2.4e-4.
+
+    Its rounding allowance.  To first order in u = eps/2, with math.log,
+    math.exp and math.log1p within an ulp and lgamma(n+1) within 2: x
+    rounds by u x, (n+1) log a by 3u (n+1)|log a| and lgamma(n+1) by 4u of
+    itself, so with T = x + (n+1)|log a| + lgamma(n+1) the two sums of C
+    leave it within 5u T.  x - n rounds by u(x + (x - n)), so its log by
+    u(1 + x/(x - n)) + 2u|log(x - n)|, and log Q = C - log(x - n) by at
+    most u(6T + 1 + x/(x - n) + 3|log(x - n)|); Q, after exp, by that plus
+    2u relative.  With Q <= 1/2, log(1 - Q) moves by at most 2Q times Q's
+    relative error plus 2u|log(1 - Q)| <= 4u Q.  log(n+1) adds 2u log(n+1),
+    and the three sums that form U + A, each at most T + log(n+1) + 2Q
+    (|C| <= T), add 3u of that.  In all
+    eps (4T + 3 log(n+1) + Q (6T + x/(x - n) + 3|log(x - n)| + 7)) =: A
+    covers it, and U + A is returned.  Where x <= n or the computed Q
+    exceeds 1/2 the bound decides nothing, and +inf is returned.
+    """
+    x = 1.0 / a
+    room = x - n
+    if not room > 0.0:
+        return math.inf
+    log_a = math.log(a)
+    log_factorial = math.lgamma(n + 1)
+    core = -x - (n + 1) * log_a - log_factorial
+    log_room = math.log(room)
+    q = math.exp(core - log_room)
+    if not q <= 0.5:
+        return math.inf
+    log_n1 = math.log(n + 1)
+    size = x + (n + 1) * abs(log_a) + log_factorial
+    allowance = sys.float_info.epsilon * (
+        4.0 * size
+        + 3.0 * log_n1
+        + q * (6.0 * size + x / room + 3.0 * abs(log_room) + 7.0)
+    )
+    return core + log_n1 - math.log1p(-q) + allowance
+
+
+def _stationary_seed(n: int, lo: float) -> float:
+    """The root of _gap_lower_bound's L right of lo: the solve's first point.
+
+    Newton from lo on L, whose slope is 1/a^2 - (n+1)/a - 1/(n+2-a).  L is
+    concave for a < 2/(n+1) and L(lo) <= h(lo) < 0, so the iterates rise
+    toward the root and never pass it, and a Newton step within 1e-9
+    relative ends them: 3.4 steps on average and 6 at most over n =
+    1..1000 and log-spaced n up to 1e9, with no reg_gamma call.  Should
+    rounding stall them, the last iterate, left of the root, is the seed
+    after _SEED_MAX_STEPS steps.
+
+    h >= L puts the root right of the maximizer a_n, where the gap is
+    positive or within its rounding bound: by 8.5e-4 relative at n = 10,
+    6.0e-6 at 100 and 4.6e-8 at 1000, about 0.05/n^2, and from about n =
+    8e4 on the gap there reads 0.0.  L's maximum lies below 1/(n+1), as
+    L'(1/(n+1)) < 0, so a step past 1/(n+1) shows that L has no root (n =
+    1), and 1/(n+1), near that maximum, is returned instead.
+    """
+    top = 1.0 / (n + 1)
+    a = lo
+    for _ in range(_SEED_MAX_STEPS):
+        slope = 1.0 / (a * a) - (n + 1) / a - 1.0 / ((n + 2) - a)
+        nxt = a - _gap_lower_bound(a, n) / slope
+        if not (slope > 0.0 and nxt < top):
+            return top
+        if nxt - a <= _SEED_RTOL * nxt:
+            return nxt
+        a = nxt
+    return a
 
 
 def _halley_slope(gap: _Gap) -> float:
@@ -503,31 +615,28 @@ class LambdaEstimate:
 def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
     """Root of the stationarity gap in [lo, hi], with the gap evaluated there.
 
-    The sign bracket h(lo) < 0 < h(hi) is checked first, lo before hi: an
-    end whose gap is within its rounding bound (_gap_and_slope) decides
-    nothing and raises ArithmeticError, as at the island's left end from
-    n = 1e10 on.
+    The sign bracket h(lo) < 0 < h(hi) is decided first.  At lo the upper
+    bound on h in closed form, its rounding allowance included
+    (_gap_upper_bound), decides where it is negative: at every n sampled
+    up to 3.4e9.  Elsewhere the gap is evaluated there, and an end whose
+    gap is within its rounding bound (_gap_and_slope) decides nothing and
+    raises ArithmeticError, as at the island's left end from about n =
+    3.7e9 on.
 
-    At hi a lower bound on h in closed form, less its own rounding
-    allowance (_gap_lower_bound), decides first.  With a = hi, the gap is
-    within 10 eps S of h(a), S = 1/a + a + |P| + |Q| + 2L (_gap_and_slope),
-    and reads 0.0 within its own computed 10 eps S.  The first term of the
-    lower series gives p(n+1, t) >= t^(n+1) e^(-t)/(n+1)!, so with x = 1/a,
-    |P| + |Q| <= a + x + 2 lgamma(n+2), the two logs cancelling, and S <=
-    S+ = 2(a + x + 2 lgamma(n+2)) as lgamma(n+1) <= lgamma(n+2).  A bound
-    above 20 eps S+ thus puts h(hi) there and, to first order in eps, the
-    computed gap above 10 eps S+: positive and outside its rounding bound,
-    so it is not evaluated.  Elsewhere it is, as at n = 1 on the island.
-    BracketFailure and ArithmeticError fire where they would with both
-    ends evaluated, and the bracket is still [lo, hi]: the gap at hi only
-    ever served its sign.
+    The solve starts at the seed a0 (_stationary_seed), from the gap
+    evaluated there.  h >= L and L(a0) = 0 put h(a0) >= 0, so the gap
+    there reads positive or 0.0, and a0 is the bracket's right end.  Only
+    where a0 falls outside (lo, hi) or its gap reads negative is the gap
+    at hi evaluated: it must be positive, and where a0 is outside the
+    solve starts at hi instead.  BracketFailure and ArithmeticError fire
+    where they would with both ends evaluated, and the bracket is still
+    [lo, hi].
 
-    Safeguarded Newton then starts at lo, near the maximizer, from the gap
-    found there, and takes Halley steps: the slope it is handed is h' - h
-    h''/(2h') (_halley_slope), as h'' comes from the gamma values already
-    in hand.  It stops on the first point whose gap is within its bound,
-    unless a step below 1e-15 relative ends it first; the last point
-    evaluated is returned with its evaluation.
+    Safeguarded Newton then takes Halley steps: the slope it is handed is
+    h' - h h''/(2h') (_halley_slope), as h'' comes from the gamma values
+    already in hand.  It stops on the first point whose gap is within its
+    bound, unless a step below 1e-15 relative ends it first; the last
+    point evaluated is returned with its evaluation.
     """
 
     def decided(a: float) -> _Gap:
@@ -539,26 +648,29 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
             )
         return gap
 
-    start = decided(lo)
-    s_plus = 2.0 * (1.0 / hi + hi + 2.0 * math.lgamma(n + 2))
-    if not (
-        start.value < 0.0
-        and (
-            _gap_lower_bound(hi, n) > 2.0 * _GAP_ROUNDING * s_plus
-            or decided(hi).value > 0.0
-        )
-    ):
-        raise BracketFailure(
+    def no_sign_change() -> BracketFailure:
+        return BracketFailure(
             f"stationarity gap does not change sign on [{lo}, {hi}] at n={n}"
         )
-    last = [lo, start]
+
+    if not (_gap_upper_bound(lo, n) < 0.0 or decided(lo).value < 0.0):
+        raise no_sign_change()
+    a = _stationary_seed(n, lo)
+    start = _gap_and_slope(a, n) if lo < a < hi else None
+    if start is None or start.value < 0.0:
+        right = decided(hi)
+        if not right.value > 0.0:
+            raise no_sign_change()
+        if start is None:
+            a, start = hi, right
+    last = [a, start]
 
     def h(a: float) -> tuple[float, float]:
         last[:] = a, _gap_and_slope(a, n)
         return last[1].value, _halley_slope(last[1])
 
     try:
-        _newton_root(h, lo, hi, lo, start.value, _halley_slope(start))
+        _newton_root(h, lo, hi, a, start.value, _halley_slope(start))
     except ArithmeticError as exc:
         raise StationarityFailure(f"{exc} at n={n}") from exc
     # _newton_root ends on the last point evaluated, or within 1e-15 of it
@@ -571,15 +683,17 @@ def solve_lambda(n: int) -> LambdaEstimate:
 
     The positivity island of the sign map at lambda = n! (_island; its
     third root is not needed) brackets the maximizer.  The stationarity gap
-    h is evaluated at its left end; at its right end a bound in closed
-    form shows h > 0 for n >= 2 on the island, and only at n = 1 is h
-    evaluated there (_newton_stationary).  Safeguarded Newton with Halley
-    steps on h then finds the root of G's first-order condition; it stops
-    on the first point where h is within its rounding bound B = 10 eps S (S
-    the size of h's terms, _gap_and_slope), and lambda and the two
-    first-order residuals come from the gamma values of that evaluation.
-    For n from 23 to 1000 that is three gap evaluations, six reg_gamma
-    calls, a cold solve; n from 2 to 22 take one Halley step more.
+    h is evaluated first at a seed found with no reg_gamma call, right of
+    the maximizer, which closes the bracket on the right; its left end's
+    sign comes from a bound in closed form (_newton_stationary).
+    Safeguarded Newton with Halley steps on h then finds the root of G's
+    first-order condition; it stops on the first point where h is within
+    its rounding bound B = 10 eps S (S the size of h's terms,
+    _gap_and_slope), and lambda and the two first-order residuals come from
+    the gamma values of that evaluation.  For n from 44 to 1000 that is two
+    gap evaluations, four reg_gamma calls, a cold solve, and from about n =
+    8e4 the seed's own gap reads 0.0; n from 2 to 43 take one Halley step
+    more, and n = 1, whose seed is 1/2, two more.
 
     The residuals certify the root: the exponent of each, log of the ratio
     it measures, must be at most 1e-8 or 2B if that is larger.  With the

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -16,14 +17,15 @@ from epidual.extremal import (
     StationarityFailure,
     TentParams,
     ZeroProfile,
-    _GAP_ROUNDING,
     _gap_and_slope,
     _gap_lower_bound,
     _gap_probes,
+    _gap_upper_bound,
     _island,
     _log_gap,
     _newton_root,
     _newton_stationary,
+    _stationary_seed,
     a_bracket,
     big_f,
     big_g,
@@ -134,14 +136,39 @@ def test_roots_at_degenerate_dimension_one():
     assert triple.z3 > 4.0
 
 
-@pytest.mark.parametrize("log_lambda", [-0.52, 0.52])
+@pytest.mark.parametrize("log_lambda", [0.52])
 def test_root_widening_cap_raises(monkeypatch, log_lambda):
-    # at n = 1, log lambda = -0.52 puts z1 two halvings below the local max
-    # probe and +0.52 puts z3 two doublings above the local min probe
+    # at n = 1, log lambda = +0.52 puts z3 two doublings above the local min
+    # probe
     roots_of_m(1, log_lambda)
     monkeypatch.setattr(extremal, "_WIDEN_MAX_STEPS", 1)
     with pytest.raises(ArithmeticError):
         roots_of_m(1, log_lambda)
+
+
+def test_z1_seed_widening_cap_raises(monkeypatch):
+    # at n = 5, log lambda = 6.75 the gap at z1's seed, within rounding of
+    # z1, reads 0.0, so the seed is widened before the Newton solve
+    _island(5, 6.75)
+    monkeypatch.setattr(extremal, "_WIDEN_MAX_STEPS", 0)
+    with pytest.raises(ArithmeticError):
+        _island(5, 6.75)
+
+
+def test_island_sign_map_evaluations(monkeypatch):
+    # the two probes, then each root from a seed in log z: 8.32 evaluations
+    # of the gap an island over n = 1..1000
+    calls = [0]
+    inner = extremal._log_gap
+
+    def counted(z, n, log_lambda):
+        calls[0] += 1
+        return inner(z, n, log_lambda)
+
+    monkeypatch.setattr(extremal, "_log_gap", counted)
+    for n in range(1, 1001):
+        _island(n, math.lgamma(n + 1))
+    assert calls[0] <= 9 * 1000
 
 
 def test_one_root_detection():
@@ -406,9 +433,9 @@ def _count_reg_gamma(monkeypatch):
     return calls
 
 
-# two calls per gap evaluation: the bracket's left end, its right end at
-# n = 1 only, then each Halley step (three of them for n = 2..22, two after)
-_GAMMA_BUDGET = {1: 10, 10: 8, 100: 6, 1000: 6}
+# two calls per gap evaluation: the seed, then each Halley step (two of
+# them for n = 2..43, one after; three from the seed 1/2 at n = 1)
+_GAMMA_BUDGET = {1: 10, 10: 6, 100: 4, 1000: 4}
 
 
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
@@ -426,48 +453,79 @@ def test_cold_solve_gamma_budget_over_the_sweep(monkeypatch):
         solve_lambda.__wrapped__(n)
         most = max(most, calls[0] - before)
     assert most <= 10
-    # 6,046 measured: 10 at n = 1, 8 for n = 2..22, 6 from there on
-    assert calls[0] <= 6_060
+    # 4,088 measured: 8 at n = 1, 6 for n = 2..43, 4 from there on
+    assert calls[0] <= 4_100
 
 
 # n = 1..1000 and log-spaced n up to 10^9
-_RIGHT_END_NS = list(range(1, 1001)) + [int(10 ** (k / 4)) for k in range(13, 37)]
+_BOUND_NS = list(range(1, 1001)) + [int(10 ** (k / 4)) for k in range(13, 37)]
+
+
+def _mp_gap(a, n):
+    with mp.workdps(40):
+        x = mp.mpf(a)
+        return (
+            -1 / x - x
+            - mp.log(mp_lower(n + 1, x))
+            - mp.log(mp_lower(n + 1, 1 / x))
+        )
 
 
 def test_gap_lower_bound_holds_across_the_island():
-    # at the island's right end and 8 interior points the bound stays under
-    # the gap, which lies within its bound of the exact h (2 bounds when it
-    # reads 0.0), and S+ of _newton_stationary bounds the size of h's terms
-    for n in _RIGHT_END_NS:
+    # at the island's ends and 8 interior points the seed's bound, as
+    # computed, stays under the gap, which lies within its bound of the
+    # exact h (2 bounds when it reads 0.0); its root, the seed, closes the
+    # bracket on the right from n = 2 on, and at n = 1 it has none
+    for n in _BOUND_NS:
         lo, hi = _island(n, math.lgamma(n + 1))
-        for a in [lo + k / 9 * (hi - lo) for k in range(1, 9)] + [hi]:
+        for a in [lo + k / 9 * (hi - lo) for k in range(10)]:
             gap = _gap_and_slope(a, n)
             assert _gap_lower_bound(a, n) <= gap.value + 2.0 * gap.bound, (n, a)
-            s_plus = 2.0 * (1.0 / a + a + 2.0 * math.lgamma(n + 2))
-            assert gap.bound <= _GAP_ROUNDING * s_plus, (n, a)
-            # the right end is decided without the gap from n = 2 on
-            if a == hi and n >= 2:
-                assert _gap_lower_bound(a, n) > 2.0 * _GAP_ROUNDING * s_plus, n
-    # at n = 1 the bound falls short of zero, though h is 0.66 there
+        seed = _stationary_seed(n, lo)
+        if n >= 2:
+            assert lo < seed < hi and _gap_and_slope(seed, n).value >= 0.0, n
     lo, hi = _island(1, 0.0)
-    assert -0.03 < _gap_lower_bound(hi, 1) < 0.0 < 0.6 < _gap_and_slope(hi, 1).value
+    assert _stationary_seed(1, lo) == 0.5
+    assert max(_gap_lower_bound(k / 1000, 1) for k in range(1, 1000)) < 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
 def test_gap_lower_bound_against_mpmath(n):
     lo, hi = _island(n, math.lgamma(n + 1))
     for a in [lo + k / 9 * (hi - lo) for k in range(1, 9)] + [hi]:
-        with mp.workdps(40):
-            x = mp.mpf(a)
-            h = (
-                -1 / x - x
-                - mp.log(mp_lower(n + 1, x))
-                - mp.log(mp_lower(n + 1, 1 / x))
-            )
-        assert _gap_lower_bound(a, n) <= float(h), (n, a)
+        assert _gap_lower_bound(a, n) <= float(_mp_gap(a, n)), (n, a)
+    # the exact gap at the seed is not negative: it closes the bracket
+    if n >= 2:
+        assert _mp_gap(_stationary_seed(n, lo), n) >= 0, n
 
 
-def test_right_end_gap_is_evaluated_only_at_n_1(monkeypatch):
+def _left_part(n):
+    # the island's left end and 8 points between it and the maximizer
+    lo = _island(n, math.lgamma(n + 1))[0]
+    a_n = solve_lambda(n).a_n
+    return lo, [lo + k / 9 * (a_n - lo) for k in range(9)]
+
+
+def test_gap_upper_bound_holds_left_of_the_maximizer():
+    # the bound, its allowance included, stays over the gap less twice the
+    # gap's rounding bound, and it decides the left end's sign at every n
+    for n in _BOUND_NS:
+        lo, points = _left_part(n)
+        for a in points:
+            gap = _gap_and_slope(a, n)
+            assert _gap_upper_bound(a, n) >= gap.value - 2.0 * gap.bound, (n, a)
+        assert _gap_upper_bound(lo, n) < 0.0, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+def test_gap_upper_bound_against_mpmath(n):
+    for a in _left_part(n)[1]:
+        assert _gap_upper_bound(a, n) >= float(_mp_gap(a, n)), (n, a)
+
+
+def test_bracket_ends_are_not_evaluated(monkeypatch):
+    # the left end's sign comes from the closed-form bound, the right end's
+    # from the seed, so neither end's gap is evaluated up to n = 10^9
     seen = []
     inner = extremal._gap_and_slope
 
@@ -476,13 +534,13 @@ def test_right_end_gap_is_evaluated_only_at_n_1(monkeypatch):
         return inner(a, n)
 
     monkeypatch.setattr(extremal, "_gap_and_slope", recorded)
-    at_right_end = []
-    for n in _RIGHT_END_NS:
+    at_an_end = []
+    for n in _BOUND_NS:
         seen.clear()
         est = solve_lambda.__wrapped__(n)
-        if est.bracket[1] in seen:
-            at_right_end.append(n)
-    assert at_right_end == [1]
+        if set(est.bracket) & set(seen):
+            at_an_end.append(n)
+    assert at_an_end == []
 
 
 def test_large_n_solves_take_the_expansion_near_the_mean(monkeypatch):
@@ -593,22 +651,37 @@ def test_gap_zero_within_its_rounding_bound():
     assert _gap_and_slope(est.a_n * (1.0 + 1e-12), n).value > 0.0
 
 
+def _mp_log_lambda(n, a):
+    # the 40-digit root of h, by the secant method from the solver's a_n
+    with mp.workdps(40):
+        root = mp.findroot(lambda x: _mp_gap(x, n), mp.mpf(a))
+        return root + mp.log(mp_lower(n + 1, 1 / root))
+
+
+@pytest.mark.parametrize("n", list(range(1, 11)) + [23, 43, 44, 100, 300, 1000])
+def test_log_lambda_against_the_40_digit_root(n):
+    # within 2 ulps, but 25 ulps (3.5e-16 absolute) at n = 1
+    est = solve_lambda(n)
+    want = _mp_log_lambda(n, est.a_n)
+    tol = 4.0 * sys.float_info.epsilon * (1.0 + abs(est.log_lambda))
+    assert abs(mp.mpf(est.log_lambda) - want) <= tol, n
+
+
 def test_roots_of_m_bit_identical():
-    # the sign-map roots at lambda = n!, as the solver found them before its
-    # stationarity gap gained a rounding bound: _newton_root is shared, and
-    # its roots for roots_of_m must not move
+    # the sign-map roots at lambda = n!, found from the seeds in log z; z1
+    # and z2 lie within 7.7e-15 of the 40-digit roots on every seventh n
     digest = hashlib.sha256()
     for n in range(1, 1001):
         r = roots_of_m(n, math.lgamma(n + 1))
         digest.update(repr((r.z1, r.z2, r.z3)).encode())
     assert digest.hexdigest() == (
-        "54fa03258f0fb7b44691185360d4a424bce2b7b3d41850676b277b8a6e8e6522"
+        "58168d077ebfdaac4e6d6161ad56f494fbc3f483587a7c372e157af3bbaa2161"
     )
 
 
 def test_solve_lambda_bit_identical():
-    # the solver's outputs before the right end was decided in closed form
-    # and Temme's rows were trimmed per bin: both keep every bit
+    # the solver's outputs from the seed in closed form; their log lambda
+    # is held to the 40-digit root by test_log_lambda_against_the_40_digit_root
     digest = hashlib.sha256()
     for n in range(1, 1001):
         e = solve_lambda(n)
@@ -617,7 +690,7 @@ def test_solve_lambda_bit_identical():
             e.lambda_hat_minus_1, e.bracket,
         )).encode())
     assert digest.hexdigest() == (
-        "90d5442deb94b7382270614d0a9e04a62d203016df7720bc25a325ca34fb84bf"
+        "787849fa61f3f893f56024c42731ab57b407d82ca7a6bae9da57566cdfd0b6a6"
     )
 
 
@@ -682,10 +755,12 @@ def test_bisect_raises_when_it_cannot_converge():
 
 
 def test_newton_cap_raises(monkeypatch):
-    island = roots_of_m(50, math.lgamma(51))
+    # n = 10 takes two Halley steps from its seed, and the second one's gap
+    # reads 0.0 only on the cap's last step
+    island = roots_of_m(10, math.lgamma(11))
     monkeypatch.setattr(extremal, "_NEWTON_MAX_STEPS", 2)
     with pytest.raises(StationarityFailure):
-        _newton_stationary(50, island.z1, island.z2)
+        _newton_stationary(10, island.z1, island.z2)
 
 
 def test_newton_rejects_bracket_without_sign_change():
