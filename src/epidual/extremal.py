@@ -25,16 +25,20 @@ evaluation is the bracket's right end.  The left end's sign comes from an
 upper bound in closed form, past its rounding allowance; only where that
 does not decide it is the gap evaluated there.  The form's first and
 second derivatives come in closed form from the same two gamma values, so
-each step is a Halley step at the cost of a Newton step.  The gap of the
-log form reads exactly 0.0 once it is within its rounding bound, 10 eps
-times the size of its terms (_gap_and_slope), so the iteration stops on a
-point it has evaluated; lambda and the certificates come from that
-evaluation's gamma values, and a bracket end whose gap is within the bound
-raises ArithmeticError.  From n = 44 a cold solve evaluates the gap twice,
-and from about n = 8e4 once.  The island's ends, the first two sign-map
-roots, come from safeguarded Newton on g, seeded in log z.  Two residuals
-that vanish at the true stationary point certify the result, and g >= 0 at
-the maximizer certifies that it lies in the island at the solved lambda.
+each step is a Halley step at the cost of a Newton step.  A step's gamma
+values come from the last point's by two small integrals of t^n e^-t, one
+2-point Gauss-Legendre panel each, where their error stays within the
+gap's rounding bound, and from reg_gamma elsewhere.  The gap of the log
+form reads exactly 0.0 once it is within that bound, 10 eps times the size
+of its terms (_gap_and_slope), so the iteration stops on a point it has
+evaluated; lambda and the certificates come from that evaluation's gamma
+values, and a bracket end whose gap is within the bound raises
+ArithmeticError.  From n = 11 a cold solve calls reg_gamma twice, at the
+seed, and from about n = 8e4 the seed's gap reads 0.0.  The island's ends,
+the first two sign-map roots, come from safeguarded Newton on g, seeded in
+log z.  Two residuals that vanish at the true stationary point certify the
+result, and g >= 0 at the maximizer certifies that it lies in the island
+at the solved lambda.
 """
 
 from __future__ import annotations
@@ -63,6 +67,10 @@ _SEED_RTOL = 1e-9
 _SEED_MAX_STEPS = 16
 # rounding bound of the stationarity gap, in eps times its terms' size
 _GAP_ROUNDING = 10.0 * sys.float_info.epsilon
+# the share of that bound the gap's two gamma logs may take (_gap_and_slope)
+_GAMMA_ROUNDING = 6.0 * sys.float_info.epsilon
+# the 2-point Gauss-Legendre rule on [-1, 1]: nodes -+1/sqrt 3, weights 1
+_GL2_NODE = 3.0**-0.5
 # rounding bound of the residual exponents at a root, in gap bounds
 _RESIDUAL_ROUNDING = 2.0
 
@@ -403,17 +411,23 @@ def _log_g(a: float, n: int, log_lower: float, log_lower_inv: float) -> float:
 
 
 class _Gap(NamedTuple):
-    """The stationarity gap at one point, with the gamma values behind it."""
+    """The stationarity gap at one point, with the gamma values behind it.
+
+    log_p and log_p_inv are log p(n+1, a) and log p(n+1, 1/a), and error
+    bounds how far they are off together (_gap_and_slope).
+    """
 
     value: float
     slope: float
     curvature: float
     bound: float
-    log_lower: float
+    log_p: float
     log_p_inv: float
+    a: float
+    error: float
 
 
-def _gap_and_slope(a: float, n: int) -> _Gap:
+def _gap_and_slope(a: float, n: int, prev: _Gap | None = None) -> _Gap:
     """The stationarity gap h(a), its first two derivatives, its rounding bound.
 
     h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a) is negative
@@ -431,19 +445,32 @@ def _gap_and_slope(a: float, n: int) -> _Gap:
     p(n+1, a), Q = log p(n+1, 1/a) and L = lgamma(n+1).  Let S = 1/a + a +
     |P| + |Q| + 2L.  To first order in u = eps/2 the sum rounds by at most
     u(4/a + 3a + 3|P| + 2|Q| + 5L) < 2 eps S, and L, taken twice within 2
-    ulps, adds 2 eps S.  reg_gamma's log p at (s, x) is within 3 eps
-    T(s, x), T = s|log x| + x + lgamma(s+1).  Here T(n+1, a) + T(n+1, 1/a)
-    = 2(n+1)|log a| + a + 1/a + 2 lgamma(n+2) < 2S, as the lower series
-    (at most e^a) gives |P| >= (n+1)|log a| + lgamma(n+2) for a <= 1, all
-    of the island; so P and Q add 6 eps S.
+    ulps, adds 2 eps S.  That leaves P and Q together 6 eps S of the bound
+    10 eps S, and the field error bounds how far they are off.
+
+    Without prev, or where the step from it is too wide, P and Q come from
+    reg_gamma, whose log p at (s, x) is within 3 eps T(s, x), T = s|log x|
+    + x + lgamma(s+1).  T(n+1, a) + T(n+1, 1/a) = 2(n+1)|log a| + a + 1/a +
+    2 lgamma(n+2) <= 2|P| + a + 1/a < 2S, as the lower series (at most e^a)
+    gives |P| >= (n+1)|log a| + lgamma(n+2) for a <= 1, all of the island;
+    so error = 3 eps (2|P| + a + 1/a) is at most 6 eps S.  Given prev, the
+    evaluation at the previous point, P and Q move by one increment each
+    from prev's (_gamma_increment), which adds to prev's error; they are
+    taken where the sum stays within 6 eps S, and from reg_gamma elsewhere.
+
     A gap within the bound 10 eps S could be a rounded root and is reported
     as exactly 0.0, which ends _newton_root on this point.
     """
     inv = 1.0 / a
     la = math.log(a)
     log_factorial = math.lgamma(n + 1)
-    log_p = reg_gamma(n + 1, a).log_p
-    log_p_inv = reg_gamma(n + 1, inv).log_p
+    moved = None if prev is None else _gamma_increment(a, n, prev, la, log_factorial)
+    if moved is None:
+        log_p = reg_gamma(n + 1, a).log_p
+        log_p_inv = reg_gamma(n + 1, inv).log_p
+        error = 3.0 * sys.float_info.epsilon * (2.0 * abs(log_p) + a + inv)
+    else:
+        log_p, log_p_inv, error = moved
     log_lower = log_p + log_factorial
     log_lower_inv = log_p_inv + log_factorial
     gap = -inv - a - log_lower - log_lower_inv
@@ -460,7 +487,80 @@ def _gap_and_slope(a: float, n: int) -> _Gap:
     )
     if abs(gap) <= bound:
         gap = 0.0
-    return _Gap(gap, slope, curvature, bound, log_lower, log_p_inv)
+    return _Gap(gap, slope, curvature, bound, log_p, log_p_inv, a, error)
+
+
+def _gamma_increment(
+    a: float, n: int, prev: _Gap, la: float, log_factorial: float
+) -> tuple[float, float, float] | None:
+    """log p(n+1, a), log p(n+1, 1/a) and their error, stepped from prev's.
+
+    Each of the two moves from its value log p0 at x0 (prev.a, 1/prev.a)
+    to x1 (a, 1/a) as log p(n+1, x1) = log p0 + log1p(rho), with rho =
+    I / (n! p0) and I = integral_x0^x1 t^n e^-t dt, signed.  I is one
+    2-point Gauss-Legendre panel, weight w/2 at each node mid -+ w/(2
+    sqrt 3), w = x1 - x0.  As in measures._log_segment's narrow panel, the
+    integrand's k-th derivative is at most (1 + n/x_min)^k times its
+    largest value, which is at most e^c times its smallest, c = |w| (1 +
+    n/x_min) and x_min the panel's smaller end.  The rule is exact to
+    degree 3 and misses by |w|^5/4320 times the 4th derivative: relative
+    to I, by at most c^4 e^c/4320, and for c <= 1 the log of the rule's
+    value is within 6.3e-4 c^4 of log I.  A wider step returns None.
+
+    Rounding, to first order in u = eps/2 with log, exp and log1p within an
+    ulp.  c <= 1 puts x1 within a factor 2 of x0, so w is exact.  Each node
+    is off by at most 4u x_max, which moves the integrand by at most 4u (1
+    + n/x_min) x_max <= 4 eps (n + x_max) relative, as x_max <= 2 x_min.
+    The exponent n log t - t - (log p0 + L), L = lgamma(n+1) within 2 ulps,
+    rounds by at most 2.5 eps (n |log t| + t + |log p0| + 2L) <= 2.5 eps V,
+    V = n |log a| + c + x_max + |log p0| + 2L (n |log t| <= n |log x1| + c,
+    and |log x1| is |log a| to within u); prev.error e0, which bounds each
+    log p0's error, moves it by e0; exp, the sum and the product add 2 eps.
+    So the computed rho is within a factor e^(+-eta) of the exact one,
+
+        eta = 6.3e-4 c^4 + e0 + eps (2.5 V + 4 (n + x_max) + 2).
+
+    With r = |rho| and q = r e^eta < 1, the exact rho lies within r
+    expm1(eta) of the computed one, and log1p's slope between them is at
+    most 1/(1 - q); log1p and the sum add eps |log1p(rho)| and u |log p1|.
+    The step adds r expm1(eta)/(1 - q) + eps |log1p(rho)| + u |log p1| to
+    e0, and it returns None where q >= 1 or where the error of the two
+    together passes 6 eps S (_gap_and_slope).
+    """
+    eps = sys.float_info.epsilon
+    e0 = error = prev.error
+    out = []
+    for x0, x1, log_p0 in (
+        (prev.a, a, prev.log_p), (1.0 / prev.a, 1.0 / a, prev.log_p_inv)
+    ):
+        half = 0.5 * (x1 - x0)
+        x_min, x_max = (x0, x1) if x0 < x1 else (x1, x0)
+        c = 2.0 * abs(half) * (1.0 + n / x_min)
+        if not c <= 1.0:
+            return None
+        mid = 0.5 * (x0 + x1)
+        shift = log_p0 + log_factorial
+        offset = half * _GL2_NODE
+        left, right = mid - offset, mid + offset
+        rho = half * (
+            math.exp(n * math.log(left) - left - shift)
+            + math.exp(n * math.log(right) - right - shift)
+        )
+        spread = n * abs(la) + c + x_max + abs(log_p0) + 2.0 * log_factorial
+        eta = 6.3e-4 * c**4 + e0 + eps * (2.5 * spread + 4.0 * (n + x_max) + 2.0)
+        r = abs(rho)
+        q = r * math.exp(eta)
+        if not q < 1.0:
+            return None
+        step = math.log1p(rho)
+        log_p1 = log_p0 + step
+        error += r * math.expm1(eta) / (1.0 - q) + eps * (abs(step) + 0.5 * abs(log_p1))
+        out.append(log_p1)
+    log_p, log_p_inv = out
+    size = 1.0 / a + a + abs(log_p) + abs(log_p_inv) + 2.0 * log_factorial
+    if error > _GAMMA_ROUNDING * size:
+        return None
+    return log_p, log_p_inv, error
 
 
 def _gap_lower_bound(a: float, n: int) -> float:
@@ -612,7 +712,7 @@ class LambdaEstimate:
     lambda_hat_minus_1: float
 
 
-def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
+def _newton_stationary(n: int, lo: float, hi: float) -> _Gap:
     """Root of the stationarity gap in [lo, hi], with the gap evaluated there.
 
     The sign bracket h(lo) < 0 < h(hi) is decided first.  At lo the upper
@@ -634,9 +734,11 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
 
     Safeguarded Newton then takes Halley steps: the slope it is handed is
     h' - h h''/(2h') (_halley_slope), as h'' comes from the gamma values
-    already in hand.  It stops on the first point whose gap is within its
+    already in hand.  Each iterate's evaluation is handed the last one, so
+    its gamma values are stepped from that point's where the step allows
+    (_gap_and_slope).  It stops on the first point whose gap is within its
     bound, unless a step below 1e-15 relative ends it first; the last
-    point evaluated is returned with its evaluation.
+    evaluation, which holds its point, is returned.
     """
 
     def decided(a: float) -> _Gap:
@@ -663,18 +765,18 @@ def _newton_stationary(n: int, lo: float, hi: float) -> tuple[float, _Gap]:
             raise no_sign_change()
         if start is None:
             a, start = hi, right
-    last = [a, start]
+    last = [start]
 
     def h(a: float) -> tuple[float, float]:
-        last[:] = a, _gap_and_slope(a, n)
-        return last[1].value, _halley_slope(last[1])
+        last[0] = _gap_and_slope(a, n, last[0])
+        return last[0].value, _halley_slope(last[0])
 
     try:
         _newton_root(h, lo, hi, a, start.value, _halley_slope(start))
     except ArithmeticError as exc:
         raise StationarityFailure(f"{exc} at n={n}") from exc
     # _newton_root ends on the last point evaluated, or within 1e-15 of it
-    return last[0], last[1]
+    return last[0]
 
 
 @lru_cache(maxsize=None)
@@ -690,24 +792,27 @@ def solve_lambda(n: int) -> LambdaEstimate:
     first-order condition; it stops on the first point where h is within
     its rounding bound B = 10 eps S (S the size of h's terms,
     _gap_and_slope), and lambda and the two first-order residuals come from
-    the gamma values of that evaluation.  For n from 44 to 1000 that is two
-    gap evaluations, four reg_gamma calls, a cold solve, and from about n =
-    8e4 the seed's own gap reads 0.0; n from 2 to 43 take one Halley step
-    more, and n = 1, whose seed is 1/2, two more.
+    the gamma values of that evaluation.  A Halley iterate's gamma values
+    are stepped from the last point's where the step allows.  So for n
+    from 11 to 1000 a cold solve makes two reg_gamma calls, the seed's,
+    then one Halley step, or two up to n = 44; from about n = 8e4 the
+    seed's own gap reads 0.0.  n from 2 to 10 evaluate their first step in
+    full, as too wide to be stepped, and n = 1, whose seed is 1/2, two.
 
     The residuals certify the root: the exponent of each, log of the ratio
     it measures, must be at most 1e-8 or 2B if that is larger.  With the
     rounded logs P' = log gamma(n+1, a) and Q' = log gamma(n+1, 1/a) as
-    given, lambda is a weighted mean of X = e^(-1/a - P') and Y = e^(a +
-    Q'), whatever a^n rounds to, so each exponent in exact arithmetic is
-    at most |log X - log Y| = |h(P', Q')|.  That differs from the computed
-    gap only by the rounding of the gap's sums, 2 eps S (the gamma values'
-    own rounding sits in P' and Q' and cancels), and the computed gap at
-    the root is within B: so at most 12 eps S.  Forming the exponents and
-    log lambda (three sums, two log_add, two differences) adds under 6 eps
-    S, as n |log a| <= |P'| and |log lambda| <= S on the island, and exp
-    and log1p a few eps more: under 8 eps S, so both stay within 20 eps S
-    = 2B.
+    given, whether from reg_gamma or stepped, lambda is a weighted mean of
+    X = e^(-1/a - P') and Y = e^(a + Q'), whatever a^n rounds to, so each
+    exponent in exact arithmetic is at most |log X - log Y| = |h(P', Q')|.
+    That differs from the computed gap only by the rounding of the gap's
+    sums, 2 eps S (the gamma values' own error, from reg_gamma or from the
+    steps, sits in P' and Q' and cancels), and the computed gap at the root
+    is within B: so at most 12 eps S.  Forming the exponents and log lambda
+    (three sums, two log_add, two differences) adds under 6 eps S, as n
+    |log a| <= |P'| and |log lambda| <= S on the island (exactly, |P'| >=
+    n |log a| + log(n+1), and P' is within 6 eps S of that), and exp and
+    log1p a few eps more: under 8 eps S, so both stay within 20 eps S = 2B.
 
     The maximizer must also lie in the island at the solved lambda, which
     one sign of the gap g decides: the iteration keeps it in the seed
@@ -722,8 +827,9 @@ def solve_lambda(n: int) -> LambdaEstimate:
         raise BracketFailure(
             f"no positivity island at lambda = n! for n={n}"
         ) from exc
-    a_n, gap = _newton_stationary(n, lo, hi)
-    log_lower = gap.log_lower
+    gap = _newton_stationary(n, lo, hi)
+    a_n = gap.a
+    log_lower = gap.log_p + log_factorial
     log_lower_inv = gap.log_p_inv + log_factorial
     log_lambda = _log_g(a_n, n, log_lower, log_lower_inv)
     exponent_n1 = -1.0 / a_n - log_lower - log_lambda

@@ -433,9 +433,9 @@ def _count_reg_gamma(monkeypatch):
     return calls
 
 
-# two calls per gap evaluation: the seed, then each Halley step (two of
-# them for n = 2..43, one after; three from the seed 1/2 at n = 1)
-_GAMMA_BUDGET = {1: 10, 10: 6, 100: 4, 1000: 4}
+# two calls at the seed; a Halley step takes two more only where its gamma
+# values cannot be stepped from the last point's (n = 1..10, _gap_and_slope)
+_GAMMA_BUDGET = {1: 6, 10: 4, 100: 2, 1000: 2}
 
 
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
@@ -452,9 +452,9 @@ def test_cold_solve_gamma_budget_over_the_sweep(monkeypatch):
         before = calls[0]
         solve_lambda.__wrapped__(n)
         most = max(most, calls[0] - before)
-    assert most <= 10
-    # 4,088 measured: 8 at n = 1, 6 for n = 2..43, 4 from there on
-    assert calls[0] <= 4_100
+    assert most <= 6
+    # 2,022 measured: 6 at n = 1, 4 for n = 2..10, 2 from there on
+    assert calls[0] <= 2_030
 
 
 # n = 1..1000 and log-spaced n up to 10^9
@@ -525,13 +525,14 @@ def test_gap_upper_bound_against_mpmath(n):
 
 def test_bracket_ends_are_not_evaluated(monkeypatch):
     # the left end's sign comes from the closed-form bound, the right end's
-    # from the seed, so neither end's gap is evaluated up to n = 10^9
+    # from the seed, so neither end's gap is evaluated, in full or by an
+    # increment, up to n = 10^9
     seen = []
     inner = extremal._gap_and_slope
 
-    def recorded(a, n):
+    def recorded(a, n, prev=None):
         seen.append(a)
-        return inner(a, n)
+        return inner(a, n, prev)
 
     monkeypatch.setattr(extremal, "_gap_and_slope", recorded)
     at_an_end = []
@@ -566,20 +567,79 @@ def test_large_n_solves_take_the_expansion_near_the_mean(monkeypatch):
 
 @pytest.mark.parametrize("n", [7, 100, 1000])
 def test_solve_certifies_from_the_last_gap_evaluation(monkeypatch, n):
-    # the iteration stops on a point it has evaluated, and lambda and the
-    # residuals come from that evaluation, not from a second one at a_n
+    # the iteration stops on a point it has evaluated, in full or by an
+    # increment, and lambda and the residuals come from that evaluation, not
+    # from a second one at a_n; a full evaluation there reads 0.0 too
     seen = []
     inner = extremal._gap_and_slope
 
-    def recorded(a, n):
+    def recorded(a, n, prev=None):
         seen.append(a)
-        return inner(a, n)
+        return inner(a, n, prev)
 
     monkeypatch.setattr(extremal, "_gap_and_slope", recorded)
     est = solve_lambda.__wrapped__(n)
     assert est.a_n == seen[-1]
     assert seen.count(est.a_n) == 1
     assert inner(est.a_n, n).value == 0.0
+
+
+def _gap_steps(monkeypatch, n):
+    # every evaluation a cold solve makes that was handed the last point's
+    steps = []
+    inner = extremal._gap_and_slope
+
+    def recorded(a, n, prev=None):
+        gap = inner(a, n, prev)
+        if prev is not None:
+            steps.append(gap)
+        return gap
+
+    monkeypatch.setattr(extremal, "_gap_and_slope", recorded)
+    solve_lambda.__wrapped__(n)
+    monkeypatch.undo()
+    return steps
+
+
+def test_gap_increment_matches_direct_evaluation(monkeypatch):
+    # a stepped log p(n+1, a) and log p(n+1, 1/a) lie within the bound their
+    # error field derives, and reg_gamma's within 3 eps (2|P| + a + 1/a), of
+    # the exact values, so within the two bounds' sum of each other; the
+    # stepped error stays within the 6 eps S that the gap's bound grants
+    stepped, in_full = 0, set()
+    for n in _BOUND_NS:
+        for gap in _gap_steps(monkeypatch, n):
+            direct = _gap_and_slope(gap.a, n)
+            apart = abs(gap.log_p - direct.log_p) + abs(
+                gap.log_p_inv - direct.log_p_inv
+            )
+            assert apart <= gap.error + direct.error, (n, gap.a)
+            size = gap.bound / extremal._GAP_ROUNDING
+            assert gap.error <= extremal._GAMMA_ROUNDING * size, (n, gap.a)
+            # a step too wide to be taken is reg_gamma's evaluation exactly
+            if gap == direct:
+                in_full.add(n)
+            else:
+                stepped += 1
+    # 1,041 of 1,052 steps measured; only the first step from n = 1 to 10
+    # (and the second at n = 1) is too wide
+    assert stepped >= 1_040
+    assert in_full <= set(range(1, 11))
+
+
+@pytest.mark.parametrize("n", [2, 10, 44, 100, 1000])
+def test_gap_increment_against_mpmath(monkeypatch, n):
+    # each step's log p values, stepped or in full, lie within its error
+    # field of the 40-digit ones
+    steps = _gap_steps(monkeypatch, n)
+    assert steps
+    for gap in steps:
+        with mp.workdps(40):
+            x = mp.mpf(gap.a)
+            want_p = mp.log(mp.gammainc(n + 1, 0, x, regularized=True))
+            want_q = mp.log(mp.gammainc(n + 1, 0, 1 / x, regularized=True))
+            off = abs(gap.log_p - want_p) + abs(gap.log_p_inv - want_q)
+        assert off <= gap.error, (n, gap.a)
 
 
 @pytest.mark.parametrize("k", range(10, 21))
@@ -660,7 +720,7 @@ def _mp_log_lambda(n, a):
 
 @pytest.mark.parametrize("n", list(range(1, 11)) + [23, 43, 44, 100, 300, 1000])
 def test_log_lambda_against_the_40_digit_root(n):
-    # within 2 ulps, but 25 ulps (3.5e-16 absolute) at n = 1
+    # within 2 ulps, but 9 ulps (1.2e-16 absolute) at n = 1
     est = solve_lambda(n)
     want = _mp_log_lambda(n, est.a_n)
     tol = 4.0 * sys.float_info.epsilon * (1.0 + abs(est.log_lambda))
@@ -680,8 +740,10 @@ def test_roots_of_m_bit_identical():
 
 
 def test_solve_lambda_bit_identical():
-    # the solver's outputs from the seed in closed form; their log lambda
-    # is held to the 40-digit root by test_log_lambda_against_the_40_digit_root
+    # the solver's outputs with the Halley iterates' gamma values stepped
+    # from the last point's; their log lambda is held to the 40-digit root by
+    # test_log_lambda_against_the_40_digit_root, and the steps to reg_gamma
+    # and mpmath by the two gap increment tests
     digest = hashlib.sha256()
     for n in range(1, 1001):
         e = solve_lambda(n)
@@ -690,7 +752,7 @@ def test_solve_lambda_bit_identical():
             e.lambda_hat_minus_1, e.bracket,
         )).encode())
     assert digest.hexdigest() == (
-        "787849fa61f3f893f56024c42731ab57b407d82ca7a6bae9da57566cdfd0b6a6"
+        "e6f062602aa867f57827755ffc9cc93b0b89bafac067d7cc537138b884ea66bc"
     )
 
 
