@@ -4,7 +4,8 @@ All numbers print with 17 significant digits and rows are emitted in a
 fixed order, so identical flags give byte-identical output.  Lines that
 begin with '#' carry metadata (dimensions, lambda mode, located roots)
 and can be skipped by plotting tools.  Exit codes: 0 success, 1 a
-property run reported failures, 2 usage or input errors.
+property run reported failures, 2 usage or input errors, unreadable input
+and unwritable --out files among them.
 """
 
 from __future__ import annotations
@@ -245,10 +246,7 @@ def _cmd_transform(args) -> int:
     if args.input is None:
         raw = sys.stdin.read()
     else:
-        path = Path(args.input)
-        if not path.exists():
-            return _fail(f"no such file: {args.input}")
-        raw = path.read_text()
+        raw = Path(args.input).read_text(encoding="utf-8")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -342,7 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable input, or --out
+        return _fail(str(exc))
 
 
 def console_main() -> None:

@@ -23,22 +23,24 @@ from a seed that needs no gamma value: the root of a lower bound on the
 gap in closed form, which lies right of the maximizer, so the seed's own
 evaluation is the bracket's right end.  The left end's sign comes from an
 upper bound in closed form, past its rounding allowance; only where that
-does not decide it is the gap evaluated there.  The form's first and
-second derivatives come in closed form from the same two gamma values, so
-each step is a Halley step at the cost of a Newton step.  A step's gamma
-values come from the last point's by two small integrals of t^n e^-t, one
-2-point Gauss-Legendre panel each, where their error stays within the
-gap's rounding bound, and from reg_gamma elsewhere.  The gap of the log
-form reads exactly 0.0 once it is within that bound, 10 eps times the size
-of its terms (_gap_and_slope), so the iteration stops on a point it has
+does not decide it is the gap evaluated there.  The form's first and second
+derivatives come in closed form from the same two gamma values, so the
+evaluation's step slope is Halley's at the cost of Newton's.  A step's
+gamma values come from the last point's by two small integrals of t^n
+e^-t, one 2-point Gauss-Legendre panel each, where their error stays
+within the gap's rounding bound, and from reg_gamma elsewhere.  The gap of
+the log form reads exactly 0.0 once it is within that bound, 10 eps times
+the size of its terms (_gap_and_slope), so the iteration (_newton_root,
+which returns the evaluation it ended on) stops on a point it has
 evaluated; lambda and the certificates come from that evaluation's gamma
 values, and a bracket end whose gap is within the bound raises
 ArithmeticError.  From n = 11 a cold solve calls reg_gamma twice, at the
 seed, and from about n = 8e4 the seed's gap reads 0.0.  The island's ends,
-the first two sign-map roots, come from safeguarded Newton on g, seeded in
-log z.  Two residuals that vanish at the true stationary point certify the
-result, and g >= 0 at the maximizer certifies that it lies in the island
-at the solved lambda.
+the first two sign-map roots, come from the same Newton on g, seeded in
+log z, with 0 as z1's negative end.  Two residuals that vanish at the true
+stationary point certify the result to twice the gap's bound, and g >= 0
+at the maximizer certifies that it lies in the island at the solved
+lambda.
 """
 
 from __future__ import annotations
@@ -56,11 +58,8 @@ from .gammafn import reg_gamma
 
 _NEWTON_RTOL = 1e-15
 _NEWTON_MAX_STEPS = 100
-# z3 lies a few doublings outside its probe, and z1's seed a few rounding
-# errors inside z1 at most
+# z3 lies a few doublings outside its probe
 _WIDEN_MAX_STEPS = 64
-_SEED_WIDEN = 1.0 - 2.0**-30
-_RESIDUAL_TOL = 1e-8
 # the stationarity seed's Newton stops at this relative step, in at most 6
 # steps for every n up to 1e9
 _SEED_RTOL = 1e-9
@@ -130,16 +129,18 @@ def _gap_probes(n: int) -> tuple[float, float]:
     return 1.0 / hi, hi
 
 
-def _newton_root(f, neg: float, pos: float, a: float, fa: float, dfa: float) -> float:
+def _newton_root(f, neg: float, pos: float, a: float, last):
     """Root of f between neg and pos by safeguarded Newton, started at a.
 
-    f(z) returns the value and slope at z (fa and dfa at a); f(neg) < 0 <
-    f(pos).  A step that leaves this sign bracket, which every evaluation
-    shrinks, is replaced by bisection.  A point where f is exactly 0.0 is
-    returned, and a step of at most 1e-15 relative ends the iteration too;
-    ArithmeticError after _NEWTON_MAX_STEPS steps.
+    f(z, last) evaluates at z, handed the last evaluation (last is a's),
+    whose first two items are the value and slope; f(neg) < 0 < f(pos).  A
+    step that leaves this sign bracket, which every evaluation shrinks, is
+    replaced by bisection.  A point where f is exactly 0.0 is returned, and
+    a step of at most 1e-15 relative ends the iteration too, with the last
+    evaluation; ArithmeticError after _NEWTON_MAX_STEPS steps.
     """
     for _ in range(_NEWTON_MAX_STEPS):
+        fa, dfa = last[0], last[1]
         if fa < 0.0:
             neg = a
         else:
@@ -151,25 +152,25 @@ def _newton_root(f, neg: float, pos: float, a: float, fa: float, dfa: float) -> 
             if newton == a or min(neg, pos) < newton < max(neg, pos):
                 nxt = newton
         if abs(nxt - a) <= _NEWTON_RTOL * a:
-            return nxt
+            return nxt, last
         a = nxt
-        fa, dfa = f(a)
+        last = f(a, last)
     raise ArithmeticError(
         f"Newton iteration did not settle in {_NEWTON_MAX_STEPS} steps near {a}"
     )
 
 
-def _widen(f, z: float, factor: float, sign: float) -> tuple[float, float, float]:
+def _widen(f, z: float, factor: float, sign: float):
     """First z * factor^k, k >= 1, where f has the given sign, with f there.
 
-    Returns the point, the value and the slope; ArithmeticError once
-    _WIDEN_MAX_STEPS steps run out.
+    Returns the point and its evaluation (as _newton_root's); ArithmeticError
+    once _WIDEN_MAX_STEPS steps run out.
     """
     for _ in range(_WIDEN_MAX_STEPS):
         z *= factor
-        value, slope = f(z)
-        if sign * value > 0.0:
-            return z, value, slope
+        evaluation = f(z, None)
+        if sign * evaluation[0] > 0.0:
+            return z, evaluation
     raise ArithmeticError(
         f"no sign change in {_WIDEN_MAX_STEPS} steps by {factor}, at z={z}"
     )
@@ -209,9 +210,9 @@ class RootTriple:
 
 
 def _sign_gap(n: int, log_lambda: float):
-    """The gap g at (n, lambda) as a function of z, with its slope."""
+    """The gap g at (n, lambda) and its slope at z, as _newton_root calls it."""
 
-    def g(z: float) -> tuple[float, float]:
+    def g(z: float, last) -> tuple[float, float]:
         return _log_gap(z, n, log_lambda), 1.0 + 1.0 / (z * z) - (n + 2) / z
 
     return g
@@ -225,8 +226,9 @@ def _island(n: int, log_lambda: float) -> tuple[float, float]:
     the local min negative.  The island is the stretch between the first
     two.  Each root is found by safeguarded Newton on the gap, whose slope
     is 1 + 1/z^2 - (n+2)/z, until a step is under 1e-15 relative; at lambda
-    = n! the roots lie within 7.7e-15 of the exact ones, the gap's rounding
-    over its slope.  A non-finite log_lambda raises ValueError.
+    = n! the roots lie within 7.7e-15 of the exact ones for n <= 1000, the
+    gap's rounding over its slope, which falls as the island narrows (1.4e-11
+    at n = 1.3e9).  A non-finite log_lambda raises ValueError.
 
     The solves start from seeds found in t = log(z/z_lo) with no sign-map
     evaluation: as z_lo + 1/z_lo = n + 2, the gap there is G(t) = g_lo +
@@ -234,11 +236,13 @@ def _island(n: int, log_lambda: float) -> tuple[float, float]:
     with c = g_lo z_lo two Newton steps in t start from sqrt(2c) for z2 and
     from -log(1 + c + sqrt(2c)) for z1 (-sqrt(2c) to second order, and near
     the root where e^-t dominates).  G is concave for z < 1, so after a
-    step the iterate lies left of z1, where the gap is negative; should
-    rounding read it otherwise, the seed is widened by factors 1 - 2^-30.
-    z2's seed must only lie between the probes, else their midpoint stands
-    in.  At lambda = n! an island takes 8.32 sign-map evaluations on
-    average over n = 1..1000, the probes included.
+    step the iterate lies left of z1, where the gap is negative; z1's Newton
+    takes 0 (g -> -inf as z -> 0+) as its negative end, so a seed that
+    rounding reads otherwise closes the bracket on the right (at n = 5, log
+    lambda = 6.75 its gap reads 0.0, and it is z1).  z2's seed must only
+    lie between the probes, else their midpoint stands in.  At lambda = n!
+    an island takes 8.32 sign-map evaluations on average over n = 1..1000,
+    the probes included.
 
     At a probe the gap ((z - 1/z) - (n+2) log z) - log lambda cancels terms
     of size D = (n+2)|log z| to O(log n).  To first order in u = eps/2, with
@@ -277,14 +281,11 @@ def _island(n: int, log_lambda: float) -> tuple[float, float]:
     c = g_lo * z_lo
     r = math.sqrt(2.0 * c)
     z = seed(-math.log1p(c + r))
-    value, slope = g(z)
-    if not value < 0.0:
-        z, value, slope = _widen(g, z, _SEED_WIDEN, -1.0)
-    z1 = _newton_root(g, z, z_lo, z, value, slope)
+    z1, _ = _newton_root(g, 0.0, z_lo, z, g(z, None))
     z = seed(r)
     if not z_lo < z < z_hi:
         z = 0.5 * (z_lo + z_hi)
-    z2 = _newton_root(g, z_hi, z_lo, z, *g(z))
+    z2, _ = _newton_root(g, z_hi, z_lo, z, g(z, None))
     return z1, z2
 
 
@@ -298,8 +299,8 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     z1, z2 = _island(n, log_lambda)
     g = _sign_gap(n, log_lambda)
     z_hi = _gap_probes(n)[1]
-    right = _widen(g, z_hi, 2.0, 1.0)
-    z3 = _newton_root(g, z_hi, right[0], *right)
+    z, right = _widen(g, z_hi, 2.0, 1.0)
+    z3, _ = _newton_root(g, z_hi, z, z, right)
     return RootTriple(z1, z2, z3, log_lambda, n)
 
 
@@ -413,8 +414,9 @@ def _log_g(a: float, n: int, log_lower: float, log_lower_inv: float) -> float:
 class _Gap(NamedTuple):
     """The stationarity gap at one point, with the gamma values behind it.
 
-    log_p and log_p_inv are log p(n+1, a) and log p(n+1, 1/a), and error
-    bounds how far they are off together (_gap_and_slope).
+    slope is the step slope, curvature h''; log_p and log_p_inv are log
+    p(n+1, a) and log p(n+1, 1/a), and error bounds how far they are off
+    together (_gap_and_slope).
     """
 
     value: float
@@ -428,7 +430,7 @@ class _Gap(NamedTuple):
 
 
 def _gap_and_slope(a: float, n: int, prev: _Gap | None = None) -> _Gap:
-    """The stationarity gap h(a), its first two derivatives, its rounding bound.
+    """The stationarity gap h(a), its step slope and h'', its rounding bound.
 
     h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a) is negative
     where G increases and zero at its critical points.  With
@@ -439,7 +441,9 @@ def _gap_and_slope(a: float, n: int, prev: _Gap | None = None) -> _Gap:
         h''(a) = -2/a^3 - r1 (n/a - 1 - r1) + r2 (1/a^2 - (n+2)/a + r2),
 
     as r1' = r1 (n/a - 1 - r1) and r2' = r2 (1/a^2 - (n+2)/a + r2): both
-    derivatives come from the same two gamma values as h.
+    derivatives come from the same two gamma values as h.  The step slope
+    is h' - h h''/(2h'), so that a Newton step with it is a Halley step, or
+    plain h' where that would be zero or of the other sign.
 
     The gap is summed as ((-1/a - a) - (P + L)) - (Q + L) from P = log
     p(n+1, a), Q = log p(n+1, 1/a) and L = lgamma(n+1).  Let S = 1/a + a +
@@ -465,18 +469,22 @@ def _gap_and_slope(a: float, n: int, prev: _Gap | None = None) -> _Gap:
     la = math.log(a)
     log_factorial = math.lgamma(n + 1)
     moved = None if prev is None else _gamma_increment(a, n, prev, la, log_factorial)
-    if moved is None:
-        log_p = reg_gamma(n + 1, a).log_p
-        log_p_inv = reg_gamma(n + 1, inv).log_p
-        error = 3.0 * sys.float_info.epsilon * (2.0 * abs(log_p) + a + inv)
-    else:
-        log_p, log_p_inv, error = moved
+    # the stepped values where the step allows and their error is within
+    # its share, reg_gamma's otherwise
+    for fresh in (moved is None, True):
+        if fresh:
+            log_p = reg_gamma(n + 1, a).log_p
+            log_p_inv = reg_gamma(n + 1, inv).log_p
+            error = 3.0 * sys.float_info.epsilon * (2.0 * abs(log_p) + a + inv)
+        else:
+            log_p, log_p_inv, error = moved
+        size = inv + a + abs(log_p) + abs(log_p_inv) + 2.0 * log_factorial
+        if fresh or error <= _GAMMA_ROUNDING * size:
+            break
     log_lower = log_p + log_factorial
     log_lower_inv = log_p_inv + log_factorial
     gap = -inv - a - log_lower - log_lower_inv
-    bound = _GAP_ROUNDING * (
-        inv + a + abs(log_p) + abs(log_p_inv) + 2.0 * log_factorial
-    )
+    bound = _GAP_ROUNDING * size
     r1 = math.exp(n * la - a - log_lower)
     r2 = math.exp(-(n + 2) * la - inv - log_lower_inv)
     slope = inv * inv - 1.0 - r1 + r2
@@ -487,6 +495,10 @@ def _gap_and_slope(a: float, n: int, prev: _Gap | None = None) -> _Gap:
     )
     if abs(gap) <= bound:
         gap = 0.0
+    elif slope != 0.0:
+        halley = slope - gap * curvature / (2.0 * slope)
+        if halley * slope > 0.0:
+            slope = halley
     return _Gap(gap, slope, curvature, bound, log_p, log_p_inv, a, error)
 
 
@@ -524,8 +536,8 @@ def _gamma_increment(
     expm1(eta) of the computed one, and log1p's slope between them is at
     most 1/(1 - q); log1p and the sum add eps |log1p(rho)| and u |log p1|.
     The step adds r expm1(eta)/(1 - q) + eps |log1p(rho)| + u |log p1| to
-    e0, and it returns None where q >= 1 or where the error of the two
-    together passes 6 eps S (_gap_and_slope).
+    e0, and it returns None where q >= 1; _gap_and_slope checks the error
+    of the two together against its share, 6 eps S.
     """
     eps = sys.float_info.epsilon
     e0 = error = prev.error
@@ -557,9 +569,6 @@ def _gamma_increment(
         error += r * math.expm1(eta) / (1.0 - q) + eps * (abs(step) + 0.5 * abs(log_p1))
         out.append(log_p1)
     log_p, log_p_inv = out
-    size = 1.0 / a + a + abs(log_p) + abs(log_p_inv) + 2.0 * log_factorial
-    if error > _GAMMA_ROUNDING * size:
-        return None
     return log_p, log_p_inv, error
 
 
@@ -674,18 +683,6 @@ def _stationary_seed(n: int, lo: float) -> float:
     return a
 
 
-def _halley_slope(gap: _Gap) -> float:
-    """h' - h h''/(2h'), so that a Newton step with it is a Halley step.
-
-    Plain h' where that slope would be zero or of the other sign.
-    """
-    if gap.slope != 0.0:
-        halley = gap.slope - gap.value * gap.curvature / (2.0 * gap.slope)
-        if halley * gap.slope > 0.0:
-            return halley
-    return gap.slope
-
-
 # ---------------------------------------------------------------------------
 # solving for the dimensional constant
 
@@ -732,11 +729,10 @@ def _newton_stationary(n: int, lo: float, hi: float) -> _Gap:
     where they would with both ends evaluated, and the bracket is still
     [lo, hi].
 
-    Safeguarded Newton then takes Halley steps: the slope it is handed is
-    h' - h h''/(2h') (_halley_slope), as h'' comes from the gamma values
-    already in hand.  Each iterate's evaluation is handed the last one, so
-    its gamma values are stepped from that point's where the step allows
-    (_gap_and_slope).  It stops on the first point whose gap is within its
+    Safeguarded Newton then takes Halley steps, as the evaluation's step
+    slope is Halley's (_gap_and_slope).  Each iterate's evaluation is handed
+    the last one, so its gamma values are stepped from that point's where
+    the step allows.  It stops on the first point whose gap is within its
     bound, unless a step below 1e-15 relative ends it first; the last
     evaluation, which holds its point, is returned.
     """
@@ -765,18 +761,13 @@ def _newton_stationary(n: int, lo: float, hi: float) -> _Gap:
             raise no_sign_change()
         if start is None:
             a, start = hi, right
-    last = [start]
-
-    def h(a: float) -> tuple[float, float]:
-        last[0] = _gap_and_slope(a, n, last[0])
-        return last[0].value, _halley_slope(last[0])
-
     try:
-        _newton_root(h, lo, hi, a, start.value, _halley_slope(start))
+        _, gap = _newton_root(
+            lambda a, last: _gap_and_slope(a, n, last), lo, hi, a, start
+        )
     except ArithmeticError as exc:
         raise StationarityFailure(f"{exc} at n={n}") from exc
-    # _newton_root ends on the last point evaluated, or within 1e-15 of it
-    return last[0]
+    return gap
 
 
 @lru_cache(maxsize=None)
@@ -800,7 +791,7 @@ def solve_lambda(n: int) -> LambdaEstimate:
     full, as too wide to be stepped, and n = 1, whose seed is 1/2, two.
 
     The residuals certify the root: the exponent of each, log of the ratio
-    it measures, must be at most 1e-8 or 2B if that is larger.  With the
+    it measures, must be at most 2B.  With the
     rounded logs P' = log gamma(n+1, a) and Q' = log gamma(n+1, 1/a) as
     given, whether from reg_gamma or stepped, lambda is a weighted mean of
     X = e^(-1/a - P') and Y = e^(a + Q'), whatever a^n rounds to, so each
@@ -834,7 +825,7 @@ def solve_lambda(n: int) -> LambdaEstimate:
     log_lambda = _log_g(a_n, n, log_lower, log_lower_inv)
     exponent_n1 = -1.0 / a_n - log_lower - log_lambda
     exponent_n2 = a_n + log_lower_inv - log_lambda
-    tol = max(_RESIDUAL_TOL, _RESIDUAL_ROUNDING * gap.bound)
+    tol = _RESIDUAL_ROUNDING * gap.bound
     if max(abs(exponent_n1), abs(exponent_n2)) > tol:
         raise StationarityFailure(
             f"stationarity residual exponents {exponent_n1:.3e}, "

@@ -526,4 +526,7 @@ def profile_from_dict(doc: object) -> ConvexProfile:
         tail_slope = INF if slope == "inf" else float(slope)
     except OverflowError as exc:  # an int beyond the float range
         raise ValueError(f"profile number out of float range: {exc}") from exc
+    # only the string "inf" selects an indicator tail
+    if slope != "inf" and not math.isfinite(tail_slope):
+        raise ValueError(f"'tail_slope' must be finite or \"inf\", got {slope!r}")
     return ConvexProfile(pts, tail_slope)

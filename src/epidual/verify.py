@@ -416,7 +416,11 @@ def _int_pow(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _tent_log_ratios(n: int, a: float, b_vals: np.ndarray) -> np.ndarray:
-    """log nu/mu for the tents T(a, b, 1), one quadrature per b, b = inf ok."""
+    """log nu/mu for the tents T(a, b, 1), one quadrature per b, b = inf ok.
+
+    brute_force_lambda's independent route, an oracle for the solver: the
+    two volumes by quadrature, not big_f's and big_g's closed form.
+    """
     import numpy as np
 
     zs, ws = _kink_aligned_rule(a)

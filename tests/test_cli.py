@@ -385,6 +385,52 @@ def test_transform_error_paths(capsys, monkeypatch, tmp_path):
     assert run(capsys, ["transform", "J", str(tmp_path / "missing.json")])[0] == 2
 
 
+def _one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_input_exits_two(capsys, monkeypatch, tmp_path):
+    # a directory, and bytes that are not UTF-8 from a file or from stdin,
+    # are input errors, not tracebacks
+    _one_error_line(*run(capsys, ["transform", "J", str(tmp_path)]))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"breakpoints": [[0, 0]], "tail_slope": "\xe9"}')
+    _one_error_line(*run(capsys, ["transform", "J", str(latin)]))
+    monkeypatch.setattr(
+        sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8")
+    )
+    _one_error_line(*run(capsys, ["transform", "L"]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximizer", "--n", "5"],
+        ["lambda-table", "--n-max", "3"],
+        ["scan-m", "--n", "5", "--points", "3"],
+        ["scan-g", "--n", "5", "--points", "3"],
+        ["check", "involution", "--cases", "1"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_unwritable_out_exits_two(capsys, tmp_path, argv, target):
+    # --out into a missing directory, or onto a directory, on any command
+    code, out, err = run(capsys, [*argv, "--out", str(tmp_path / target)])
+    _one_error_line(code, out, err)
+    assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("text", ["1e400", "Infinity", "-Infinity", "NaN"])
+def test_transform_refuses_a_non_finite_tail_number(capsys, monkeypatch, text):
+    # only the string "inf" selects an indicator tail
+    doc = '{"breakpoints": [[0, 0], [1, 1]], "tail_slope": %s}' % text
+    code, out, err = run(capsys, ["transform", "J"], stdin=doc, monkeypatch=monkeypatch)
+    _one_error_line(code, out, err)
+    assert "invalid profile" in err and "tail_slope" in err
+
+
 def test_check_single_suite_reports_margin(capsys):
     code, out, _ = run(capsys, ["check", "t-improvement", "--cases", "25"])
     assert code == 0

@@ -146,13 +146,20 @@ def test_root_widening_cap_raises(monkeypatch, log_lambda):
         roots_of_m(1, log_lambda)
 
 
-def test_z1_seed_widening_cap_raises(monkeypatch):
+def test_z1_from_a_seed_whose_gap_reads_zero():
     # at n = 5, log lambda = 6.75 the gap at z1's seed, within rounding of
-    # z1, reads 0.0, so the seed is widened before the Newton solve
-    _island(5, 6.75)
-    monkeypatch.setattr(extremal, "_WIDEN_MAX_STEPS", 0)
-    with pytest.raises(ArithmeticError):
-        _island(5, 6.75)
+    # z1, reads 0.0; with 0 as the Newton's negative end the seed closes the
+    # bracket on the right, and it is z1 to within the gap's rounding
+    n, log_lambda = 5, 6.75
+    z1 = _island(n, log_lambda)[0]
+    assert _log_gap(z1, n, log_lambda) == 0.0
+    assert roots_of_m(n, log_lambda).z1 == z1
+    with mp.workdps(40):
+        want = mp.findroot(
+            lambda z: z - 1 / z - (n + 2) * mp.log(z) - mp.mpf(log_lambda),
+            mp.mpf(z1),
+        )
+        assert abs(z1 - want) <= 7.7e-15 * want
 
 
 def test_island_sign_map_evaluations(monkeypatch):
@@ -757,8 +764,9 @@ def test_solve_lambda_bit_identical():
 
 
 def test_solver_residual_tolerance_follows_rounding():
-    # at n = 3e7 the first residual is one ulp of log lambda (6e-8), above
-    # the 1e-8 floor but as small as the arithmetic can resolve
+    # at n = 3e7 the first residual is one ulp of log lambda (6e-8): as
+    # small as the arithmetic can resolve, and within the tolerance 2B,
+    # which grows with the gap's terms
     n = 30_000_000
     est = solve_lambda(n)
     tol = 4.0 * math.ulp(est.log_lambda)
@@ -766,6 +774,24 @@ def test_solver_residual_tolerance_follows_rounding():
     assert max(abs(est.residual_n1), abs(est.residual_n2)) <= tol
     # lambda / n! - 1 is below 1/n
     assert est.log_lambda == pytest.approx(math.lgamma(n + 1), abs=1e-6)
+
+
+def test_residual_exponents_within_twice_the_gap_bound(monkeypatch):
+    # the certificate's tolerance is 2B alone, B the rounding bound of the
+    # gap evaluation at the root; the exponents reach 0.43 of it, at n = 45
+    roots = {}
+    inner = extremal._newton_stationary
+
+    def recorded(n, lo, hi):
+        roots[n] = inner(n, lo, hi)
+        return roots[n]
+
+    monkeypatch.setattr(extremal, "_newton_stationary", recorded)
+    for n in _BOUND_NS + [3_000_000_000]:
+        est = solve_lambda.__wrapped__(n)
+        tol = 2.0 * roots[n].bound
+        for residual in (est.residual_n1, est.residual_n2):
+            assert abs(math.log1p(residual)) <= tol, n
 
 
 def test_solver_bracket_is_factorial_island():
@@ -813,7 +839,7 @@ def test_bisect_raises_when_it_cannot_converge():
     # a zero slope makes every step a bisection, and a relative step never
     # gets small next to iterates that halve toward the root at 0
     with pytest.raises(ArithmeticError):
-        _newton_root(lambda z: (z, 0.0), -1.0, 1.0, 0.5, 0.5, 0.0)
+        _newton_root(lambda z, last: (z, 0.0), -1.0, 1.0, 0.5, (0.5, 0.0))
 
 
 def test_newton_cap_raises(monkeypatch):

@@ -554,6 +554,11 @@ def test_json_round_trip():
         {"breakpoints": [["0", "0"], ["1", "2"]], "tail_slope": "inf"},
         {"breakpoints": [[0, 0], [True, 2]], "tail_slope": "inf"},
         {"breakpoints": [[0, 0], [10**400, 2]], "tail_slope": "inf"},
+        # a non-finite number, as JSON's Infinity or 1e400 parse, is no
+        # indicator tail: only the string "inf" is
+        {"breakpoints": [[0.0, 0.0]], "tail_slope": math.inf},
+        {"breakpoints": [[0.0, 0.0]], "tail_slope": -math.inf},
+        {"breakpoints": [[0.0, 0.0]], "tail_slope": math.nan},
     ],
 )
 def test_json_rejects_malformed(doc):
