@@ -160,22 +160,6 @@ def _newton_root(f, neg: float, pos: float, a: float, last):
     )
 
 
-def _widen(f, z: float, factor: float, sign: float):
-    """First z * factor^k, k >= 1, where f has the given sign, with f there.
-
-    Returns the point and its evaluation (as _newton_root's); ArithmeticError
-    once _WIDEN_MAX_STEPS steps run out.
-    """
-    for _ in range(_WIDEN_MAX_STEPS):
-        z *= factor
-        evaluation = f(z, None)
-        if sign * evaluation[0] > 0.0:
-            return z, evaluation
-    raise ArithmeticError(
-        f"no sign change in {_WIDEN_MAX_STEPS} steps by {factor}, at z={z}"
-    )
-
-
 @dataclass(frozen=True)
 class RootTriple:
     """The three roots of the sign map for a given lambda and order.
@@ -293,13 +277,23 @@ def roots_of_m(n: int, log_lambda: float) -> RootTriple:
     """Locate all three roots of the sign map, or raise OneRootCase.
 
     z1 and z2 bound the positivity island (_island, which also documents
-    the refusals); z3 is found past the local min by the same safeguarded
-    Newton on the gap.
+    the refusals).  Past the local min z_hi the gap grows about linearly,
+    so z3 is bracketed by the first doubling of z_hi where the gap is
+    positive (ArithmeticError after _WIDEN_MAX_STEPS doublings), and found
+    from that end by the same safeguarded Newton on the gap.
     """
     z1, z2 = _island(n, log_lambda)
     g = _sign_gap(n, log_lambda)
-    z_hi = _gap_probes(n)[1]
-    z, right = _widen(g, z_hi, 2.0, 1.0)
+    z = z_hi = _gap_probes(n)[1]
+    for _ in range(_WIDEN_MAX_STEPS):
+        z *= 2.0
+        right = g(z, None)
+        if right[0] > 0.0:
+            break
+    else:
+        raise ArithmeticError(
+            f"no sign change in {_WIDEN_MAX_STEPS} doublings, at z={z}"
+        )
     z3, _ = _newton_root(g, z_hi, z, z, right)
     return RootTriple(z1, z2, z3, log_lambda, n)
 
@@ -414,14 +408,13 @@ def _log_g(a: float, n: int, log_lower: float, log_lower_inv: float) -> float:
 class _Gap(NamedTuple):
     """The stationarity gap at one point, with the gamma values behind it.
 
-    slope is the step slope, curvature h''; log_p and log_p_inv are log
-    p(n+1, a) and log p(n+1, 1/a), and error bounds how far they are off
-    together (_gap_and_slope).
+    slope is the step slope; log_p and log_p_inv are log p(n+1, a) and log
+    p(n+1, 1/a), and error bounds how far they are off together
+    (_gap_and_slope).
     """
 
     value: float
     slope: float
-    curvature: float
     bound: float
     log_p: float
     log_p_inv: float
@@ -430,7 +423,7 @@ class _Gap(NamedTuple):
 
 
 def _gap_and_slope(a: float, n: int, prev: _Gap | None = None) -> _Gap:
-    """The stationarity gap h(a), its step slope and h'', its rounding bound.
+    """The stationarity gap h(a), its step slope and its rounding bound.
 
     h(a) = (-1/a - a) - log gamma(n+1, a) - log gamma(n+1, 1/a) is negative
     where G increases and zero at its critical points.  With
@@ -499,7 +492,7 @@ def _gap_and_slope(a: float, n: int, prev: _Gap | None = None) -> _Gap:
         halley = slope - gap * curvature / (2.0 * slope)
         if halley * slope > 0.0:
             slope = halley
-    return _Gap(gap, slope, curvature, bound, log_p, log_p_inv, a, error)
+    return _Gap(gap, slope, bound, log_p, log_p_inv, a, error)
 
 
 def _gamma_increment(

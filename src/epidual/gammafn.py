@@ -1,8 +1,8 @@
-"""Regularized incomplete gamma functions in log domain.
+"""The incomplete gamma kernel: regularized gamma functions in log domain.
 
 Everything downstream (volume tails, the closed-form ratio of the extremal
-solver, the coefficient signs) consumes gamma(s, x) and Gamma(s, x) through
-the regularized pair
+solver, the coefficient signs, the gamma-inequalities suite) consumes
+gamma(s, x) and Gamma(s, x) through the regularized pair
 
     p(s, x) = gamma(s, x) / Gamma(s),    q(s, x) = Gamma(s, x) / Gamma(s),
 
@@ -410,35 +410,3 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
     log_q = _upper_cf(s, x)
     return RegularizedGamma(log1mexp(log_q), log_q)
 
-
-def check_small_a_bound(n: int, a: float) -> bool:
-    """Two-sided bound on gamma(n+1, a) for a in (0, 1].
-
-    Checks  e^{-a} a^{n+1}/(n+1)  <=  gamma(n+1, a)  <=  a^{n+1}/(n+1)
-    with all three quantities compared in log domain.
-    """
-    if n < 1 or not (0.0 < a <= 1.0):
-        raise ValueError(f"need n >= 1 and a in (0, 1], got n={n}, a={a}")
-    log_gamma = math.lgamma(n + 1.0) + reg_gamma(n + 1.0, a).log_p
-    upper = (n + 1.0) * math.log(a) - math.log(n + 1.0)
-    lower = upper - a
-    return lower <= log_gamma <= upper
-
-
-def check_tail_bound(n: int, t: float) -> bool:
-    """Concentration of the Gamma(n+1) mass below n + 1 + t.
-
-    Checks  p(n+1, n+1+t) >= 1 - exp(-t^2 / (8(n+1)))  for 0 < t < 2(n+1)
-    as the equivalent  log q(n+1, n+1+t) <= -t^2 / (8(n+1)),  which needs
-    no complement and holds its meaning when t^2 underflows.
-    """
-    if n < 1 or not (0.0 < t < 2.0 * (n + 1.0)):
-        raise ValueError(f"need n >= 1 and t in (0, 2(n+1)), got n={n}, t={t}")
-    return reg_gamma(n + 1.0, n + 1.0 + t).log_q <= -t * t / (8.0 * (n + 1.0))
-
-
-def check_gamma_half(m: int) -> bool:
-    """Checks Gamma(m+1, m) >= m!/2, i.e. q(m+1, m) >= 1/2."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
-    return reg_gamma(m + 1.0, float(m)).log_q >= -math.log(2.0)

@@ -120,7 +120,8 @@ def _interpolate(
         return y_last + tail_slope * (x - x_last)
     idx = bisect_right(xs, x) - 1
     (x0, y0), (x1, y1) = pts[idx], pts[idx + 1]
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    # the fraction first: (y1 - y0) (x - x0) overflows near 1e304
+    return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
 
 
 # ---------------------------------------------------------------------------

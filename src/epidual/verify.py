@@ -24,7 +24,7 @@ from .extremal import (
     t_map,
     tent_profile,
 )
-from .gammafn import check_gamma_half, check_small_a_bound, check_tail_bound
+from .gammafn import reg_gamma
 from .logdomain import log_sub_signed
 from .measures import (
     _GL_NODES,
@@ -313,11 +313,16 @@ def _suite_gamma_inequalities(i: int, rng, sampler: ProfileSampler) -> CaseResul
     a = float(rng.uniform(1e-4, 1.0))
     t = float(0.1 + 1.8 * rng.random()) * (n + 1)
     m = 1 + i % 500
-    if not check_small_a_bound(n, a):
+    # e^-a a^(n+1)/(n+1) <= gamma(n+1, a) <= a^(n+1)/(n+1), in logs
+    log_gamma = math.lgamma(n + 1.0) + reg_gamma(n + 1.0, a).log_p
+    upper = (n + 1.0) * math.log(a) - math.log(n + 1.0)
+    if not upper - a <= log_gamma <= upper:
         return 1.0, f"small-slope bound failed at n={n}, a={a}"
-    if not check_tail_bound(n, t):
+    # p(n+1, n+1+t) >= 1 - e^(-t^2/(8(n+1))), as log q: no complement, no underflow
+    if not reg_gamma(n + 1.0, n + 1.0 + t).log_q <= -t * t / (8.0 * (n + 1.0)):
         return 1.0, f"tail bound failed at n={n}, t={t}"
-    if not check_gamma_half(m):
+    # Gamma(m+1, m) >= m!/2, i.e. q(m+1, m) >= 1/2
+    if not reg_gamma(m + 1.0, float(m)).log_q >= -math.log(2.0):
         return 1.0, f"half-point bound failed at m={m}"
     return 0.0, None
 

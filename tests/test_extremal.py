@@ -660,13 +660,19 @@ def test_solver_refuses_a_stationarity_bracket_below_rounding(k):
 
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
 def test_gap_curvature_against_mpmath(n):
-    # h'' sums terms as large as r1^2 that cancel to about r1^2 / n, and r1
-    # carries the rounding of log gamma(n+1, a), a number of size n log n:
-    # so the error is taken relative to the terms, not to h'' (at n = 1000
-    # one ulp of log gamma moves h'' by 3e-9 of itself, 3e-12 of r1^2)
+    # h'' enters the solver through the Halley step slope h' - h h''/(2h'),
+    # or plain h' where the gap reads 0.0 or that changes sign, so the
+    # slope is checked.  h' and h'' sum terms as large as r1 and r1^2 that
+    # cancel, and r1 carries the rounding of log gamma(n+1, a), a number of
+    # size n log n: so h, h' and h'' are each taken within 1e-10 of their
+    # terms' sizes S0, S1 and S2 (at n = 1000 one ulp of log gamma moves
+    # h'' by 3e-9 of itself, 3e-12 of r1^2).  To first order the Halley
+    # slope is then within 1e-10 (S1 (1 + |h h''|/(2h'^2)) + S2 |h|/(2|h'|)
+    # + S0 |h''|/(2|h'|))
     z1, z2 = _island(n, math.lgamma(n + 1))
     for t in (0.1, 0.5, 0.9):
         a = z1 + t * (z2 - z1)
+        gap = _gap_and_slope(a, n)
         with mp.workdps(40):
             def h(x):
                 return (
@@ -676,16 +682,26 @@ def test_gap_curvature_against_mpmath(n):
                 )
 
             x = mp.mpf(a)
-            want = mp.diff(h, x, 2)
+            h0, h1, h2 = h(x), mp.diff(h, x, 1), mp.diff(h, x, 2)
             r1 = x**n * mp.e**-x / mp_lower(n + 1, x)
             r2 = x ** (-n - 2) * mp.e ** (-1 / x) / mp_lower(n + 1, 1 / x)
-            size = float(
+            s0 = 1 / x + x + abs(mp.log(mp_lower(n + 1, x))) + abs(
+                mp.log(mp_lower(n + 1, 1 / x))
+            )
+            s1 = 1 / x**2 + 1 + r1 + r2
+            s2 = (
                 2 / x**3
                 + r1 * (n / x + 1 + r1)
                 + r2 * (1 / x**2 + (n + 2) / x + r2)
             )
-        got = _gap_and_slope(a, n).curvature
-        assert abs(got - float(want)) <= 1e-10 * size, (n, a)
+            halley = h1 - h0 * h2 / (2 * h1)
+            want = h1 if gap.value == 0.0 or halley * h1 <= 0 else halley
+            tol = 1e-10 * (
+                s1 * (1 + abs(h0 * h2) / (2 * h1**2))
+                + s2 * abs(h0) / (2 * abs(h1))
+                + s0 * abs(h2) / (2 * abs(h1))
+            )
+        assert abs(gap.slope - float(want)) <= float(tol), (n, a)
 
 
 def test_island_is_the_first_two_roots():

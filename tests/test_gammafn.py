@@ -13,9 +13,6 @@ from epidual.gammafn import (
     _TEMME_C,
     _log1pmx,
     _log_upper_scaled,
-    check_gamma_half,
-    check_small_a_bound,
-    check_tail_bound,
     reg_gamma,
 )
 
@@ -150,24 +147,25 @@ def test_domain_errors():
 
 
 def test_small_a_bound_grid():
+    # e^-a a^(n+1)/(n+1) <= gamma(n+1, a) <= a^(n+1)/(n+1), in logs
     for n in [1, 2, 5, 20, 50]:
         for a in [0.05, 0.2, 0.5, 0.77, 1.0]:
-            assert check_small_a_bound(n, a)
-    with pytest.raises(ValueError):
-        check_small_a_bound(3, 1.5)
+            log_gamma = math.lgamma(n + 1.0) + reg_gamma(n + 1.0, a).log_p
+            upper = (n + 1.0) * math.log(a) - math.log(n + 1.0)
+            assert upper - a <= log_gamma <= upper, (n, a)
 
 
 def test_tail_bound_cases():
-    assert check_tail_bound(10, 5.0)
-    assert check_tail_bound(100, 1.0)
-    assert check_tail_bound(1, 1e-170)  # t^2 underflows; the bound is vacuous
-    with pytest.raises(ValueError):
-        check_tail_bound(10, 30.0)
+    # p(n+1, n+1+t) >= 1 - e^(-t^2/(8(n+1))) as log q(n+1, n+1+t) <=
+    # -t^2/(8(n+1)); at t = 1e-170 t^2 underflows and the bound is vacuous
+    for n, t in [(10, 5.0), (100, 1.0), (1, 1e-170)]:
+        assert reg_gamma(n + 1.0, n + 1.0 + t).log_q <= -t * t / (8.0 * (n + 1.0))
 
 
 def test_gamma_half_small_m():
+    # Gamma(m+1, m) >= m!/2, i.e. q(m+1, m) >= 1/2
     for m in [1, 2, 3, 10, 100, 500]:
-        assert check_gamma_half(m)
+        assert reg_gamma(m + 1.0, float(m)).log_q >= -math.log(2.0)
 
 
 def test_upper_fraction_converges_at_huge_argument():

@@ -245,7 +245,18 @@ def test_vol_mu_of_tail_too_shallow_for_its_radius():
     assert vol_mu(rho, 2) == pytest.approx(want, rel=1e-14)
 
 
-def test_vol_mu_evaluates_each_panel_once(monkeypatch):
+def _log_power(rho, n):
+    """log rho(z)^n e^-z, the integrand of mu, and rho's finite pieces."""
+
+    def logf(z):
+        x = rho.evaluate(z)
+        return n * math.log(x) - z if x > 0.0 else NEG_INF
+
+    pts = rho.breakpoints
+    return logf, [(z0, z1) for (z0, _), (z1, _) in zip(pts, pts[1:])]
+
+
+def test_log_adaptive_evaluates_each_panel_once(monkeypatch):
     panels = []
     panel = measures._log_panel
 
@@ -259,7 +270,9 @@ def test_vol_mu_evaluates_each_panel_once(monkeypatch):
     for rho in [to_radius(p) for p in PROFILES] + [wide]:
         for n in (1, 5, 30):
             panels.clear()
-            vol_mu(rho, n)
+            logf, pieces = _log_power(rho, n)
+            for z0, z1 in pieces:
+                measures._log_adaptive(logf, z0, z1)
             # a refined panel passes its halves down instead of recomputing them
             assert len(set(panels)) == len(panels), (rho, n)
             if rho is wide:
@@ -279,15 +292,16 @@ def _record_evaluations(monkeypatch):
     return calls
 
 
-def test_vol_mu_stops_refining_under_the_floor(monkeypatch):
+def test_log_adaptive_stops_refining_under_the_floor(monkeypatch):
     # z^40 near 0 is past the degree 29 the 15-point rule integrates
     # exactly, so every halving of the leftmost panel misses by the same
     # relative amount; the floor accepts those panels 40 nats down instead
     # of halving them until the depth cap
     calls = _record_evaluations(monkeypatch)
-    got = vol_mu(RadiusFunction(((0.0, 0.0), (1.0, 1.0)), 0.0), 40)
+    logf, _ = _log_power(RadiusFunction(((0.0, 0.0), (1.0, 1.0)), 0.0), 40)
+    got = measures._log_adaptive(logf, 0.0, 1.0)
     lower = math.exp(math.lgamma(41) + reg_gamma(41, 1.0).log_p)  # gamma(41, 1)
-    assert got == pytest.approx(math.log(lower + math.exp(-1.0)), rel=1e-14, abs=1e-14)
+    assert got == pytest.approx(math.log(lower), rel=1e-14, abs=1e-14)
     assert 0 < len(calls) < 400
 
 

@@ -424,13 +424,12 @@ def test_factorization_evaluates_only_at_knots(monkeypatch):
         assert points <= len(calls) <= points + 2, (p, len(calls))
 
 
-def extreme_profiles(count, seed):
+def extreme_profiles(count, seed, scales):
     """Profiles with widths over 11 decades and slope steps over 30.
 
     One in five starts flat, one in four has an indicator tail; each draw
-    also comes scaled by 10^100 and 10^-100.  Draws the constructor
-    refuses (values that dwarf a segment's rise, radii that underflow)
-    are skipped.
+    comes scaled by each of scales.  Draws the constructor refuses (values
+    that dwarf a segment's rise, radii that underflow) are skipped.
     """
     rng = random.Random(seed)
     for _ in range(count):
@@ -443,7 +442,7 @@ def extreme_profiles(count, seed):
             r, v = r + width, v + slope * width
             pts.append((r, v))
         tail = INF if indicator else slope + 10.0 ** rng.uniform(-15, 15)
-        for a in (1.0, 1e100, 1e-100):
+        for a in scales:
             try:
                 yield scale(ConvexProfile(tuple(pts), tail), a)
             except ValueError:
@@ -452,12 +451,39 @@ def extreme_profiles(count, seed):
 
 def test_factorization_on_extreme_profiles():
     worst, profiles = 0.0, 0
-    for p in extreme_profiles(700, seed=7):
+    for p in extreme_profiles(700, seed=7, scales=(1.0, 1e100, 1e-100)):
         polar_profile(p)
         worst = max(worst, check_j_factorization(p))
         profiles += 1
     assert profiles > 1900
     assert worst <= 1e-9
+
+
+def test_factorization_near_the_ends_of_the_doubles():
+    # abscissae near 1e304: an interpolation that multiplied before it
+    # divided overflowed there and read +inf (123 of these profiles).  An
+    # image past the largest double is refused with ValueError as it is
+    # built (218 of 2,655), which is no failure of the factorization
+    worst, profiles = 0.0, 0
+    scales = (1e250, 1e-250, 1e300, 1e-300)
+    for p in extreme_profiles(700, seed=7, scales=scales):
+        try:
+            polar_profile(p)
+        except ValueError:
+            continue
+        worst = max(worst, check_j_factorization(p))
+        profiles += 1
+    assert profiles > 2400
+    assert worst <= 1e-9
+
+
+def test_factorization_of_an_image_with_knots_near_1e304():
+    # A psi has its knot at 3.48e304 and is 6.6e11 at the midpoint 1.74e304
+    p = ConvexProfile(
+        ((0.0, 0.0), (2.0803169702628534e-300, 5.4882974211903755e-08)),
+        2.638238953869306e292,
+    )
+    assert check_j_factorization(p) <= 1e-9
 
 
 def test_knots_are_the_union_then_the_tail_point():
