@@ -94,11 +94,6 @@ class ZeroProfile(Exception):
     """The profile degenerates and no tent can be anchored to it."""
 
 
-def _log_gamma_lower(s: int, x: float) -> float:
-    """log of the lower incomplete gamma(s, x), unnormalized."""
-    return reg_gamma(s, x).log_p + math.lgamma(s)
-
-
 # ---------------------------------------------------------------------------
 # the sign map and its roots
 
@@ -394,7 +389,10 @@ def big_g(a: float, n: int) -> float:
     _check_n(n)
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"tent slope a must be finite > 0, got {a}")
-    return _log_g(a, n, _log_gamma_lower(n + 1, a), _log_gamma_lower(n + 1, 1.0 / a))
+    log_factorial = math.lgamma(n + 1)
+    log_lower = reg_gamma(n + 1, a).log_p + log_factorial
+    log_lower_inv = reg_gamma(n + 1, 1.0 / a).log_p + log_factorial
+    return _log_g(a, n, log_lower, log_lower_inv)
 
 
 def _log_g(a: float, n: int, log_lower: float, log_lower_inv: float) -> float:
@@ -879,7 +877,7 @@ def ck_coefficients(
         lbinom = (
             math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
         )
-        pos = lbinom + _log_gamma_lower(k + 1, 1.0 / a)
+        pos = lbinom + (reg_gamma(k + 1, 1.0 / a).log_p + math.lgamma(k + 1))
         upper = reg_gamma(n - k + 1, a).log_q + math.lgamma(n - k + 1)
         neg = lbinom + log_lambda + upper
         out.append(log_sub_signed(pos, neg))

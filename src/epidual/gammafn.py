@@ -296,12 +296,6 @@ def _log_upper_scaled(s: float, x: float) -> float:
     return math.log(h)
 
 
-def _upper_cf(s: float, x: float) -> float:
-    """log q(s, x) by the upper continued fraction; requires x >= s + 1."""
-    # x^s e^{-x} / Gamma(s) = exp(prefactor) * s
-    return _log_prefactor(s, x) + math.log(s) + _log_upper_scaled(s, x)
-
-
 def _temme(s: float, x: float) -> RegularizedGamma:
     """Temme's uniform expansion; for s >= 20 and |x - s| <= min(s/2, 8 sqrt s).
 
@@ -407,6 +401,7 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
     if x < s + 1.0:
         log_p = _lower_series(s, x)
         return RegularizedGamma(log_p, log1mexp(log_p))
-    log_q = _upper_cf(s, x)
+    # x^s e^{-x} / Gamma(s) = exp(prefactor) * s
+    log_q = _log_prefactor(s, x) + math.log(s) + _log_upper_scaled(s, x)
     return RegularizedGamma(log1mexp(log_q), log_q)
 

@@ -121,8 +121,6 @@ def _log_panel(logf, a: float, b: float) -> float:
     if m == NEG_INF:
         return NEG_INF
     acc = math.fsum(w * math.exp(v - m) for v, w in zip(vals, _GL_WEIGHTS))
-    if acc <= 0.0:
-        return NEG_INF
     return m + math.log(acc) + math.log(half)
 
 
@@ -147,8 +145,9 @@ def _log_adaptive(logf, a: float, b: float) -> float:
     far under the integral and accept nothing.  A panel that neither
     agrees nor lies under the floor after _MAX_DEPTH halvings raises
     ArithmeticError (which keeps the recursion under Python's limit), as
-    do a NaN panel and a call past _MAX_PANELS panels: the depth cap alone
-    lets their count reach 2^_MAX_DEPTH.
+    do a NaN panel, a call past _MAX_PANELS panels (the depth cap alone
+    lets their count reach 2^_MAX_DEPTH) and a panel too narrow to halve,
+    whose midpoint rounds to one of its ends.
     """
     panels = 1  # the whole of [a, b]
 
@@ -160,6 +159,8 @@ def _log_adaptive(logf, a: float, b: float) -> float:
                 f"quadrature did not converge in {_MAX_PANELS} panels on [{a}, {b}]"
             )
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ArithmeticError(f"quadrature panel [{lo}, {hi}] cannot be halved")
         left, right = _log_panel(logf, lo, mid), _log_panel(logf, mid, hi)
         split = log_add(left, right)
         floor = max(floor, whole - _TAIL_NATS, split - _TAIL_NATS)
@@ -338,8 +339,9 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
 
     A sweep that has not stopped after _MAX_SWEEP panels, or an upper one
     whose next panel would reach past the largest double, raises
-    ArithmeticError, as does a NaN panel (a radius overflowing to inf) or
-    a panel that does not converge (see _log_adaptive).
+    ArithmeticError, as does a NaN panel (a radius overflowing to inf), a
+    panel that does not converge or one too narrow to halve (see
+    _log_adaptive).
     """
     _check_n(n)
     if rho.is_infinite:

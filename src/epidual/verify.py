@@ -151,25 +151,19 @@ def _island_roots(n: int) -> RootTriple:
 
 
 def _cap_radius(rho: RadiusFunction, cap: float) -> RadiusFunction:
-    """Pointwise min(rho, cap): the radius after intersecting with a ball."""
+    """Pointwise min(rho, cap): the radius after intersecting with a ball.
+
+    rho reaches the cap at z = psi(cap), psi = from_radius(rho); where
+    psi(cap) is inf (a constant tail below the cap) rho is returned as is.
+    Raises ValueError unless the cap is finite and positive.
+    """
     if not (cap > 0.0 and math.isfinite(cap)):
         raise ValueError(f"cap must be finite > 0, got {cap}")
-    pts: list[tuple[float, float]] = []
-    for z, x in rho.breakpoints:
-        if x >= cap:
-            if pts:
-                z0, x0 = pts[-1]
-                t = (cap - x0) / (x - x0)
-                pts.append((z0 + t * (z - z0), cap))
-            else:
-                pts.append((0.0, cap))
-            return RadiusFunction(tuple(pts), 0.0)
-        pts.append((z, x))
-    if rho.tail_slope > 0.0:
-        z_m, x_m = rho.breakpoints[-1]
-        pts.append((z_m + (cap - x_m) / rho.tail_slope, cap))
-        return RadiusFunction(tuple(pts), 0.0)
-    return rho  # constant tail already below the cap
+    reach = from_radius(rho).evaluate(cap)
+    if reach == INF:
+        return rho
+    kept = [(z, x) for z, x in rho.breakpoints if z < reach]
+    return RadiusFunction((*kept, (reach, cap)), 0.0)
 
 
 # ---------------------------------------------------------------------------

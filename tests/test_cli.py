@@ -272,6 +272,33 @@ def test_scan_g_alpha_window(capsys):
     assert run(capsys, ["scan-g", "--n", "10", "--alpha", "1.5"])[0] == 2
 
 
+def test_scan_m_range_sets_the_grid_ends(capsys):
+    code, out, _ = run(capsys, ["scan-m", "--n", "5", "--range", "0.1:10", "--points", "3"])
+    assert code == 0
+    rows = data_rows(out)
+    assert len(rows) == 3
+    # numbers print as %.17g, so 0.1 prints as 0.10000000000000001
+    assert float(rows[0][0]) == 0.1 and float(rows[-1][0]) == 10.0
+
+
+def test_scan_g_range_heads_its_output(capsys):
+    argv = ["scan-g", "--n", "10", "--range", "0.05:0.2", "--points", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[0] == "# n=10 range=0.050000000000000003:0.20000000000000001"
+
+
+@pytest.mark.parametrize("text", ["10:0.1", "a:b", "1", "0:1"])
+def test_bad_range_exits_two(capsys, text):
+    assert run(capsys, ["scan-m", "--n", "5", "--range", text])[0] == 2
+    assert run(capsys, ["scan-g", "--n", "5", "--range", text])[0] == 2
+
+
+def test_bad_dimension_and_seed_exit_two(capsys):
+    assert run(capsys, ["maximizer", "--n", "0"])[0] == 2
+    assert run(capsys, ["check", "--seed", "-1"])[0] == 2
+
+
 def test_transform_j_twice_is_byte_identical(capsys, monkeypatch, tmp_path):
     src = tmp_path / "tent.json"
     src.write_text(json.dumps(TENT))

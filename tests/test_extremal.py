@@ -929,6 +929,22 @@ def test_ck_rejects_non_finite_lambda(log_lambda):
         ck_coefficients(3, 0.3, log_lambda)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_tent_ratios_and_ck_reject_a_bad_slope(a):
+    with pytest.raises(ValueError, match="slope a must be finite > 0"):
+        big_f(a, 1.0, 3)
+    with pytest.raises(ValueError, match="slope a must be finite > 0"):
+        big_g(a, 3)
+    with pytest.raises(ValueError, match="slope a must be finite > 0"):
+        ck_coefficients(3, a, 0.25)
+
+
+@pytest.mark.parametrize("b", [-1.0, math.nan])
+def test_big_f_rejects_a_bad_increment(b):
+    with pytest.raises(ValueError, match="increment b must be in"):
+        big_f(0.5, b, 3)
+
+
 def test_ck_value_against_mpmath():
     n, a, log_lam = 3, 0.4, 0.25
     sign, mag = ck_coefficients(n, a, log_lam)[1]

@@ -323,19 +323,26 @@ def test_vol_mu_skips_pieces_far_under_mu(monkeypatch):
     # piece [2, 4] alone bounds it from below by e^-0.41.  The piece from
     # z0 = 64 is at most sqrt(128)^5 e^-64 ~ e^-51.9, under that bound by
     # more than 40 + log 12 nats for its 12 pieces, and those past it lie
-    # lower still, so no panel may fall past z = 64
+    # lower still, so no finite piece integrated may reach past z = 64,
+    # whether by quadrature or in closed form
     zs = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
     rho = RadiusFunction(tuple((z, math.sqrt(z)) for z in zs), 0.0)
-    panels = []
-    panel = measures._log_panel
+    pieces = []
+    adaptive, segment = measures._log_adaptive, measures._log_segment
 
-    def recorded(logf, a, b):
-        panels.append((a, b))
-        return panel(logf, a, b)
+    def recorded_adaptive(logf, z0, z1):
+        pieces.append((z0, z1))
+        return adaptive(logf, z0, z1)
 
-    monkeypatch.setattr(measures, "_log_panel", recorded)
+    def recorded_segment(n, s, z0, x0, z1):
+        if z1 < INF:
+            pieces.append((z0, z1))
+        return segment(n, s, z0, x0, z1)
+
+    monkeypatch.setattr(measures, "_log_adaptive", recorded_adaptive)
+    monkeypatch.setattr(measures, "_log_segment", recorded_segment)
     got = vol_mu(rho, 5)
-    assert panels and max(b for _, b in panels) <= 64.0
+    assert pieces and max(z1 for _, z1 in pieces) <= 64.0
     want = mp_mu(rho, 5)
     assert abs(got - want) <= 4 * math.ulp(want)
 
@@ -537,6 +544,24 @@ def test_vol_nu_direct_raises_on_overflowing_radius():
     p = next(ProfileSampler(9_000_000).stream())
     with pytest.raises(ArithmeticError, match="NaN"):
         vol_nu_direct(to_radius(scale(p, 1e-300)), 1)
+
+
+def test_vol_nu_direct_raises_on_a_panel_too_narrow_to_halve():
+    # at n = 453092 the halvings near z = 3.1687 reach a panel between two
+    # adjacent doubles, whose midpoint rounds to an end; the refusal is
+    # typed rather than the log of a zero half-width
+    p = ConvexProfile(
+        (
+            (0.0, 0.0),
+            (1.9271983333973206, 1.8021935168310275),
+            (3.1910418293513345, 3.168582564017488),
+            (3.2554974466125883, 3.2690442689706054),
+            (3.500346089256908, 3.7571579386654075),
+        ),
+        2.0494210402674597,
+    )
+    with pytest.raises(ArithmeticError, match="cannot be halved"):
+        vol_nu_direct(to_radius(p), 453092)
 
 
 def test_volume_pair_invariant():

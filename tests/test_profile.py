@@ -231,6 +231,12 @@ def test_radius_validation():
     for pts, tail in bad:
         with pytest.raises(ValueError):
             RadiusFunction(pts, tail)
+    with pytest.raises(ValueError, match="at least one breakpoint"):
+        RadiusFunction((), 0.0)
+    with pytest.raises(ValueError, match="first breakpoint must sit at z = 0"):
+        RadiusFunction(((1.0, 0.0),), 0.0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        RadiusFunction(((0.0, -1.0),), 0.0)
 
 
 def test_j_fixed_point_unit_tent():
@@ -362,6 +368,12 @@ def test_polarity_flat_cutoff():
     p = ConvexProfile(((0.0, 0.0), (2.0, 0.0)), 1.0)
     assert polarity(p, 0.5) < INF
     assert polarity(p, 0.5000001) == INF
+
+
+@pytest.mark.parametrize("s", [-1.0, -1e-300, math.nan])
+def test_polarity_rejects_a_negative_argument(s):
+    with pytest.raises(ValueError, match="polarity domain"):
+        polarity(ConvexProfile(((0.0, 0.0),), 1.0), s)
 
 
 def polar_profile(p):

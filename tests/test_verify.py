@@ -149,6 +149,30 @@ def test_scaling_invariance_draws_scales_over_200_decades(monkeypatch):
     assert min(factors) < 1e-50 and max(factors) > 1e50
 
 
+def test_run_suite_records_failing_cases(monkeypatch):
+    # cases 1 and 3 fail; the worst residual is the largest of all cases,
+    # failing or not
+    def body(i, rng, sampler):
+        residual = (0.5, 2.0, -1.0, 1.5)[i]
+        return residual, f"case {i} broke" if i % 2 else None
+
+    monkeypatch.setitem(verify._SUITES, "involution", (body, 42, 4))
+    report = run_suite("involution")
+    assert report.failures == ((1, "case 1 broke"), (3, "case 3 broke"))
+    assert not report.passed
+    assert report.worst_residual == 2.0
+    assert report.to_dict() == {
+        "suite": "involution",
+        "cases": 4,
+        "passed": False,
+        "worst_residual": 2.0,
+        "failures": [
+            {"case": 1, "problem": "case 1 broke"},
+            {"case": 3, "problem": "case 3 broke"},
+        ],
+    }
+
+
 def test_report_round_trips_to_dict():
     report = SuiteReport("involution", 3, ((1, "went sideways"),), 0.25)
     doc = report.to_dict()
@@ -181,6 +205,13 @@ def test_cap_radius_above_range_is_identity_or_tail_clip():
     capped = _cap_radius(grows, 5.0)
     assert capped.evaluate(10.0) == pytest.approx(5.0, abs=1e-12)
     assert capped.evaluate(1.0) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+def test_cap_radius_rejects_a_bad_cap(cap):
+    rho = to_radius(ConvexProfile(((0.0, 0.0), (1.0, 1.0)), 5.0))
+    with pytest.raises(ValueError, match="cap must be finite > 0"):
+        _cap_radius(rho, cap)
 
 
 # ---------------------------------------------------------------------------
