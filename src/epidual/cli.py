@@ -5,7 +5,9 @@ fixed order, so identical flags give byte-identical output.  Lines that
 begin with '#' carry metadata (dimensions, lambda mode, located roots)
 and can be skipped by plotting tools.  Exit codes: 0 success, 1 a
 property run reported failures, 2 usage or input errors, unreadable input
-and unwritable --out files among them.
+and unwritable --out files among them, and a typed failure of any command:
+an ArithmeticError from a computation that cannot answer, or a ValueError
+for an input the program refuses.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .extremal import (
-    BracketFailure,
-    BracketInvalid,
     OneRootCase,
-    StationarityFailure,
     _island,
     a_bracket,
     big_g,
@@ -39,12 +38,7 @@ from .profile import (
 )
 from .verify import SUITE_NAMES, ProfileSampler, run_suite
 
-# ArithmeticError: a gamma series or Newton iteration that does not settle,
-# or a sign-map gap within its rounding bound (huge n); ValueError: a
-# sign-map root triple that fails its sign pattern
-_SOLVER_ERRORS = (
-    BracketFailure, StationarityFailure, OneRootCase, ArithmeticError, ValueError
-)
+_FAILURES = (ArithmeticError, ValueError)
 
 
 def _fmt(x: float) -> str:
@@ -132,7 +126,7 @@ def _cmd_lambda_table(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         try:
             est = solve_lambda(n)
-        except _SOLVER_ERRORS as exc:
+        except _FAILURES as exc:
             if not args.keep_going:
                 return _fail(f"solver failed at n={n}: {exc}")
             rows.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
@@ -154,10 +148,7 @@ def _cmd_lambda_table(args) -> int:
 
 
 def _cmd_maximizer(args) -> int:
-    try:
-        est = solve_lambda(args.n)
-    except _SOLVER_ERRORS as exc:
-        return _fail(f"solver failed at n={args.n}: {exc}")
+    est = solve_lambda(args.n)
     doc = {**asdict(est), "tent": {"a": est.a_n, "b": "inf", "x0": 1.0}}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -173,10 +164,7 @@ def _resolve_log_lambda(mode: str, n: int) -> float:
 
 def _cmd_scan_m(args) -> int:
     n = args.n
-    try:
-        log_lambda = _resolve_log_lambda(args.lam, n)
-    except _SOLVER_ERRORS as exc:
-        return _fail(f"solver failed at n={n}: {exc}")
+    log_lambda = _resolve_log_lambda(args.lam, n)
     lo, hi = args.range if args.range else (1e-3, 1e3)
     lines = [f"# n={n} lambda={args.lam} log_lambda={_fmt(log_lambda)}"]
     try:
@@ -186,8 +174,6 @@ def _cmd_scan_m(args) -> int:
         )
     except OneRootCase as exc:
         lines.append(f"# roots: OneRootCase ({exc})")
-    except _SOLVER_ERRORS as exc:
-        return _fail(f"solver failed at n={n}: {exc}")
     lines.append("# columns: z,sign_m,log_abs_m")
     import numpy as np
 
@@ -203,24 +189,15 @@ def _cmd_scan_m(args) -> int:
 def _cmd_scan_g(args) -> int:
     n = args.n
     if args.alpha is not None:
-        try:
-            lo, hi = a_bracket(n, args.alpha)
-        except (BracketInvalid, ValueError) as exc:
-            return _fail(f"alpha window rejected: {exc}")
+        lo, hi = a_bracket(n, args.alpha)
     elif args.range:
         lo, hi = args.range
     else:
-        try:
-            lo, hi = _island(n, math.lgamma(n + 1))
-        except _SOLVER_ERRORS as exc:
-            return _fail(f"no scan bracket at lambda = n! for n={n}: {exc}")
+        lo, hi = _island(n, math.lgamma(n + 1))
     import numpy as np
 
     grid = [float(a) for a in np.geomspace(lo, hi, args.points)]
-    try:
-        vals = [big_g(a, n) for a in grid]
-    except _SOLVER_ERRORS as exc:
-        return _fail(f"solver failed at n={n}: {exc}")
+    vals = [big_g(a, n) for a in grid]
     best = max(range(len(grid)), key=vals.__getitem__)
     log_factorial = math.lgamma(n + 1)
     lines = [
@@ -259,7 +236,7 @@ def _cmd_transform(args) -> int:
         return _fail(f"invalid profile: {exc}")
     try:
         image = _TRANSFORMS[args.op](p)
-    except (ValueError, ArithmeticError) as exc:
+    except _FAILURES as exc:
         return _fail(f"{args.op} image is not representable: {exc}")
     _emit(json.dumps(profile_to_dict(image), sort_keys=True) + "\n", args.out)
     return 0
@@ -312,8 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan_g = sub.add_parser("scan-g", help="capped-tent objective scan as CSV")
     scan_g.add_argument("--n", type=_positive_int, required=True)
-    scan_g.add_argument("--alpha", type=float, default=None)
-    scan_g.add_argument("--range", type=_range_pair, default=None)
+    window = scan_g.add_mutually_exclusive_group()
+    window.add_argument("--alpha", type=float, default=None)
+    window.add_argument("--range", type=_range_pair, default=None)
     scan_g.add_argument("--points", type=_positive_int, default=400)
     scan_g.add_argument("--out", default=None)
     scan_g.set_defaults(func=_cmd_scan_g)
@@ -344,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, UnicodeDecodeError) as exc:  # unreadable input, or --out
         return _fail(str(exc))
+    except _FAILURES as exc:
+        return _fail(f"{args.command} failed: {exc}")
 
 
 def console_main() -> None:

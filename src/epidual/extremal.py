@@ -74,24 +74,24 @@ _GL2_NODE = 3.0**-0.5
 _RESIDUAL_ROUNDING = 2.0
 
 
-class OneRootCase(Exception):
-    """The sign map crosses zero once; no positivity island exists."""
+class OneRootCase(ArithmeticError):
+    """ArithmeticError: the sign map crosses zero once; no positivity island exists."""
 
 
-class BracketFailure(Exception):
-    """No maximizer bracket could be formed from the sign-map roots."""
+class BracketFailure(ArithmeticError):
+    """ArithmeticError: no maximizer bracket could be formed from the sign-map roots."""
 
 
-class StationarityFailure(Exception):
-    """The solved maximizer fails its first-order residual certificates."""
+class StationarityFailure(ArithmeticError):
+    """ArithmeticError: the maximizer fails its first-order residual certificates."""
 
 
-class BracketInvalid(Exception):
-    """The requested asymptotic window does not contain the positivity island."""
+class BracketInvalid(ValueError):
+    """ValueError: the requested asymptotic window misses the positivity island."""
 
 
-class ZeroProfile(Exception):
-    """The profile degenerates and no tent can be anchored to it."""
+class ZeroProfile(ValueError):
+    """ValueError: the profile degenerates and no tent can be anchored to it."""
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,8 @@ _TENT_ROUNDTRIP_TOL = 1e-10
 _BRUTE_FORCE_B_MAX = 1e4
 
 
-class UnknownSuite(Exception):
-    """Requested property suite does not exist."""
+class UnknownSuite(ValueError):
+    """ValueError: the requested property suite does not exist."""
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,14 @@ import pytest
 
 import epidual
 from epidual.cli import main
+from epidual import verify
 from epidual.extremal import (
     BracketFailure,
+    BracketInvalid,
     LambdaEstimate,
+    OneRootCase,
+    StationarityFailure,
+    ZeroProfile,
     a_bracket,
     roots_of_m,
     solve_lambda,
@@ -29,7 +34,7 @@ from epidual.profile import (
     scale,
     to_radius,
 )
-from epidual.verify import SuiteReport
+from epidual.verify import SuiteReport, UnknownSuite
 
 TENT = {"breakpoints": [[0, 0], [1, 2]], "tail_slope": "inf"}
 INDICATOR = {"breakpoints": [[0, 0], [1, 0]], "tail_slope": "inf"}
@@ -195,14 +200,24 @@ def test_maximizer_solves_one_billion(capsys):
         (["scan-g", "--n", "10000000000", "--points", "3"], "lower gamma series stalled"),
         # the gap's doubles cancel to 0 at the probe: no false OneRootCase
         (["scan-m", "--n", "100000000000000000000", "--points", "3"], "within its rounding bound"),
+        (["scan-m", "--n", "10000000000", "--lambda", "solved"], "within its rounding bound"),
+        # BracketInvalid, a refused input
+        (["scan-g", "--n", "10", "--alpha", "0.6"], "window misses the island"),
     ],
 )
 def test_solver_arithmetic_failures_exit_two(capsys, argv, problem):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {argv[0]} failed: ") and err.count("\n") == 1
     assert problem in err
+
+
+def test_typed_failures_are_arithmetic_or_value_errors():
+    for cls in (OneRootCase, BracketFailure, StationarityFailure):
+        assert issubclass(cls, ArithmeticError) and not issubclass(cls, ValueError)
+    for cls in (BracketInvalid, ZeroProfile, UnknownSuite):
+        assert issubclass(cls, ValueError) and not issubclass(cls, ArithmeticError)
 
 
 def test_scan_m_default_has_three_flips_and_matching_roots(capsys):
@@ -270,6 +285,13 @@ def test_scan_g_alpha_window(capsys):
     assert float(rows[-1][0]) == pytest.approx(hi, rel=1e-12)
     assert run(capsys, ["scan-g", "--n", "10", "--alpha", "0.6"])[0] == 2
     assert run(capsys, ["scan-g", "--n", "10", "--alpha", "1.5"])[0] == 2
+
+
+def test_scan_g_alpha_and_range_are_exclusive(capsys):
+    argv = ["scan-g", "--n", "50", "--alpha", "0.9", "--range", "0.1:0.2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
 
 
 def test_scan_m_range_sets_the_grid_ends(capsys):
@@ -490,3 +512,13 @@ def test_check_exit_one_on_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, ["check", "involution"])
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_check_typed_failure_exits_two(capsys, monkeypatch):
+    def broken(i, rng, sampler):
+        raise ArithmeticError("synthetic series that does not settle")
+
+    monkeypatch.setitem(verify._SUITES, "involution", (broken, 42, 1))
+    code, out, err = run(capsys, ["check", "involution"])
+    assert code == 2 and out == ""
+    assert err == "error: check failed: synthetic series that does not settle\n"
