@@ -323,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:  # unreadable input, or --out
         return _fail(str(exc))
     except _FAILURES as exc:
-        return _fail(f"{args.command} failed: {exc}")
+        return _fail(f"{args.command} failed: {type(exc).__name__}: {exc}")
 
 
 def console_main() -> None:

@@ -75,23 +75,23 @@ _RESIDUAL_ROUNDING = 2.0
 
 
 class OneRootCase(ArithmeticError):
-    """ArithmeticError: the sign map crosses zero once; no positivity island exists."""
+    """The sign map crosses zero once; no positivity island exists."""
 
 
 class BracketFailure(ArithmeticError):
-    """ArithmeticError: no maximizer bracket could be formed from the sign-map roots."""
+    """No maximizer bracket could be formed from the sign-map roots."""
 
 
 class StationarityFailure(ArithmeticError):
-    """ArithmeticError: the maximizer fails its first-order residual certificates."""
+    """The solved maximizer fails its first-order residual certificates."""
 
 
 class BracketInvalid(ValueError):
-    """ValueError: the requested asymptotic window misses the positivity island."""
+    """The requested asymptotic window does not contain the positivity island."""
 
 
 class ZeroProfile(ValueError):
-    """ValueError: the profile degenerates and no tent can be anchored to it."""
+    """The profile degenerates and no tent can be anchored to it."""
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ _BRUTE_FORCE_B_MAX = 1e4
 
 
 class UnknownSuite(ValueError):
-    """ValueError: the requested property suite does not exist."""
+    """Requested property suite does not exist."""
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def test_root_widening_cap_raises(monkeypatch, log_lambda):
     # probe
     roots_of_m(1, log_lambda)
     monkeypatch.setattr(extremal, "_WIDEN_MAX_STEPS", 1)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="no sign change in 1 doublings"):
         roots_of_m(1, log_lambda)
 
 
@@ -908,9 +908,9 @@ def test_a_bracket_invalid_cases():
         a_bracket(2, 0.6)
     with pytest.raises(BracketInvalid):
         a_bracket(1, 0.9)  # n^alpha = n leaves no window
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must lie in"):
         a_bracket(10, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must lie in"):
         a_bracket(10, 0.5)
 
 
