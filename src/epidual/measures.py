@@ -11,15 +11,18 @@ through the inversion transform; vol_nu_direct integrates the raw formula
 and exists so the two routes can be compared without sharing code (the
 nu-mu-substitution suite).
 
-On a linear piece of the radius mu is an incomplete-gamma closed form,
-_log_segment: vol_mu's tail and every piece of extremal.big_f's tents.
-vol_mu's finite segments still go through adaptive quadrature, but only
-those that can matter.  On a piece [z0, z1] rho lies between its end
-values x0 and x1, so the piece's integral lies between min(x0, x1)^n and
-max(x0, x1)^n times e^(-z0) (1 - e^(-(z1 - z0))).  The largest lower bound
-and the exact tail are lower bounds on mu; of k finite pieces, one whose
-upper bound is more than 40 + log k nats under that holds less than
-e^-40 mu / k, so the pieces skipped hold less than e^-40 of mu together.
+On a linear piece of the radius mu is _log_segment: one Gauss-Legendre
+panel on a piece fewer than 8 of its integrand's scales wide, an
+incomplete-gamma closed form otherwise.  It serves vol_mu's tail, every
+piece of extremal.big_f's tents and vol_mu's narrow finite pieces.  vol_mu's
+other finite pieces, wider or reaching radius 0, still go through adaptive
+quadrature.  Only pieces that can matter take either: on a piece [z0,
+z1] rho lies between its end values x0 and x1, so the piece's integral
+lies between min(x0, x1)^n and max(x0, x1)^n times e^(-z0) (1 - e^(-(z1 -
+z0))).  The largest lower bound and the exact tail are lower bounds on
+mu; of k finite pieces, one whose upper bound is more than 40 + log k
+nats under that holds less than e^-40 mu / k, so the pieces skipped hold
+less than e^-40 of mu together.
 The margin widens by a rounding allowance, 16 eps times the sizes of the
 compared values' terms, which vol_mu's docstring derives.
 
@@ -93,6 +96,9 @@ _MAX_PANELS = 4096
 # quadrature stops refining such panels, vol_mu skips such pieces and
 # vol_nu_direct's sweeps stop there.
 _TAIL_NATS = 40.0
+# A piece fewer than this many of its integrand's scales wide is one
+# 15-point panel, whose error _log_segment's docstring bounds by 1.9e-20.
+_NARROW_SCALES = 8.0
 # vol_nu_direct's upper sweep takes panels _SWEEP_STEP wide in t = log z.
 # e^t overflows past t = _LOG_MAX ~ 709.8, which a sweep starting at t >=
 # log(1/(n+2)) reaches long before _MAX_SWEEP panels, so that sweep raises
@@ -187,21 +193,41 @@ def _log_adaptive(logf, a: float, b: float) -> float:
     return refine(a, b, 0, _log_panel(logf, a, b), NEG_INF)
 
 
+def _is_narrow(n: int, s: float, w: float, x0: float) -> bool:
+    """Whether a piece is under _NARROW_SCALES of its integrand's scales wide.
+
+    The piece is w wide and its radius runs from x0 to x0 + s w, x_min the
+    smaller end: narrow when c = w (1 + n |s|/x_min) < _NARROW_SCALES, the
+    bound of _log_segment's panel.  A piece that reaches radius 0 is not.
+    """
+    x_min = min(x0, x0 + s * w)
+    return x_min > 0.0 and w * (x_min + n * abs(s)) < _NARROW_SCALES * x_min
+
+
 def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz, z1 = inf allowed.
 
-    A finite piece no wider than its integrand's scale, w (x0 + n s) < x0
-    with w = z1 - z0, is one 15-point panel of (x0 + s t)^n e^(-t) over t
-    in [0, w], with -z0 added.  The integrand's k-th derivative is at most
-    (1 + n s/x0)^k times its largest value, as (x0 + s t)^n contributes
-    n s/x0 per order and e^(-t) one: it varies on the scale
-    min(1, x0/(n s)).  The rule is exact to degree 29, so it misses by at
-    most w^31 (15!)^4 / (31 (30!)^3) < 5.1e-51 w^31 times the 30th
-    derivative, and the largest value is at most e^(w (1 + n s/x0)) times
-    the smallest: relative to the integral, under 5.1e-51 c^30 e^c for
-    w (1 + n s/x0) < c.  c = 1 puts that at 1.4e-50, and leaves the closed
-    forms below only pieces at least one scale long, whose ends no longer
-    agree to about the piece's width.  x0 = 0 never takes the panel.
+    A finite piece narrow by _is_narrow is x0^n e^(-z0) times one 15-point
+    panel of (1 + q t)^n e^(-t), q = s/x0, over t in [0, w], w = z1 - z0.
+    With x_min the smaller of the piece's end radii x0 and x0 + s w, the
+    integrand's k-th derivative is at most (1 + n |s|/x_min)^k times its
+    largest value, as (1 + q t)^n contributes n |s|/x_min per order and
+    e^(-t) one: it varies on the scale min(1, x_min/(n |s|)).  The rule is
+    exact to degree 29, so it misses by at most w^31 (15!)^4 / (31 (30!)^3)
+    < 5.1e-51 w^31 times the 30th derivative, and the largest value is at
+    most e^c times the smallest, c = w (1 + n |s|/x_min): relative to the
+    integral, under 5.1e-51 c^30 e^c, which c < 8 puts under 1.9e-20.
+    Rounding weighs more.  A node is off by at most eps w, which moves the
+    integrand's log by at most eps c, and each log n log1p(q t) - t rounds
+    within 3 eps c, as n |log1p(q t)| and the log itself stay under c;
+    summing, scaling by w/2 and adding n log x0 - z0 round within a few eps
+    of the sizes of those terms.  Folding x0^n out keeps n away from the
+    rounding of x0 + s t, which would cost n eps.  Against 40-digit values
+    the panel has stayed within eps (c/2 + 2 max(1, |value|, n |log x0| +
+    z0)) (test_narrow_log_segment_matches_mpmath).  The closed forms below
+    thus see only pieces at least 8 scales
+    long, whose ends no longer agree to about the piece's width.  A piece
+    that reaches radius 0 never takes the panel.
 
     Otherwise, with u = x0/s + z - z0 the piece is s^n e^(u0 - z0)
     [Gamma(n+1, u0) - Gamma(n+1, u1)]; a flat piece (s = 0, or x0/s past
@@ -215,8 +241,10 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     w = z1 - z0
     if w == 0.0:
         return NEG_INF
-    if w * (x0 + n * s) < x0:
-        return _log_panel(lambda t: n * math.log(x0 + s * t) - t, 0.0, w) - z0
+    if _is_narrow(n, s, w, x0):
+        q = s / x0
+        panel = _log_panel(lambda t: n * math.log1p(q * t) - t, 0.0, w)
+        return n * math.log(x0) - z0 + panel
     u0 = x0 / s if s > 0.0 else INF
     if u0 == INF:
         if x0 <= 0.0:
@@ -244,12 +272,15 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
 def vol_mu(rho: RadiusFunction, n: int) -> float:
     """log integral_0^inf rho(z)^n e^(-z) dz; the tail in closed form.
 
-    The tail is one _log_segment.  Each finite piece [z0, z1] is one
-    _log_adaptive call (one that does not converge raises ArithmeticError)
-    unless a bound shows it cannot matter.  rho is linear on the piece, so
-    it lies between its end values x0 and x1 (rho does not decrease, up to
-    the MERGE_RTOL a breakpoint may fall), and the piece's integral lies
-    between min(x0, x1)^n and max(x0, x1)^n times
+    The tail is one _log_segment.  Each finite piece [z0, z1] that a bound
+    does not show negligible is one _log_segment panel if _is_narrow (under
+    8 of its integrand's scales wide, radius above 0 at both ends), else one
+    _log_adaptive call (one that does not converge raises ArithmeticError).
+    The test sees the slope s = (x1 - x0)/(z1 - z0) that _log_segment
+    receives, so the two agree on which pieces are narrow.  rho is linear
+    on the piece, so it lies between its end values x0 and x1 (rho does
+    not decrease, up to the MERGE_RTOL a breakpoint may fall), and the
+    piece's integral lies between min(x0, x1)^n and max(x0, x1)^n times
 
         integral_z0^z1 e^(-z) dz = e^(-z0) (1 - e^(-(z1 - z0))).
 
@@ -289,7 +320,7 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
     z_m, x_m = pts[-1]
     tail = _log_segment(n, rho.tail_slope, z_m, x_m, INF)
     floor = tail
-    pieces = []  # (z0, z1, upper bound on log integral_z0^z1)
+    pieces = []  # (z0, x0, z1, x1, upper bound on log integral_z0^z1)
     z0, x0 = pts[0]
     a = n * math.log(x0) if x0 > 0.0 else NEG_INF
     for z1, x1 in pts[1:]:
@@ -297,20 +328,23 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
         mass = math.log(-math.expm1(z0 - z1)) - z0
         lo, hi = (a + mass, b + mass) if a <= b else (b + mass, a + mass)
         floor = lo if lo > floor else floor
-        pieces.append((z0, z1, hi))
-        z0, a = z1, b
+        pieces.append((z0, x0, z1, x1, hi))
+        z0, x0, a = z1, x1, b
     slack = 16.0 * sys.float_info.epsilon
     cut = (
         floor - _TAIL_NATS - math.log(max(len(pieces), 1))
         - slack * (abs(floor) + 4.0 * z_m + 2.0 * (math.lgamma(n + 2) + n) + 4500.0)
     )
-    # hi = -inf (radius 0 throughout) makes the left side NaN: skipped
-    parts = [
-        _log_adaptive(logf, z0, z1)
-        for z0, z1, hi in pieces
-        if hi + slack * abs(hi) >= cut
-    ]
-    parts.append(tail)
+    parts = [tail]
+    for z0, x0, z1, x1, hi in pieces:
+        # hi = -inf (radius 0 throughout) makes the left side NaN: skipped
+        if not hi + slack * abs(hi) >= cut:
+            continue
+        s = (x1 - x0) / (z1 - z0)
+        if _is_narrow(n, s, z1 - z0, x0):
+            parts.append(_log_segment(n, s, z0, x0, z1))
+        else:
+            parts.append(_log_adaptive(logf, z0, z1))
     return log_sum(parts)
 
 

@@ -209,6 +209,48 @@ def test_log_segment_of_any_width_matches_binomial_sum(n, s, x0, z0, w):
     assert abs(got - want) <= 4 * math.ulp(max(1.0, abs(want), math.lgamma(n + 2)))
 
 
+def mp_segment_quad(n, s, z0, x0, z1):
+    """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz at 40 digits.
+
+    Integrated over the rounded width z1 - z0, as _log_segment sees it, by
+    quadrature, so a falling piece (s < 0) needs no gamma of its own.
+    """
+    with mp.workdps(40):
+        w = mp.mpf(z1) - mp.mpf(z0)
+        x0, s = mp.mpf(x0), mp.mpf(s)
+
+        def g(t):
+            return n * mp.log(x0 + s * t) - t
+
+        peak = max(g(0), g(w))
+        return peak + mp.log(mp.quad(lambda t: mp.exp(g(t) - peak), [0, w])) - z0
+
+
+@pytest.mark.parametrize("falling", [False, True])
+@pytest.mark.parametrize("n", [1, 5, 64, 10**3, 10**4, 10**6])
+def test_narrow_log_segment_matches_mpmath(n, falling):
+    # pieces 1 to 8 of their integrand's scales wide, c = w (1 + n |s|/x_min),
+    # split between the width and the slope in three ways; the closed form
+    # took these below c = 8 and lost up to 32.6 ulps to cancellation at
+    # n = 10^6, c = 6.  The panel's error is its node rounding, up to about
+    # eps c/2 at c near 8, plus the rounding of its terms n log x0, -z0
+    # and the panel's own log (_log_segment's docstring)
+    eps = sys.float_info.epsilon
+    for c in (1.001, 2.5, 4.0, 6.0, 7.99):
+        for r in (0.1, 1.0, 10.0):  # n |s| / x_min
+            for x0, z0 in ((1.0, 0.5), (3.0, 2.0), (0.01, 7.3)):
+                w = c / (1.0 + r)
+                # a falling piece ends at x1 = x_min = x0 / (1 + r w / n)
+                s = -r * x0 / (n + r * w) if falling else r * x0 / n
+                z1 = z0 + w
+                x_min = min(x0, x0 + s * (z1 - z0))
+                assert 1.0 <= (z1 - z0) * (1.0 + n * abs(s) / x_min) < 8.0
+                want = mp_segment_quad(n, s, z0, x0, z1)
+                got = measures._log_segment(n, s, z0, x0, z1)
+                size = max(1.0, abs(float(want)), n * abs(math.log(x0)) + z0)
+                assert abs(got - want) <= eps * (c / 2 + 2 * size), (c, r, x0, z0)
+
+
 @pytest.mark.parametrize("x0", [1.0, 0.0])
 def test_log_segment_of_an_empty_piece_is_minus_inf(x0):
     # x0 > 0 took a panel of half-width 0, x0 = 0 a difference of equal ends
@@ -345,6 +387,46 @@ def test_vol_mu_skips_pieces_far_under_mu(monkeypatch):
     assert pieces and max(z1 for _, z1 in pieces) <= 64.0
     want = mp_mu(rho, 5)
     assert abs(got - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize(
+    "x0, c, route",
+    [
+        (1.0, 7.99, "panel"),  # narrow: one _log_segment panel
+        (1.0, 8.01, "adaptive"),  # wide: adaptive quadrature
+        (0.0, 1.0, "adaptive"),  # a piece from radius 0 is never narrow
+    ],
+)
+def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, c, route):
+    # one finite piece of slope 1/2 at n = 4, c = w (1 + n s/x0) = 3 w wide
+    # when x0 = 1, then a flat tail (no gamma function of its own); the
+    # piece holds most of mu, so the skip keeps it
+    n, s = 4, 0.5
+    w = c / 3.0 if x0 > 0.0 else 1.0
+    rho = RadiusFunction(((0.0, x0), (w, x0 + s * w)), 0.0)
+    calls = []
+    adaptive, segment, gamma = measures._log_adaptive, measures._log_segment, measures.reg_gamma
+
+    def recorded_adaptive(logf, z0, z1):
+        calls.append(("adaptive", z0, z1))
+        return adaptive(logf, z0, z1)
+
+    def recorded_segment(n, s, z0, x0, z1):
+        if z1 < INF:
+            calls.append(("panel", z0, z1))
+        return segment(n, s, z0, x0, z1)
+
+    def recorded_gamma(a, x):
+        calls.append(("reg_gamma", a, x))
+        return gamma(a, x)
+
+    monkeypatch.setattr(measures, "_log_adaptive", recorded_adaptive)
+    monkeypatch.setattr(measures, "_log_segment", recorded_segment)
+    monkeypatch.setattr(measures, "reg_gamma", recorded_gamma)
+    got = vol_mu(rho, n)
+    assert calls == [(route, 0.0, w)]
+    want = mp_mu(rho, n)
+    assert abs(got - want) <= 4 * math.ulp(max(1.0, abs(want)))
 
 
 def test_piece_integrals_lie_between_their_endpoint_bounds():
