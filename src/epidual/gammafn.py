@@ -15,10 +15,12 @@ min(s/2, 8 sqrt s), Temme's uniform expansion gives the smaller tail in
 O(1) work at every s (_temme), summing only the coefficients that its bin
 of (s, eta), from a table built at import, needs.  Elsewhere the classical
 recipe: the lower series for x < s + 1, the upper continued fraction
-(modified Lentz) otherwise; the fraction is the scaled upper gamma
-Gamma(s, x) x^(-s) e^x, which measures._log_segment takes without the
-prefactor.  Both take about sqrt s steps near the mean, which is why the
-expansion takes over there.
+(modified Lentz) otherwise.  Both take about sqrt s steps near the mean,
+which is why the expansion takes over there.  measures._log_segment takes
+the scaled gammas gamma(s, x) x^(-s) e^x and Gamma(s, x) x^(-s) e^x
+(_log_lower_scaled, _log_upper_scaled) without the prefactor: the series'
+sum and the fraction themselves, or log p or log q less it in the band
+(and, for the upper one, below s + 1).
 The series' and the fraction's prefactor x^s e^{-x} / Gamma(s+1) is
 evaluated via a Stirling-residual form around x = s so that the result
 keeps ~1e-15 absolute accuracy even for s ~ 1000, where naive use of lgamma
@@ -243,10 +245,15 @@ def _stirling_residual(s: float) -> float:
     return total
 
 
+def _has_stirling_prefactor(s: float, x: float) -> bool:
+    """Whether _log_prefactor takes its Stirling form, s >= 20 and |x/s - 1| <= 1/2."""
+    return s >= 20.0 and abs((x - s) / s) <= 0.5
+
+
 def _log_prefactor(s: float, x: float) -> float:
     """log(x^s e^{-x} / Gamma(s+1)), accurate near x = s for large s."""
-    d = (x - s) / s
-    if s >= 20.0 and abs(d) <= 0.5:
+    if _has_stirling_prefactor(s, x):
+        d = (x - s) / s
         return (
             s * _log1pmx(d)
             - 0.5 * math.log(2.0 * math.pi * s)
@@ -255,8 +262,18 @@ def _log_prefactor(s: float, x: float) -> float:
     return s * math.log(x) - x - math.lgamma(s + 1.0)
 
 
-def _lower_series(s: float, x: float) -> float:
-    """log p(s, x) by the lower series; requires 0 < x < s + 1."""
+def _log_scale(s: float, x: float) -> float:
+    """log(x^s e^{-x} / Gamma(s)): log p or log q less its scaled gamma."""
+    return _log_prefactor(s, x) + math.log(s)
+
+
+def _in_temme_band(s: float, x: float) -> bool:
+    """Whether (s, x) lies in _temme's region, s >= 20 and |x - s| <= min(s/2, 8 sqrt s)."""
+    return s >= 20.0 and abs(x - s) <= min(0.5 * s, 8.0 * math.sqrt(s))
+
+
+def _lower_sum(s: float, x: float) -> float:
+    """1 + x/(s+1) + x^2/((s+1)(s+2)) + ..., the lower series; requires x < s + 1."""
     total = 1.0
     term = 1.0
     denom = s
@@ -268,11 +285,36 @@ def _lower_series(s: float, x: float) -> float:
             break
     else:
         raise ArithmeticError(f"lower gamma series stalled at s={s}, x={x}")
-    return _log_prefactor(s, x) + math.log(total)
+    return total
+
+
+def _lower_series(s: float, x: float) -> float:
+    """log p(s, x) by the lower series; requires 0 < x < s + 1."""
+    return _log_prefactor(s, x) + math.log(_lower_sum(s, x))
+
+
+def _log_lower_scaled(s: float, x: float) -> float:
+    """log(gamma(s, x) x^(-s) e^x), the mirror of _log_upper_scaled; needs x < s + 1.
+
+    In _temme's band log p less _log_scale, within eps (10 (y^2 + 1) + 2
+    log s) with reg_gamma's y; elsewhere the lower series' sum over s, with
+    no prefactor formed (measures._log_segment derives both bounds).
+    """
+    if _in_temme_band(s, x):
+        return _temme(s, x).log_p - _log_scale(s, x)
+    return math.log(_lower_sum(s, x) / s)
 
 
 def _log_upper_scaled(s: float, x: float) -> float:
-    """log(Gamma(s, x) x^(-s) e^x) by the continued fraction; needs x >= s + 1."""
+    """log(Gamma(s, x) x^(-s) e^x), the mirror of _log_lower_scaled.
+
+    The continued fraction from x = s + 1 on, outside _temme's band; in
+    the band, or below s + 1, log q less _log_scale, which is within eps
+    (10 (y^2 + 1) + 2 log s) where _log_prefactor takes its Stirling form
+    and within about 3.5 eps (s |log x| + x + lgamma(s+1)) elsewhere.
+    """
+    if x < s + 1.0 or _in_temme_band(s, x):
+        return reg_gamma(s, x).log_q - _log_scale(s, x)
     b = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -396,12 +438,11 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
         raise ValueError(f"reg_gamma needs finite x >= 0, got x={x}")
     if x == 0.0:
         return RegularizedGamma(float("-inf"), 0.0)
-    if s >= 20.0 and abs(x - s) <= min(0.5 * s, 8.0 * math.sqrt(s)):
+    if _in_temme_band(s, x):
         return _temme(s, x)
     if x < s + 1.0:
         log_p = _lower_series(s, x)
         return RegularizedGamma(log_p, log1mexp(log_p))
-    # x^s e^{-x} / Gamma(s) = exp(prefactor) * s
-    log_q = _log_prefactor(s, x) + math.log(s) + _log_upper_scaled(s, x)
+    log_q = _log_scale(s, x) + _log_upper_scaled(s, x)
     return RegularizedGamma(log1mexp(log_q), log_q)
 

@@ -14,9 +14,10 @@ nu-mu-substitution suite).
 On a linear piece of the radius mu is _log_segment: one Gauss-Legendre
 panel on a piece fewer than 8 of its integrand's scales wide, an
 incomplete-gamma closed form otherwise.  It serves vol_mu's tail, every
-piece of extremal.big_f's tents and vol_mu's narrow finite pieces.  vol_mu's
-other finite pieces, wider or reaching radius 0, still go through adaptive
-quadrature.  Only pieces that can matter take either: on a piece [z0,
+piece of extremal.big_f's tents and every finite piece of vol_mu's that
+has radius above 0 at both ends and does not fall.  vol_mu's other finite
+pieces, those reaching radius 0 and wide falling ones, still go through
+adaptive quadrature.  Only pieces that can matter take either: on a piece [z0,
 z1] rho lies between its end values x0 and x1, so the piece's integral
 lies between min(x0, x1)^n and max(x0, x1)^n times e^(-z0) (1 - e^(-(z1 -
 z0))).  The largest lower bound and the exact tail are lower bounds on
@@ -36,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .gammafn import _log_upper_scaled, reg_gamma
+from .gammafn import _has_stirling_prefactor, _log_lower_scaled, _log_upper_scaled, reg_gamma
 from .logdomain import NEG_INF, log1mexp, log_add, log_sub_signed, log_sum
 from .profile import (
     INF,
@@ -90,7 +91,8 @@ _GL_WEIGHTS = (
 # Panel acceptance threshold on log values, i.e. relative error of the piece.
 _QUAD_TOL = 1e-13
 _MAX_DEPTH = 48
-# Panels one _log_adaptive call may evaluate; callers take a few hundred.
+# Panels one _log_adaptive call may evaluate: vol_mu's pieces from radius 0
+# and vol_nu_direct's panels take a few hundred.
 _MAX_PANELS = 4096
 # What lies below e^-40 ~ 4e-18 of a total is far under its rounding: the
 # quadrature stops refining such panels, vol_mu skips such pieces and
@@ -225,18 +227,83 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     rounding of x0 + s t, which would cost n eps.  Against 40-digit values
     the panel has stayed within eps (c/2 + 2 max(1, |value|, n |log x0| +
     z0)) (test_narrow_log_segment_matches_mpmath).  The closed forms below
-    thus see only pieces at least 8 scales
-    long, whose ends no longer agree to about the piece's width.  A piece
-    that reaches radius 0 never takes the panel.
+    thus see only pieces at least 8 scales long, whose ends no longer
+    agree to about the piece's width.  A piece that reaches radius 0 never
+    takes the panel.  A falling piece (s < 0) that is not narrow raises
+    ValueError: the forms below integrate a rising radius only.
 
     Otherwise, with u = x0/s + z - z0 the piece is s^n e^(u0 - z0)
     [Gamma(n+1, u0) - Gamma(n+1, u1)]; a flat piece (s = 0, or x0/s past
-    the largest double) is x0^n (e^(-z0) - e^(-z1)).  Past the mode (u0 >=
-    n + 2) both ends are worked in units of e^(-z0) through the scaled
-    upper gamma, so neither u0 - z0 (which cancels to about ulp(u0) when s
-    is tiny against x0) nor -z1 is formed.  Below it the bracket is n!
-    Q(n+1, u0), or n! [P(n+1, u1) - P(n+1, u0)].  A difference whose ends
-    still round equal raises ArithmeticError.  An empty piece is -inf.
+    the largest double) is x0^n (e^(-z0) - e^(-z1)).  A tail (z1 = inf) is
+    x0^n u0 e^(-z0) times the scaled upper gamma below (with S as below,
+    e^S(u0)) past the mode (u0 >= n + 2) or where gammafn's prefactor has
+    its Stirling form (n >= 19 and u0 >= (n+1)/2), and s^n e^(u0 - z0) n!
+    Q(n+1, u0) elsewhere.  The second form cancels n log s + u0 against
+    lgamma(n+1) near the mode: 2.2e6 eps at n = 10^6, u0 = n - 1/2.  A
+    finite piece takes one of two forms.
+
+    The lead form, n log s + u0 - z0 + lgamma(n+1) + log [P(n+1, u1) -
+    P(n+1, u0)], serves a piece that crosses the mode (u0 < n + 2 <= u1)
+    from where gammafn's prefactor has no Stirling form (n < 19, or u0 <
+    (n+1)/2; a piece from radius 0 among them).  There P(n+1, u1) >= 1/2,
+    so lgamma(n+1) does not cancel against log P, and the scaled form
+    would carry that prefactor's rounding and more.  Its terms round within
+    2 eps (n |log s| + u0 + z0 + lgamma(n+1) + |value|); each log P within
+    3.4 eps T(u), T(u) = (n+1) |log u| + u + lgamma(n+2) (reg_gamma's
+    bound, 1.13 times it on a complement), which their difference
+    multiplies by kappa_P = (P1 + P0)/(P1 - P0); rounding u1 by eps u1/2
+    adds eps u1 p(u1)/(P1 - P0), p the gamma density.
+
+    Any other finite piece takes the scaled form, which forms neither u0 -
+    z0 (which cancels to about ulp(u0) when s is tiny against x0) nor -z1
+    nor lgamma(n+1).  With S(u) the log of a scaled gamma of order n+1
+    (gammafn's _log_lower_scaled or _log_upper_scaled, the gamma times
+    u^-(n+1) e^u) and R = (n+1) log1p(w/u0) - w, the piece is x0^n u0
+    e^(-z0) [e^S(u0) - e^(R + S(u1))] on the upper side, the negative of
+    that bracket on the lower.  A piece that ends below the mode (u1 < n +
+    2) takes the lower side, where the lower gammas are the small ones; any
+    other the upper.  Each side is worked in units of its larger end: the
+    near end x0^n u0 e^(-z0) on the upper side, and on the lower side the
+    far end x1^n u1 e^(-z0 - w), x1 = x0 + s w, where the piece more than
+    doubles its radius (u0 < w).  There n log x0 and (n+1) log1p(w/u0)
+    would cancel, by about 3,100 for a piece from u0 = 2.5e-6 to 1 at n =
+    242, while x1 is within eps of its value; a piece from radius 0 is its
+    far end alone.  R takes the width w itself, as the narrow panel does,
+    so the rounding of u1 = u0 + w enters only through S(u1), which varies
+    slowly: S'(u) = 1 - (n+1)/u -+ e^(-S(u))/u (- upper, + lower).  Adding
+    S'(u1) (u0 + w - u1), that rounding recovered exactly (or 1/u1 more,
+    with log u1, in the far end's units), leaves an error of second order;
+    without it a piece 4 wide at the mode of n = 10^6 lost about 2.4e4 eps.
+
+    The scaled form's error.  Each end's log a or b is a sum of terms of
+    total size T = |S(u0)| + |S(u1)| + (n+1) log1p(w/u0) + w, each within
+    eps of its size (log1p and its quotient within 1.5 eps relative,
+    products and sums half an ulp), plus the scaled gammas' own errors eps
+    G0 and eps G1.  Rounding u0 = x0/s moves s by eps/2 relative, which
+    moves the value by at most eps n w/(2 u1), inside eps T.  The
+    difference multiplies those errors by kappa = (e^a + e^b)/|e^a - e^b|,
+    about 2/|a - b| where the ends agree: sqrt(n)/w for a piece w wide at
+    the mode of a large n.  Adding the units' log and -z0 rounds within
+    eps of their sizes, n |log x0| + |log u0| or n (1 + |log x1|) + |log
+    u1| + w + |S(u1)|, call it U.  The value is thus within eps (kappa (2T
+    + G0 + G1) + 2 (U + |value| + z0)), where for a scaled gamma of order s
+    = n + 1 at x with value S
+    - through reg_gamma's log p or log q (in _temme's band, or on the upper
+      side below it with the prefactor's Stirling form), G = 10 (y^2 + 1) +
+      2 log s: reg_gamma's 8 (y^2 + 1) on the log, 1.13 times that on a
+      complement, plus the rounding of _log_scale's terms y^2 and
+      log(2 pi s)/2;
+    - by the lower series, G = 2N + 1 + |S|: its N terms fall at least as
+      fast as (x/(s+1))^k, so N < 37 (s+1)/(s+1-x), and the k-th carries k
+      roundings, each sum one;
+    - by the continued fraction, G = 41 + |S| for its at most 20 steps
+      (18 at most on integer s up to 2^30 + 1).
+    test_wide_log_segment_matches_mpmath checks both bounds; the worst case
+    uses a third of its bound.  Near the mode the scaled form is about
+    kappa times a few eps off: a piece 4 wide at the mode of n = 10^6
+    (kappa about 600) is within about 2,100 eps of its value, 7e-14
+    relative.  Ends that still round equal raise ArithmeticError.  An
+    empty piece is -inf.
     """
     w = z1 - z0
     if w == 0.0:
@@ -245,38 +312,59 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
         q = s / x0
         panel = _log_panel(lambda t: n * math.log1p(q * t) - t, 0.0, w)
         return n * math.log(x0) - z0 + panel
+    if s < 0.0:
+        raise ValueError(
+            f"falling piece [{z0}, {z1}] from radius {x0} with slope {s} is not"
+            f" narrow at n={n}: no closed form"
+        )
     u0 = x0 / s if s > 0.0 else INF
     if u0 == INF:
         if x0 <= 0.0:
             return NEG_INF
         return n * math.log(x0) - z0 + log1mexp(-w)
-    if u0 >= n + 2:
-        head = n * math.log(x0) + math.log(u0) + _log_upper_scaled(n + 1, u0)
-        if z1 == INF:
-            return head - z0
-        u1 = u0 + w
-        rest = n * math.log(s * u1) - w + math.log(u1) + _log_upper_scaled(n + 1, u1)
-        sign, diff = log_sub_signed(head, rest)
-        lead = -z0
-    else:
+    if z1 == INF:
+        if u0 >= n + 2 or _has_stirling_prefactor(n + 1, u0):
+            return n * math.log(x0) + math.log(u0) + _log_upper_scaled(n + 1, u0) - z0
         lead = n * math.log(s) + u0 - z0 + math.lgamma(n + 1)
-        if z1 == INF:
-            return lead + reg_gamma(n + 1, u0).log_q
-        p1, p0 = reg_gamma(n + 1, u0 + w).log_p, reg_gamma(n + 1, u0).log_p
-        sign, diff = log_sub_signed(p1, p0)
-    if sign != 1:
+        return lead + reg_gamma(n + 1, u0).log_q
+    u1 = u0 + w
+    if u0 < n + 2 <= u1 and not _has_stirling_prefactor(n + 1, u0):
+        lead = n * math.log(s) + u0 - z0 + math.lgamma(n + 1)
+        sign, diff = log_sub_signed(reg_gamma(n + 1, u1).log_p, reg_gamma(n + 1, u0).log_p)
+        if sign != 1:
+            raise ArithmeticError(f"ends of the piece [{z0}, {z1}] round equal at n={n}")
+        return lead + diff
+    gap = w - (u1 - u0) if u0 >= w else u0 - (u1 - w)  # u0 + w - u1, exactly
+    rise = (n + 1) * math.log1p(w / u0) - w if u0 > 0.0 else INF
+    if u1 < n + 2:
+        near, far = _log_lower_scaled(n + 1, u0), _log_lower_scaled(n + 1, u1)
+        h = math.exp(-far)  # u1 |d/du log| of the far end's gamma
+        top = rise + far + (1.0 - ((n + 1) - h) / u1) * gap
+        rel = near - top
+        if u0 < w:
+            head = n * math.log(x0 + s * w) + math.log(u1) - w + far + (1.0 - (n - h) / u1) * gap
+        else:
+            head = n * math.log(x0) + math.log(u0) + top
+    else:
+        near, far = _log_upper_scaled(n + 1, u0), _log_upper_scaled(n + 1, u1)
+        h = math.exp(-far)
+        rel = rise + far + (1.0 - ((n + 1) + h) / u1) * gap - near
+        head = n * math.log(x0) + math.log(u0) + near
+    if not rel < 0.0:
         raise ArithmeticError(f"ends of the piece [{z0}, {z1}] round equal at n={n}")
-    return diff + lead
+    return head + log1mexp(rel) - z0
 
 
 def vol_mu(rho: RadiusFunction, n: int) -> float:
     """log integral_0^inf rho(z)^n e^(-z) dz; the tail in closed form.
 
     The tail is one _log_segment.  Each finite piece [z0, z1] that a bound
-    does not show negligible is one _log_segment panel if _is_narrow (under
-    8 of its integrand's scales wide, radius above 0 at both ends), else one
+    does not show negligible and that starts above radius 0 is one
+    _log_segment if it does not fall (its closed form, or one panel if
+    _is_narrow: under 8 of its integrand's scales wide) or if it is
+    narrow; any other, reaching radius 0 or wide and falling, is one
     _log_adaptive call (one that does not converge raises ArithmeticError).
-    The test sees the slope s = (x1 - x0)/(z1 - z0) that _log_segment
+    The tests see the slope s = (x1 - x0)/(z1 - z0) that _log_segment
     receives, so the two agree on which pieces are narrow.  rho is linear
     on the piece, so it lies between its end values x0 and x1 (rho does
     not decrease, up to the MERGE_RTOL a breakpoint may fall), and the
@@ -341,7 +429,7 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
         if not hi + slack * abs(hi) >= cut:
             continue
         s = (x1 - x0) / (z1 - z0)
-        if _is_narrow(n, s, z1 - z0, x0):
+        if x0 > 0.0 and (s >= 0.0 or _is_narrow(n, s, z1 - z0, x0)):
             parts.append(_log_segment(n, s, z0, x0, z1))
         else:
             parts.append(_log_adaptive(logf, z0, z1))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from epidual import measures
+from epidual import gammafn, measures
 from epidual.gammafn import reg_gamma
 from epidual.logdomain import NEG_INF
 from epidual.measures import (
@@ -136,6 +136,7 @@ def mp_segment(n, s, z0, x0, z1):
         (3, 0.0, 1.0, 0.0, INF),
         (5, 2.0, 1.0, 0.5, INF),  # tail, u0 = 0.25 below the mode
         (5, 0.01, 1.0, 3.0, INF),  # tail, u0 = 300 past it
+        (10**4, 1.0 / 9900.0, 0.0, 1.0, INF),  # tail just below the mode of a large n
         (7, 1.5, 0.2, 0.3, 4.0),  # finite, u0 = 0.2
         (7, 0.05, 2.0, 2.0, 5.0),  # finite, u0 = 40 >= n + 2
         (10, 1.0, 0.0, 5.0, 20.0),  # u from 5 to 25 straddles n + 2
@@ -251,6 +252,134 @@ def test_narrow_log_segment_matches_mpmath(n, falling):
                 assert abs(got - want) <= eps * (c / 2 + 2 * size), (c, r, x0, z0)
 
 
+def mp_wide_segment(n, s, z0, x0, z1):
+    """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz by 40-digit gammainc.
+
+    Over the rounded width z1 - z0, as _log_segment sees it.  A piece that
+    ends below the mean takes the lower gammas, whose upper twins agree to
+    many digits there; one past it the upper ones, as mpmath's lower gamma
+    does not converge far past the mean at n = 10^6; one across it n! less
+    both, as mpmath's upper gamma takes seconds far below the mean.
+    """
+    with mp.workdps(40):
+        s, x0 = mp.mpf(s), mp.mpf(x0)
+        u0 = x0 / s
+        u1 = u0 + (mp.mpf(z1) - mp.mpf(z0))
+        if u1 <= n + 1:
+            piece = mp.gammainc(n + 1, 0, u1) - mp.gammainc(n + 1, 0, u0)
+        elif u0 < n + 1:
+            piece = mp.gamma(n + 1) - mp.gammainc(n + 1, 0, u0) - mp.gammainc(n + 1, u1)
+        else:
+            piece = mp.gammainc(n + 1, u0) - mp.gammainc(n + 1, u1)
+        return n * mp.log(s) + u0 - z0 + mp.log(piece)
+
+
+def _scaled_gamma_error(s, x, value, upper):
+    """G of _log_segment's docstring: a scaled gamma's error, in eps."""
+    if gammafn._in_temme_band(s, x) or (upper and x < s + 1):
+        return 10 * (1 - s * gammafn._log1pmx((x - s) / s)) + 2 * math.log(s)
+    if upper:
+        return 41 + abs(value)
+    return 2 * 37 * (s + 1) / (s + 1 - x) + 1 + abs(value)
+
+
+def wide_segment_tolerance(n, s, z0, x0, z1, want):
+    """_log_segment's error bound on a wide rising piece, from its docstring."""
+    eps = sys.float_info.epsilon
+    w = z1 - z0
+    u0 = x0 / s
+    u1 = u0 + w
+    upper = u1 >= n + 2
+    if upper and u0 < n + 2 and not gammafn._has_stirling_prefactor(n + 1, u0):
+        # the lead form: lead terms, the two log P within 3 eps T(u) (1.13
+        # times that as a complement), their difference, and the rounding
+        # of u1 through the density p(u1)
+        p0, p1 = reg_gamma(n + 1, u0).log_p, reg_gamma(n + 1, u1).log_p
+        kappa = 1.0 / math.tanh((p1 - p0) / 2)
+
+        def t(u):
+            return (n + 1) * abs(math.log(u)) + u + math.lgamma(n + 2)
+
+        lead = n * abs(math.log(s)) + u0 + z0 + math.lgamma(n + 1) + abs(float(want))
+        density = math.exp(n * math.log(u1) - u1 - math.lgamma(n + 1) - p1) / -math.expm1(p0 - p1)
+        return eps * (2 * lead + 3.4 * kappa * (t(u0) + t(u1)) + u1 * density)
+    scaled = gammafn._log_upper_scaled if upper else gammafn._log_lower_scaled
+    near, far = scaled(n + 1, u0), scaled(n + 1, u1)
+    rise = (n + 1) * math.log1p(w / u0)
+    kappa = 1.0 / math.tanh(abs(near - (rise - w + far)) / 2)  # (e^a + e^b)/|e^a - e^b|
+    terms = abs(near) + abs(far) + rise + w
+    gammas = sum(_scaled_gamma_error(n + 1, u, v, upper) for u, v in ((u0, near), (u1, far)))
+    if upper or u0 >= w:  # in units of the near end, x0^n u0 e^-z0
+        size = n * abs(math.log(x0)) + abs(math.log(u0))
+    else:  # of the far end, x1^n u1 e^-(z0 + w)
+        size = n * (1 + abs(math.log(x0 + s * w))) + abs(math.log(u1)) + w + abs(far)
+    return eps * (kappa * (2 * terms + gammas) + 2 * (size + abs(float(want)) + z0))
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 10**3, 10**4, 10**6])
+def test_wide_log_segment_matches_mpmath(n):
+    # rising pieces at least 8 of their integrand's scales wide, c = w (1 +
+    # n s/x0), a share r of c from the width and the rest from the slope:
+    # below, across and past the mode.  The closed form that added
+    # lgamma(n+1) to log P lost up to 3.8e6 eps max(1, |value|, n |log x0|
+    # + z0) on these at n = 10^6.  Then pieces at the mode whose ends u0 + w
+    # are not doubles (rounding u1 cost about 2.4e4 eps at n = 10^6 before
+    # the gap was added back) and two
+    # that straddle it from below, from 0.7 n (the near end through log Q
+    # less the prefactor's Stirling form) and from 0.3 n (the lead form)
+    pieces = []
+    for c in (8.0, 8.5, 20.0, 100.0, 1e4):
+        for x0 in (1e-3, 1.0, 1e3):
+            for z0 in (0.0, 5.0):
+                for r in (0.1, 0.5, 0.9):
+                    w = r * c
+                    pieces.append(((1 - r) * c * x0 / (n * w), z0, x0, z0 + w))
+    for u0, w in (
+        (n + 0.3, 4.1), (n - 3.7, 4.1), (n - 10.3, 40.1),
+        (0.7 * n + 0.37, 0.5 * n + 1.3), (0.3 * n + 0.37, 1.2 * n + 1.3),
+    ):
+        if u0 > 0.0:
+            pieces.append((1.0 / u0, 0.0, 1.0, w))
+    checked = 0
+    for s, z0, x0, z1 in pieces:
+        if measures._is_narrow(n, s, z1 - z0, x0):
+            continue
+        want = mp_wide_segment(n, s, z0, x0, z1)
+        got = measures._log_segment(n, s, z0, x0, z1)
+        assert abs(got - want) <= wide_segment_tolerance(n, s, z0, x0, z1, want), (s, z0, x0, z1)
+        checked += 1
+    assert checked >= 80
+
+
+@pytest.mark.parametrize(
+    "c, r", [(20, 0.1), (20, 0.9), (100, 0.1), (100, 0.5), (100, 0.9), (1e4, 0.5), (1e4, 0.9)]
+)
+def test_vol_mu_of_a_wide_piece_at_large_n(c, r):
+    # one piece from radius 1, c = w (1 + n s) wide with a share r of c from
+    # its width, then a flat tail.  Adaptive quadrature raised on each ("did
+    # not converge in 4096 panels" after about 70 ms, or in 48 halvings);
+    # (20, 0.1) is the radius ((0, 1), (2, 1.000018)).  The reference takes
+    # the breakpoints' own slope, which vol_mu rounds by eps/2 relative
+    # (inside the bound's term in (n+1) log1p(w/u0)); log_sum adds the tail
+    n = 10**6
+    w = r * c
+    rho = RadiusFunction(((0.0, 1.0), (w, 1.0 + (1 - r) * c / (n * w) * w)), 0.0)
+    (_, x0), (z1, x1) = rho.breakpoints
+    with mp.workdps(40):
+        top = mp.mpf(x1) ** n * mp.e ** -mp.mpf(z1)
+        want = mp.log(mp.e ** mp_wide_segment(n, (mp.mpf(x1) - 1) / z1, 0.0, 1.0, z1) + top)
+    got = vol_mu(rho, n)
+    tol = wide_segment_tolerance(n, (x1 - x0) / z1, 0.0, x0, z1, want)
+    assert abs(got - want) <= tol + 2 * sys.float_info.epsilon * (1 + abs(float(want)))
+
+
+def test_log_segment_refuses_a_wide_falling_piece():
+    # the closed forms integrate a rising radius; they took this piece (c
+    # about 20) as flat, -4.54e-5 against mpmath's -0.69340
+    with pytest.raises(ValueError, match=r"falling piece \[0.0, 10.0\]"):
+        measures._log_segment(1000, -1e-3, 0.0, 1.0, 10.0)
+
+
 @pytest.mark.parametrize("x0", [1.0, 0.0])
 def test_log_segment_of_an_empty_piece_is_minus_inf(x0):
     # x0 > 0 took a panel of half-width 0, x0 = 0 a difference of equal ends
@@ -258,9 +387,12 @@ def test_log_segment_of_an_empty_piece_is_minus_inf(x0):
 
 
 def test_log_segment_raises_when_its_ends_round_equal(monkeypatch):
-    # a closed-form difference that cancels completely is no value at all
-    p = measures.reg_gamma(4, 1.0)
-    monkeypatch.setattr(measures, "reg_gamma", lambda s, x: p)
+    # a closed-form difference that cancels completely is no value at all.
+    # u0 = 1, w = 2 and u1 = 3 end below the mode of n = 3, so the ends'
+    # logs are S(1) and (n+1) log1p(w/u0) - w + S(3), S the scaled lower
+    # gamma; a scaled gamma that makes them agree exactly must raise
+    rise = 4 * math.log1p(2.0) - 2.0
+    monkeypatch.setattr(measures, "_log_lower_scaled", lambda s, x: -rise if x == 3.0 else 0.0)
     with pytest.raises(ArithmeticError, match="round equal"):
         measures._log_segment(3, 1.0, 0.0, 1.0, 2.0)
 
@@ -390,37 +522,54 @@ def test_vol_mu_skips_pieces_far_under_mu(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "x0, c, route",
+    "x0, s, w, route",
     [
-        (1.0, 7.99, "panel"),  # narrow: one _log_segment panel
-        (1.0, 8.01, "adaptive"),  # wide: adaptive quadrature
-        (0.0, 1.0, "adaptive"),  # a piece from radius 0 is never narrow
+        # narrow: one _log_segment panel
+        pytest.param(1.0, 0.5, 7.99 / 3.0, "panel", id="1.0-7.99-panel"),
+        # wide: _log_segment's closed form
+        pytest.param(1.0, 0.5, 8.01 / 3.0, "closed", id="1.0-8.01-closed"),
+        # a piece from radius 0 is never narrow
+        pytest.param(0.0, 0.5, 1.0, "adaptive", id="0.0-1.0-adaptive"),
+        # wide (c = 10) and falling: no closed form
+        pytest.param(1.0, -1e-13, 10.0, "adaptive", id="falling-10.0-adaptive"),
     ],
 )
-def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, c, route):
-    # one finite piece of slope 1/2 at n = 4, c = w (1 + n s/x0) = 3 w wide
-    # when x0 = 1, then a flat tail (no gamma function of its own); the
+def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, s, w, route):
+    # one finite piece at n = 4, c = w (1 + n |s|/x_min) = 3 w wide when x0
+    # = 1 and s = 1/2, then a flat tail (no gamma function of its own); the
     # piece holds most of mu, so the skip keeps it
-    n, s = 4, 0.5
-    w = c / 3.0 if x0 > 0.0 else 1.0
-    rho = RadiusFunction(((0.0, x0), (w, x0 + s * w)), 0.0)
-    calls = []
+    n = 4
+    pts = ((0.0, x0), (w, x0 + s * w))
+    rho = RadiusFunction(pts, 0.0)
+    if s < 0.0:
+        # RadiusFunction merges a fall this small into the flat tail; put
+        # the piece back so that vol_mu sees a falling piece
+        object.__setattr__(rho, "breakpoints", pts)
+    calls, panels = [], []
     adaptive, segment, gamma = measures._log_adaptive, measures._log_segment, measures.reg_gamma
+    panel = measures._log_panel
 
     def recorded_adaptive(logf, z0, z1):
         calls.append(("adaptive", z0, z1))
         return adaptive(logf, z0, z1)
 
+    def recorded_panel(logf, a, b):
+        panels.append((a, b))
+        return panel(logf, a, b)
+
     def recorded_segment(n, s, z0, x0, z1):
+        before = len(panels)
+        value = segment(n, s, z0, x0, z1)
         if z1 < INF:
-            calls.append(("panel", z0, z1))
-        return segment(n, s, z0, x0, z1)
+            calls.append(("panel" if len(panels) > before else "closed", z0, z1))
+        return value
 
     def recorded_gamma(a, x):
         calls.append(("reg_gamma", a, x))
         return gamma(a, x)
 
     monkeypatch.setattr(measures, "_log_adaptive", recorded_adaptive)
+    monkeypatch.setattr(measures, "_log_panel", recorded_panel)
     monkeypatch.setattr(measures, "_log_segment", recorded_segment)
     monkeypatch.setattr(measures, "reg_gamma", recorded_gamma)
     got = vol_mu(rho, n)
