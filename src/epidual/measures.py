@@ -15,17 +15,11 @@ On a linear piece of the radius mu is _log_segment: one Gauss-Legendre
 panel on a piece fewer than 8 of its integrand's scales wide, an
 incomplete-gamma closed form otherwise.  It serves vol_mu's tail, every
 piece of extremal.big_f's tents and every finite piece of vol_mu's that
-has radius above 0 at both ends and does not fall.  vol_mu's other finite
-pieces, those reaching radius 0 and wide falling ones, still go through
-adaptive quadrature.  Only pieces that can matter take either: on a piece [z0,
-z1] rho lies between its end values x0 and x1, so the piece's integral
-lies between min(x0, x1)^n and max(x0, x1)^n times e^(-z0) (1 - e^(-(z1 -
-z0))).  The largest lower bound and the exact tail are lower bounds on
-mu; of k finite pieces, one whose upper bound is more than 40 + log k
-nats under that holds less than e^-40 mu / k, so the pieces skipped hold
-less than e^-40 of mu together.
-The margin widens by a rounding allowance, 16 eps times the sizes of the
-compared values' terms, which vol_mu's docstring derives.
+starts above radius 0.  A radius never falls (RadiusFunction's breakpoint
+radii strictly increase), so only its first piece can start at radius 0,
+and that one still goes through adaptive quadrature.  vol_mu skips the
+pieces that bounds from their end radii show hold less than e^-40 of mu
+together; its docstring derives the bounds and their rounding.
 
 Ratios follow the convention 0/0 = inf/inf = 1, which makes the degenerate
 profiles (identically zero, indicator of the origin) legal inputs everywhere.
@@ -91,8 +85,8 @@ _GL_WEIGHTS = (
 # Panel acceptance threshold on log values, i.e. relative error of the piece.
 _QUAD_TOL = 1e-13
 _MAX_DEPTH = 48
-# Panels one _log_adaptive call may evaluate: vol_mu's pieces from radius 0
-# and vol_nu_direct's panels take a few hundred.
+# Panels one _log_adaptive call may evaluate: vol_mu's one piece from
+# radius 0 and vol_nu_direct's panels take a few hundred.
 _MAX_PANELS = 4096
 # What lies below e^-40 ~ 4e-18 of a total is far under its rounding: the
 # quadrature stops refining such panels, vol_mu skips such pieces and
@@ -198,12 +192,11 @@ def _log_adaptive(logf, a: float, b: float) -> float:
 def _is_narrow(n: int, s: float, w: float, x0: float) -> bool:
     """Whether a piece is under _NARROW_SCALES of its integrand's scales wide.
 
-    The piece is w wide and its radius runs from x0 to x0 + s w, x_min the
-    smaller end: narrow when c = w (1 + n |s|/x_min) < _NARROW_SCALES, the
-    bound of _log_segment's panel.  A piece that reaches radius 0 is not.
+    The piece is w wide and its radius rises from x0 to x0 + s w, s >= 0:
+    narrow when c = w (1 + n s/x0) < _NARROW_SCALES, the bound of
+    _log_segment's panel.  A piece from radius 0 is not.
     """
-    x_min = min(x0, x0 + s * w)
-    return x_min > 0.0 and w * (x_min + n * abs(s)) < _NARROW_SCALES * x_min
+    return x0 > 0.0 and w * (x0 + n * s) < _NARROW_SCALES * x0
 
 
 def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
@@ -211,26 +204,24 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
 
     A finite piece narrow by _is_narrow is x0^n e^(-z0) times one 15-point
     panel of (1 + q t)^n e^(-t), q = s/x0, over t in [0, w], w = z1 - z0.
-    With x_min the smaller of the piece's end radii x0 and x0 + s w, the
-    integrand's k-th derivative is at most (1 + n |s|/x_min)^k times its
-    largest value, as (1 + q t)^n contributes n |s|/x_min per order and
-    e^(-t) one: it varies on the scale min(1, x_min/(n |s|)).  The rule is
-    exact to degree 29, so it misses by at most w^31 (15!)^4 / (31 (30!)^3)
-    < 5.1e-51 w^31 times the 30th derivative, and the largest value is at
-    most e^c times the smallest, c = w (1 + n |s|/x_min): relative to the
-    integral, under 5.1e-51 c^30 e^c, which c < 8 puts under 1.9e-20.
-    Rounding weighs more.  A node is off by at most eps w, which moves the
-    integrand's log by at most eps c, and each log n log1p(q t) - t rounds
-    within 3 eps c, as n |log1p(q t)| and the log itself stay under c;
-    summing, scaling by w/2 and adding n log x0 - z0 round within a few eps
-    of the sizes of those terms.  Folding x0^n out keeps n away from the
-    rounding of x0 + s t, which would cost n eps.  Against 40-digit values
-    the panel has stayed within eps (c/2 + 2 max(1, |value|, n |log x0| +
-    z0)) (test_narrow_log_segment_matches_mpmath).  The closed forms below
-    thus see only pieces at least 8 scales long, whose ends no longer
-    agree to about the piece's width.  A piece that reaches radius 0 never
-    takes the panel.  A falling piece (s < 0) that is not narrow raises
-    ValueError: the forms below integrate a rising radius only.
+    The integrand's k-th derivative is at most (1 + n s/x0)^k times its
+    largest value, as (1 + q t)^n contributes n s/x0 per order (x0 the
+    smaller end radius) and e^(-t) one: it varies on the scale min(1,
+    x0/(n s)).  The rule is exact to degree 29, so it misses by at most
+    w^31 (15!)^4 / (31 (30!)^3) < 5.1e-51 w^31 times the 30th derivative,
+    and the largest value is at most e^c times the smallest, c = w (1 + n
+    s/x0): relative to the integral, under 5.1e-51 c^30 e^c, which c < 8
+    puts under 1.9e-20.  Rounding weighs more.  A node is off by at most
+    eps w, which moves the integrand's log by at most eps c, and each log n
+    log1p(q t) - t rounds within 3 eps c, as n log1p(q t) and the log
+    itself stay under c; summing, scaling by w/2 and adding n log x0 - z0
+    round within a few eps of the sizes of those terms.  Folding x0^n out
+    keeps n away from the rounding of x0 + s t, which would cost n eps.
+    Against 40-digit values the panel has stayed within eps (c/2 + 2 max(1,
+    |value|, n |log x0| + z0)) (test_narrow_log_segment_matches_mpmath).
+    The closed forms below thus see only pieces at least 8 scales long,
+    whose ends no longer agree to about the piece's width.  A piece from
+    radius 0 never takes the panel.
 
     Otherwise, with u = x0/s + z - z0 the piece is s^n e^(u0 - z0)
     [Gamma(n+1, u0) - Gamma(n+1, u1)]; a flat piece (s = 0, or x0/s past
@@ -302,9 +293,11 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     uses a third of its bound.  Near the mode the scaled form is about
     kappa times a few eps off: a piece 4 wide at the mode of n = 10^6
     (kappa about 600) is within about 2,100 eps of its value, 7e-14
-    relative.  Ends that still round equal raise ArithmeticError.  An
-    empty piece is -inf.
+    relative.  Ends that still round equal raise ArithmeticError, a falling
+    piece (s < 0), which no radius has, ValueError.  An empty piece is -inf.
     """
+    if s < 0.0:
+        raise ValueError(f"falling piece [{z0}, {z1}] from radius {x0} with slope {s}")
     w = z1 - z0
     if w == 0.0:
         return NEG_INF
@@ -312,11 +305,6 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
         q = s / x0
         panel = _log_panel(lambda t: n * math.log1p(q * t) - t, 0.0, w)
         return n * math.log(x0) - z0 + panel
-    if s < 0.0:
-        raise ValueError(
-            f"falling piece [{z0}, {z1}] from radius {x0} with slope {s} is not"
-            f" narrow at n={n}: no closed form"
-        )
     u0 = x0 / s if s > 0.0 else INF
     if u0 == INF:
         if x0 <= 0.0:
@@ -359,16 +347,12 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
     """log integral_0^inf rho(z)^n e^(-z) dz; the tail in closed form.
 
     The tail is one _log_segment.  Each finite piece [z0, z1] that a bound
-    does not show negligible and that starts above radius 0 is one
-    _log_segment if it does not fall (its closed form, or one panel if
-    _is_narrow: under 8 of its integrand's scales wide) or if it is
-    narrow; any other, reaching radius 0 or wide and falling, is one
-    _log_adaptive call (one that does not converge raises ArithmeticError).
-    The tests see the slope s = (x1 - x0)/(z1 - z0) that _log_segment
-    receives, so the two agree on which pieces are narrow.  rho is linear
-    on the piece, so it lies between its end values x0 and x1 (rho does
-    not decrease, up to the MERGE_RTOL a breakpoint may fall), and the
-    piece's integral lies between min(x0, x1)^n and max(x0, x1)^n times
+    does not show negligible is one _log_segment (its closed form, or one
+    panel if _is_narrow: under 8 of its integrand's scales wide), save one
+    from radius 0: one _log_adaptive call (raising ArithmeticError if it
+    does not converge).  Breakpoint radii strictly increase (RadiusFunction),
+    so only the first piece starts at 0, and on each rho rises from x0 to
+    x1 > 0: its integral lies between x0^n and x1^n times
 
         integral_z0^z1 e^(-z) dz = e^(-z0) (1 - e^(-(z1 - z0))).
 
@@ -376,8 +360,7 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
     their maximum L is a lower bound on mu.  A piece whose upper bound lies
     more than _TAIL_NATS + log k nats under L, with k the number of finite
     pieces, holds less than e^-40 mu / k; the at most k pieces skipped hold
-    less than e^-40 ~ 4e-18 of mu together, far under its rounding, and a
-    piece of radius 0 throughout (upper bound -inf) is always skipped.
+    less than e^-40 ~ 4e-18 of mu together, far under its rounding.
 
     A computed bound B = n log x + log(1 - e^-w) - z0 rounds within a
     few eps of the sum of its terms' sizes.  The middle term is at most 745
@@ -412,9 +395,9 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
     z0, x0 = pts[0]
     a = n * math.log(x0) if x0 > 0.0 else NEG_INF
     for z1, x1 in pts[1:]:
-        b = n * math.log(x1) if x1 > 0.0 else NEG_INF
+        b = n * math.log(x1)
         mass = math.log(-math.expm1(z0 - z1)) - z0
-        lo, hi = (a + mass, b + mass) if a <= b else (b + mass, a + mass)
+        lo, hi = a + mass, b + mass
         floor = lo if lo > floor else floor
         pieces.append((z0, x0, z1, x1, hi))
         z0, x0, a = z1, x1, b
@@ -425,12 +408,10 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
     )
     parts = [tail]
     for z0, x0, z1, x1, hi in pieces:
-        # hi = -inf (radius 0 throughout) makes the left side NaN: skipped
-        if not hi + slack * abs(hi) >= cut:
+        if hi + slack * abs(hi) < cut:
             continue
-        s = (x1 - x0) / (z1 - z0)
-        if x0 > 0.0 and (s >= 0.0 or _is_narrow(n, s, z1 - z0, x0)):
-            parts.append(_log_segment(n, s, z0, x0, z1))
+        if x0 > 0.0:
+            parts.append(_log_segment(n, (x1 - x0) / (z1 - z0), z0, x0, z1))
         else:
             parts.append(_log_adaptive(logf, z0, z1))
     return log_sum(parts)
@@ -565,7 +546,8 @@ def integrate_line(f: LineConvexFunction) -> float:
 def symmetrization_gap(f: LineConvexFunction) -> float:
     """integrate_line(f) minus its value after even rearrangement (log scale).
 
-    Exactly zero in exact arithmetic; exposed as a quadrature cross-check.
+    Exactly zero in exact arithmetic, so it reads the error of the three
+    vol_mu calls; the steiner-volume suite checks it.
     """
     sym = symmetrize_line(f)
     return integrate_line(f) - (math.log(2.0) + vol_mu(to_radius(sym), 1))

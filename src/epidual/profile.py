@@ -73,6 +73,23 @@ def _canonical(
     product under- or overflows, takes six roundings, the tail line three;
     where a point nearly meets its line and values do not fall, the line is
     then under 10 eps of the value off, far inside MERGE_RTOL (4,500 eps).
+
+    A radius (direction -1, values >= 0, tail slope >= 0) comes back with
+    strictly increasing values.  In exact arithmetic, r = MERGE_RTOL: a kept
+    point lies over r y above its final neighbours' chord (the merge pass
+    tests it again when its right neighbour is popped), so the slopes fall
+    and it is enough that the last piece rises.  The tail loop stops at a
+    point L over r y_L above the tail line from its predecessor Q, a line
+    at least y_Q: y_L - y_Q > r y_L >= r y_Q.  The merge pass may pop Q,
+    against the chord from the kept point A before it: then y_A < y_L (else
+    that chord is at least y_L at x_Q and Q is refused), and A lies under
+    the rising chord, y_A < y_Q (1 + r).  Were y_B >= y_A for the kept point
+    B before A, y_Q < y_A, and A would lie under y_A - y_Q < r y_A above
+    the chord from B to Q, not kept.
+    So the kept points rise up to A, under L, whatever pops follow.  The
+    tail's margin survives rounding, which is monotone; the pops' margins
+    differ by about r^2 y, under the chords' rounding, so in floating point
+    test_radius_breakpoints_strictly_increase checks them.
     """
     xs, ys, turn, side = _WORDS[direction]
     for x, y in pts:
@@ -184,10 +201,10 @@ class ConvexProfile:
 class RadiusFunction:
     """Level-set radius rho(z): breakpoints ((z, rho), ...) and a tail slope.
 
-    rho is non-decreasing and concave; past the last breakpoint it grows
-    with the tail slope, a finite number >= 0 (0 is a constant tail).  The
-    degenerate rho == +inf (profile psi == 0) is the single breakpoint
-    (0, inf) with tail slope 0.  Invalid data raises ValueError.
+    rho >= 0 is concave, its breakpoint radii strictly increase (derived in
+    _canonical), and past the last it grows with the tail slope, finite and
+    >= 0 (0 is a constant tail).  The degenerate rho == +inf (profile psi ==
+    0) is the single breakpoint (0, inf), slope 0.  Bad data raises ValueError.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -208,8 +225,8 @@ class RadiusFunction:
                 raise ValueError("infinite radius must be ((0, inf),) with slope 0")
             object.__setattr__(self, "breakpoints", ((0.0, INF),))
             return
-        if pts[0][1] < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {pts[0][1]}")
+        if min(x for _, x in pts) < 0.0:
+            raise ValueError(f"radius must be nonnegative, got {pts}")
         object.__setattr__(self, "breakpoints", _canonical(pts, slope, -1))
 
     @classmethod

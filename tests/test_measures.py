@@ -214,7 +214,7 @@ def mp_segment_quad(n, s, z0, x0, z1):
     """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz at 40 digits.
 
     Integrated over the rounded width z1 - z0, as _log_segment sees it, by
-    quadrature, so a falling piece (s < 0) needs no gamma of its own.
+    quadrature.
     """
     with mp.workdps(40):
         w = mp.mpf(z1) - mp.mpf(z0)
@@ -235,7 +235,8 @@ def test_narrow_log_segment_matches_mpmath(n, falling):
     # took these below c = 8 and lost up to 32.6 ulps to cancellation at
     # n = 10^6, c = 6.  The panel's error is its node rounding, up to about
     # eps c/2 at c near 8, plus the rounding of its terms n log x0, -z0
-    # and the panel's own log (_log_segment's docstring)
+    # and the panel's own log (_log_segment's docstring).  A radius never
+    # falls, so the falling pieces, which the panel took, are now refused
     eps = sys.float_info.epsilon
     for c in (1.001, 2.5, 4.0, 6.0, 7.99):
         for r in (0.1, 1.0, 10.0):  # n |s| / x_min
@@ -246,6 +247,10 @@ def test_narrow_log_segment_matches_mpmath(n, falling):
                 z1 = z0 + w
                 x_min = min(x0, x0 + s * (z1 - z0))
                 assert 1.0 <= (z1 - z0) * (1.0 + n * abs(s) / x_min) < 8.0
+                if falling:
+                    with pytest.raises(ValueError, match="falling piece"):
+                        measures._log_segment(n, s, z0, x0, z1)
+                    continue
                 want = mp_segment_quad(n, s, z0, x0, z1)
                 got = measures._log_segment(n, s, z0, x0, z1)
                 size = max(1.0, abs(float(want)), n * abs(math.log(x0)) + z0)
@@ -373,11 +378,14 @@ def test_vol_mu_of_a_wide_piece_at_large_n(c, r):
     assert abs(got - want) <= tol + 2 * sys.float_info.epsilon * (1 + abs(float(want)))
 
 
-def test_log_segment_refuses_a_wide_falling_piece():
-    # the closed forms integrate a rising radius; they took this piece (c
-    # about 20) as flat, -4.54e-5 against mpmath's -0.69340
+def test_log_segment_refuses_a_falling_piece():
+    # a radius never falls, and the closed forms integrate a rising one:
+    # they took this wide piece (c about 20) as flat, -4.54e-5 against
+    # mpmath's -0.69340.  The panel took this narrow one, -1.1686
     with pytest.raises(ValueError, match=r"falling piece \[0.0, 10.0\]"):
         measures._log_segment(1000, -1e-3, 0.0, 1.0, 10.0)
+    with pytest.raises(ValueError, match=r"falling piece \[0.5, 1.41\]"):
+        measures._log_segment(4, -0.1, 0.5, 1.0, 1.41)
 
 
 @pytest.mark.parametrize("x0", [1.0, 0.0])
@@ -530,21 +538,14 @@ def test_vol_mu_skips_pieces_far_under_mu(monkeypatch):
         pytest.param(1.0, 0.5, 8.01 / 3.0, "closed", id="1.0-8.01-closed"),
         # a piece from radius 0 is never narrow
         pytest.param(0.0, 0.5, 1.0, "adaptive", id="0.0-1.0-adaptive"),
-        # wide (c = 10) and falling: no closed form
-        pytest.param(1.0, -1e-13, 10.0, "adaptive", id="falling-10.0-adaptive"),
     ],
 )
 def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, s, w, route):
-    # one finite piece at n = 4, c = w (1 + n |s|/x_min) = 3 w wide when x0
-    # = 1 and s = 1/2, then a flat tail (no gamma function of its own); the
+    # one finite piece at n = 4, c = w (1 + n s/x0) = 3 w wide when x0 = 1
+    # and s = 1/2, then a flat tail (no gamma function of its own); the
     # piece holds most of mu, so the skip keeps it
     n = 4
-    pts = ((0.0, x0), (w, x0 + s * w))
-    rho = RadiusFunction(pts, 0.0)
-    if s < 0.0:
-        # RadiusFunction merges a fall this small into the flat tail; put
-        # the piece back so that vol_mu sees a falling piece
-        object.__setattr__(rho, "breakpoints", pts)
+    rho = RadiusFunction(((0.0, x0), (w, x0 + s * w)), 0.0)
     calls, panels = [], []
     adaptive, segment, gamma = measures._log_adaptive, measures._log_segment, measures.reg_gamma
     panel = measures._log_panel
@@ -576,6 +577,33 @@ def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, s, w, route):
     assert calls == [(route, 0.0, w)]
     want = mp_mu(rho, n)
     assert abs(got - want) <= 4 * math.ulp(max(1.0, abs(want)))
+
+
+def test_vol_mu_takes_at_most_the_first_piece_by_quadrature(monkeypatch):
+    # a radius's breakpoint radii strictly increase, so only its first
+    # piece can start at radius 0, and every other kept piece goes to
+    # _log_segment: vol_mu makes at most one _log_adaptive call, on [0, z1].
+    # Checked on the sampler's radii and J images, as ratio-stream's
+    # log_s_j_n integrates them
+    calls = []
+    adaptive = measures._log_adaptive
+
+    def recorded(logf, z0, z1):
+        calls.append((z0, z1))
+        return adaptive(logf, z0, z1)
+
+    monkeypatch.setattr(measures, "_log_adaptive", recorded)
+    took = 0
+    stream = ProfileSampler(seed=3).stream()
+    for n in range(1, 65):
+        for _ in range(16):
+            rho = to_radius(next(stream))
+            for r in (rho, j_transform(rho)):
+                calls.clear()
+                vol_mu(r, n)
+                assert not calls or calls == [(0.0, r.breakpoints[1][0])], (r, n, calls)
+                took += len(calls)
+    assert took > 400
 
 
 def test_piece_integrals_lie_between_their_endpoint_bounds():

@@ -237,6 +237,62 @@ def test_radius_validation():
         RadiusFunction(((1.0, 0.0),), 0.0)
     with pytest.raises(ValueError, match="radius must be nonnegative"):
         RadiusFunction(((0.0, -1.0),), 0.0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        RadiusFunction(((0.0, 0.0), (1.0, -1e-300), (2.0, 1.0)), 0.0)
+
+
+def _rises(rho):
+    xs = [x for _, x in rho.breakpoints]
+    return all(x0 < x1 for x0, x1 in zip(xs, xs[1:]))
+
+
+def test_radius_breakpoints_strictly_increase():
+    # _canonical derives this in exact arithmetic, but two of its steps
+    # compare margins about MERGE_RTOL^2 y apart, under the rounding of the
+    # chords, so it is checked on radii that put those tests on their edge.
+    # Near-flat ones first: 3 to 9 values within a few MERGE_RTOL of a
+    # concave rise, tail slopes 0 or of order MERGE_RTOL, at scales 10^-300
+    # to 10^300
+    rng = random.Random(0)
+    kept = 0
+    for _ in range(12000):
+        k = rng.randint(3, 9)
+        zs = [0.0] + sorted(rng.uniform(0.0, 10.0) for _ in range(k - 1))
+        size = 10.0 ** rng.choice([0.0, -100.0, 100.0, -300.0, 300.0, rng.uniform(-5.0, 5.0)])
+        a, b = rng.uniform(0.0, 4.0), rng.uniform(0.0, 0.1)
+        xs = [size * (1 + MERGE_RTOL * (a * z - b * z * z + rng.uniform(-1.5, 1.5))) for z in zs]
+        tail = 0.0 if rng.random() < 0.5 else size * MERGE_RTOL * rng.uniform(0.0, 3.0)
+        try:
+            rho = RadiusFunction(tuple(zip(zs, xs)), tail)
+        except ValueError:
+            continue
+        assert _rises(rho), (zs, xs, tail)
+        kept += len(rho.breakpoints) > 2
+    assert kept > 500
+    # then three points whose last piece rises by just over MERGE_RTOL of its
+    # value and whose first lies within 2 MERGE_RTOL of the line through the
+    # other two, so that the merge pass may pop the middle one
+    popped = 0
+    for _ in range(4000):
+        q = 10.0 ** rng.uniform(-300.0, 300.0)
+        x = q * (1 + MERGE_RTOL)
+        while not x - q > MERGE_RTOL * x:
+            x = math.nextafter(x, INF)
+        z = rng.uniform(0.5, 4.0)
+        zq = z * rng.uniform(0.0, 0.5)
+        x0 = (x - (x - q) * z / (z - zq)) * (1 + MERGE_RTOL * rng.uniform(-2.0, 2.0))
+        try:
+            rho = RadiusFunction(((0.0, x0), (zq, q), (z, x)), 0.0)
+        except ValueError:
+            continue
+        assert _rises(rho), (x0, zq, q, z, x)
+        popped += len(rho.breakpoints) == 2
+    assert popped > 1000
+    # and the radii vol_mu integrates: the sampler's and their J images
+    for p in itertools.islice(ProfileSampler(seed=7).stream(), 1000):
+        for a in (1e-100, 1.0, 1e100):
+            rho = to_radius(scale(p, a))
+            assert _rises(rho) and _rises(j_transform(rho)), (p, a)
 
 
 def test_j_fixed_point_unit_tent():
