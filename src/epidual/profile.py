@@ -13,7 +13,11 @@ module-level helpers: _canonical merges and validates breakpoints by one
 test of each value against its neighbours' line, to MERGE_RTOL, far above
 the line's rounding, so input convex as stored is never refused;
 _interpolate evaluates them (bisecting a tuple of abscissae built on first
-evaluation), and two of them are compared exactly at their _knots.
+evaluation), and two of them are compared exactly at their _knots.  Each
+radius is validated once: the constructors run _canonical on what they are
+given, while to_radius and j_transform derive that their output is a valid
+radius whenever their input is valid, and build it by
+RadiusFunction._trusted, which checks only what rounding can break.
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
@@ -202,9 +206,11 @@ class RadiusFunction:
     """Level-set radius rho(z): breakpoints ((z, rho), ...) and a tail slope.
 
     rho >= 0 is concave, its breakpoint radii strictly increase (derived in
-    _canonical), and past the last it grows with the tail slope, finite and
-    >= 0 (0 is a constant tail).  The degenerate rho == +inf (profile psi ==
-    0) is the single breakpoint (0, inf), slope 0.  Bad data raises ValueError.
+    _canonical, and in to_radius and j_transform for the radii they build
+    through _trusted), and past the last it grows with the tail slope, finite
+    and >= 0 (0 is a constant tail).  The degenerate rho == +inf (profile psi
+    == 0) is the single breakpoint (0, inf), slope 0.  Bad data raises
+    ValueError.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -228,6 +234,36 @@ class RadiusFunction:
         if min(x for _, x in pts) < 0.0:
             raise ValueError(f"radius must be nonnegative, got {pts}")
         object.__setattr__(self, "breakpoints", _canonical(pts, slope, -1))
+
+    @classmethod
+    def _trusted(cls, pts: _Points, slope: float) -> "RadiusFunction":
+        """The radius (pts, slope) of a caller that derives it valid.
+
+        pts start at (0, x0), x0 >= 0 finite, and slope >= 0.  to_radius
+        and j_transform derive that in exact arithmetic the radius is
+        concave with strict kinks, its z and radii strictly rising.
+        Downstream needs of that finite breakpoints whose z and radii
+        strictly rise (vol_mu's routing and skip bounds, _log_segment, which
+        refuses a falling piece) and a finite slope, and rounding can break
+        those.  One pass with no chords checks them: the first point is
+        finite, so a rise to a finite last point is finite throughout, and a
+        NaN fails every comparison.  What fails goes to the validating
+        constructor, which merges or refuses it as it would any input.
+        Concavity is not checked: rounding moves a point by half an ulp, far
+        inside the MERGE_RTOL to which from_radius's ConvexProfile checks it.
+        """
+        z_last, x_last = pts[-1]
+        if not (slope < INF and z_last < INF and x_last < INF):
+            return cls(pts, slope)
+        z0, x0 = pts[0]
+        for z1, x1 in pts[1:]:
+            if not (z0 < z1 and x0 < x1):
+                return cls(pts, slope)
+            z0, x0 = z1, x1
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "breakpoints", pts)
+        object.__setattr__(rho, "tail_slope", slope)
+        return rho
 
     @classmethod
     def infinite(cls) -> "RadiusFunction":
@@ -268,14 +304,34 @@ class LineConvexFunction:
 
 
 def to_radius(p: ConvexProfile) -> RadiusFunction:
-    """Radius function of the level sets of psi; exact coordinate swap."""
+    """Radius function of the level sets of psi; exact coordinate swap.
+
+    Breakpoint (r, v) with v > 0 becomes (v, r), after (0, flat_end), and
+    the tail slope t becomes 1 / t.  In exact arithmetic the radius is
+    concave with strict kinks, and its z and radii strictly rise.  psi's
+    kept points are kinks (_canonical), so its slopes strictly rise; the
+    slope into the first v > 0 is positive, so the later v, the z, strictly
+    rise.  The radii are psi's r, which strictly rise.  The radius's slopes
+    are the reciprocals of psi's (the first at least that, as its start may
+    lie within MERGE_RTOL under 0), so they strictly fall, and 1 / t lies
+    under the last, as a finite tail absorbs a last point on its line.
+
+    In floating point the coordinates are copied and only 1 / t rounds; it
+    overflows for a subnormal t.  _canonical measures a point's offset from
+    its neighbours' line relative to its own value: v in psi, r in rho.  A
+    kink d under psi's chord lies about d / s over rho's, s psi's slope
+    there, so where s r > v a kink that psi keeps can lie within MERGE_RTOL
+    of its chord in rho, and RadiusFunction's constructor would merge it.
+    The swap keeps it.  _trusted checks the rise of z, which rests on
+    _canonical's margins in floating point, and the finite tail slope.
+    """
     if p.is_zero:
         return RadiusFunction.infinite()
     pts = [(0.0, p.flat_end)]
     for r, v in p.breakpoints:
         if v > 0.0:
             pts.append((v, r))
-    return RadiusFunction(tuple(pts), 1.0 / p.tail_slope)
+    return RadiusFunction._trusted(tuple(pts), 1.0 / p.tail_slope)
 
 
 def from_radius(rho: RadiusFunction) -> ConvexProfile:
@@ -302,6 +358,22 @@ def j_transform(rho: RadiusFunction) -> RadiusFunction:
     The input's tail slope becomes the output's radius at 0 and its radius
     at 0 the output's tail slope, so the transform is an exact involution on
     the representation.
+
+    In exact arithmetic J keeps a radius concave with strict kinks, its z
+    and radii strictly rising.  It sends the line x = a z + b to y = a + b w,
+    so chords go to chords, and a point d above its neighbours' chord lands
+    d / z above theirs, the same fraction of its value x / z: kinks and
+    their MERGE_RTOL margins are kept.  The w = 1 / z of z > 0 strictly
+    rise, read in reverse.  With breakpoints 0 = z_0 < ... < z_m, the piece
+    from z_i has slope s_i (s_m the tail slope) and intercept b_i = x_i -
+    s_i z_i: b_0 = rho(0) >= 0 and b_{i+1} - b_i = (s_i - s_{i+1}) z_{i+1}
+    > 0, so from z_1 on, x / z = s_i + b_i / z strictly falls and stays over
+    s_m: the image radii strictly rise from s_m to x_1 / z_1.
+
+    In floating point 1 / z and x / z each round once, so their order holds
+    but neighbours can tie; 1 / z overflows for a subnormal z, x / z can
+    over- or underflow, and a kink a few ulps deep can flip.  _trusted
+    checks the rise and that the result is finite.
     """
     if rho.is_infinite:
         return RadiusFunction.infinite()
@@ -309,7 +381,7 @@ def j_transform(rho: RadiusFunction) -> RadiusFunction:
     out_pts = [(0.0, rho.tail_slope)]
     for z, x in reversed(pts[1:]):
         out_pts.append((1.0 / z, x / z))
-    return RadiusFunction(tuple(out_pts), pts[0][1])
+    return RadiusFunction._trusted(tuple(out_pts), pts[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +528,7 @@ def check_j_factorization(p: ConvexProfile) -> float:
     with (m, b] alike, d = 0 on [a, b].  Past the tail point 2 top, q keeps
     the slope of A psi's steepest line, r / v at psi's first positive
     breakpoint as J forms it (v / r does not fall along a convex psi
-    through 0; to MERGE_RTOL where J's canonical form absorbs it), so d is
+    through 0; to MERGE_RTOL where a canonical form absorbs it), so d is
     convex with final slope 0: 0 on [top, 2 top], it stays 0.  Past a flat
     start's cutoff 1 / flat_end both are +inf.
     """

@@ -650,6 +650,17 @@ def test_ratio_of_a_wide_inverted_piece_keeps_its_peak():
     assert log_s_j_n(p, 26) == pytest.approx(-58.00651182815555, rel=1e-13)
 
 
+def test_ratio_keeps_a_kink_the_radius_constructor_would_merge():
+    # psi keeps (2, 10), 1.5 MERGE_RTOL of 10 under its chord; in rho, (10,
+    # 2) lies 0.75 MERGE_RTOL of 2 over its own, so validating the radius
+    # again merged it and moved the ratio by 8.1e-13.  The value is 40-digit
+    # mpmath over psi's breakpoints
+    p = ConvexProfile(((0.0, 0.0), (1.0, 0.0), (2.0, 10.0), (3.0, 20.0 + 3e-11)), 50.0)
+    assert to_radius(p).breakpoints == ((0.0, 1.0), (10.0, 2.0), (20.0 + 3e-11, 3.0))
+    want = 4.3147059546130817214
+    assert abs(log_s_j_n(p, 5) - want) <= 4 * math.ulp(want)
+
+
 def _cap_panels(monkeypatch, limit):
     """Make _log_panel raise past `limit` calls, so runaway refinement fails fast."""
     panel = measures._log_panel

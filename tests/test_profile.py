@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from epidual import profile
 from epidual.profile import (
     INF,
     MERGE_RTOL,
@@ -242,8 +243,39 @@ def test_radius_validation():
 
 
 def _rises(rho):
-    xs = [x for _, x in rho.breakpoints]
-    return all(x0 < x1 for x0, x1 in zip(xs, xs[1:]))
+    """What measures needs of a radius: finite, both coordinates rising."""
+    pts = rho.breakpoints
+    return (
+        all(math.isfinite(c) for pt in pts for c in pt)
+        and math.isfinite(rho.tail_slope)
+        and all(z0 < z1 and x0 < x1 for (z0, x0), (z1, x1) in zip(pts, pts[1:]))
+    )
+
+
+def _kinked_profile(rng):
+    """A profile whose kinks lie 1 to 3 MERGE_RTOL of their value under
+    their chords.  An optional flat start, a first slope of 10^+-6 and a
+    jump to 10^+-6 put psi's slope times r over v, the factor between a
+    kink's margin in psi and in rho, far from 1."""
+    pts = [(0.0, 0.0)]
+    if rng.random() < 0.5:
+        pts.append((10.0 ** rng.uniform(-3.0, 3.0), 0.0))
+    widths = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(rng.randint(2, 5))]
+    slope = 10.0 ** rng.choice([-6.0, 6.0])
+    slopes = [slope, max(slope, 10.0 ** rng.choice([-6.0, 6.0]))]
+    r, v = pts[-1][0] + widths[0], slope * widths[0]
+    pts.append((r, v))
+    for w0, w1 in zip(widths[1:], widths[2:]):
+        r, v = r + w0, v + slopes[-1] * w0
+        pts.append((r, v))
+        depth = rng.uniform(1.0, 3.0) * MERGE_RTOL * v
+        slopes.append(slopes[-1] + depth * (w0 + w1) / (w0 * w1))
+    r, v = r + widths[-1], v + slopes[-1] * widths[-1]
+    pts.append((r, v))
+    if rng.random() < 0.3:
+        return ConvexProfile(tuple(pts), INF)
+    depth = rng.uniform(1.0, 3.0) * MERGE_RTOL * v
+    return ConvexProfile(tuple(pts), slopes[-1] + depth / widths[-1])
 
 
 def test_radius_breakpoints_strictly_increase():
@@ -288,11 +320,55 @@ def test_radius_breakpoints_strictly_increase():
         assert _rises(rho), (x0, zq, q, z, x)
         popped += len(rho.breakpoints) == 2
     assert popped > 1000
-    # and the radii vol_mu integrates: the sampler's and their J images
+    # and the radii vol_mu integrates, which to_radius and j_transform build
+    # without _canonical: the sampler's, with r (scale) or v stretched by
+    # 10^+-100, and their J images; the validating constructor agrees
     for p in itertools.islice(ProfileSampler(seed=7).stream(), 1000):
         for a in (1e-100, 1.0, 1e100):
-            rho = to_radius(scale(p, a))
-            assert _rises(rho) and _rises(j_transform(rho)), (p, a)
+            tall = ConvexProfile(tuple((r, a * v) for r, v in p.breakpoints), a * p.tail_slope)
+            for rho in (to_radius(scale(p, a)), to_radius(tall)):
+                for out in (rho, j_transform(rho)):
+                    assert _rises(out), (p, a)
+                    assert RadiusFunction(out.breakpoints, out.tail_slope) == out, (p, a)
+    # and of profiles kinked near MERGE_RTOL, whose radius can keep a kink
+    # that the constructor, measuring it against r instead of v, merges
+    kept = 0
+    for _ in range(3000):
+        try:
+            p = _kinked_profile(rng)
+        except ValueError:
+            continue
+        rho = to_radius(p)
+        assert _rises(rho) and _rises(j_transform(rho)), p
+        kept += len(RadiusFunction(rho.breakpoints, rho.tail_slope).breakpoints) < len(rho.breakpoints)
+    assert kept > 200
+
+
+def test_to_radius_and_j_transform_never_run_canonical(monkeypatch):
+    # their output is valid by derivation, so each radius is validated
+    # once, when its profile is constructed
+    profiles = list(itertools.islice(ProfileSampler(seed=11).stream(), 300))
+    calls = []
+    canonical = profile._canonical
+    monkeypatch.setattr(profile, "_canonical", lambda *a: calls.append(a) or canonical(*a))
+    for p in profiles:
+        j_transform(to_radius(p))
+    assert calls == []
+
+
+def test_trusted_radius_hands_what_rounding_broke_to_the_constructor():
+    # a flat last piece is merged into the constant tail, as the constructor does
+    pts = ((0.0, 1.0), (1.0, 2.0), (2.0, 2.0))
+    assert RadiusFunction._trusted(pts, 0.0) == RadiusFunction(pts, 0.0)
+    assert RadiusFunction._trusted(pts, 0.0).breakpoints == ((0.0, 1.0), (1.0, 2.0))
+    # x / z underflows to 0: the image is the zero radius
+    assert j_transform(RadiusFunction(((0.0, 0.0), (1e300, 1e-30)), 0.0)).is_zero
+    # J's 1 / z overflows at z = 1e-310
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        j_transform(to_radius(ConvexProfile(((0.0, 0.0), (1.0, 1e-310)), 1.0)))
+    # the radius tail slope 1 / 1e-310 overflows
+    with pytest.raises(ValueError, match="radius tail slope"):
+        to_radius(ConvexProfile(((0.0, 0.0),), 1e-310))
 
 
 def test_j_fixed_point_unit_tent():
