@@ -20,7 +20,8 @@ which is why the expansion takes over there.  measures._log_segment takes
 the scaled gammas gamma(s, x) x^(-s) e^x and Gamma(s, x) x^(-s) e^x
 (_log_lower_scaled, _log_upper_scaled) without the prefactor: the series'
 sum and the fraction themselves, or log p or log q less it in the band
-(and, for the upper one, below s + 1).
+(and, for the upper one, below s + 1); at a near end, also x times the
+upper one (_log_upper_scaled_times_x), whose log would cancel as a sum.
 The series' and the fraction's prefactor x^s e^{-x} / Gamma(s+1) is
 evaluated via a Stirling-residual form around x = s so that the result
 keeps ~1e-15 absolute accuracy even for s ~ 1000, where naive use of lgamma
@@ -315,6 +316,29 @@ def _log_upper_scaled(s: float, x: float) -> float:
     """
     if x < s + 1.0 or _in_temme_band(s, x):
         return reg_gamma(s, x).log_q - _log_scale(s, x)
+    return math.log(_upper_fraction(s, x))
+
+
+def _log_upper_scaled_times_x(s: float, x: float) -> tuple[float, float]:
+    """_log_upper_scaled(s, x) and the log of x times its value, s >= 2.
+
+    Past the band x times the scaled gamma is near 1 once x >> s, and log x
+    plus _log_upper_scaled would cancel to about eps log x (10.5 eps at s =
+    10^6 + 1, x = 9 10^6).  There the recurrence Gamma(s, x) = (s - 1)
+    Gamma(s - 1, x) + x^(s-1) e^(-x) gives it as 1 + r, r = (s - 1) times
+    the scaled gamma of order s - 1, whose fraction converges for x >= s:
+    log1p(r) carries r's few eps relative times r/(1 + r), and the first
+    value, log((1 + r)/x), is within a few eps.  Elsewhere the sum of logs.
+    """
+    if x < s + 1.0 or _in_temme_band(s, x):
+        scaled = _log_upper_scaled(s, x)
+        return scaled, math.log(x) + scaled
+    r = (s - 1.0) * _upper_fraction(s - 1.0, x)
+    return math.log((1.0 + r) / x), math.log1p(r)
+
+
+def _upper_fraction(s: float, x: float) -> float:
+    """Gamma(s, x) x^(-s) e^x by its continued fraction (modified Lentz); x >= s + 1."""
     b = x + 1.0 - s
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -335,7 +359,7 @@ def _log_upper_scaled(s: float, x: float) -> float:
             break
     else:
         raise ArithmeticError(f"upper gamma fraction stalled at s={s}, x={x}")
-    return math.log(h)
+    return h
 
 
 def _temme(s: float, x: float) -> RegularizedGamma:

@@ -11,15 +11,17 @@ through the inversion transform; vol_nu_direct integrates the raw formula
 and exists so the two routes can be compared without sharing code (the
 nu-mu-substitution suite).
 
-On a linear piece of the radius mu is _log_segment: one Gauss-Legendre
-panel on a piece fewer than 8 of its integrand's scales wide, an
-incomplete-gamma closed form otherwise.  It serves vol_mu's tail, every
-piece of extremal.big_f's tents and every finite piece of vol_mu's that
-starts above radius 0.  A radius never falls (RadiusFunction's breakpoint
-radii strictly increase), so only its first piece can start at radius 0,
-and that one still goes through adaptive quadrature.  vol_mu skips the
-pieces that bounds from their end radii show hold less than e^-40 of mu
-together; its docstring derives the bounds and their rounding.
+On a linear piece of the radius mu is _log_segment: one fixed 15-point
+Gauss-Legendre sum (_log_narrow) on a piece fewer than 8 of its
+integrand's scales wide, an incomplete-gamma closed form otherwise.  It
+serves vol_mu's tail, every piece of extremal.big_f's tents and every
+finite piece of vol_mu's that starts above radius 0.  A radius never falls
+(RadiusFunction's breakpoint radii strictly increase), so only its first
+piece can start at radius 0, and that one still goes through adaptive
+quadrature (_log_adaptive, the one caller of _log_panel), as do
+vol_nu_direct's panels.  vol_mu skips the pieces that bounds from their
+end radii show hold less than e^-40 of mu together; its docstring derives
+the bounds and their rounding.
 
 Ratios follow the convention 0/0 = inf/inf = 1, which makes the degenerate
 profiles (identically zero, indicator of the origin) legal inputs everywhere.
@@ -31,7 +33,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .gammafn import _has_stirling_prefactor, _log_lower_scaled, _log_upper_scaled, reg_gamma
+from .gammafn import (
+    _has_stirling_prefactor,
+    _log_lower_scaled,
+    _log_upper_scaled,
+    _log_upper_scaled_times_x,
+    reg_gamma,
+)
 from .logdomain import NEG_INF, log1mexp, log_add, log_sub_signed, log_sum
 from .profile import (
     INF,
@@ -81,19 +89,23 @@ _GL_WEIGHTS = (
     0.0703660474881084,
     0.030753241996117203,
 )
+# The same rule on [0, 1], as (node, weight) pairs, for _log_narrow.
+_GL_UNIT = tuple((0.5 + 0.5 * t, 0.5 * c) for t, c in zip(_GL_NODES, _GL_WEIGHTS))
 
 # Panel acceptance threshold on log values, i.e. relative error of the piece.
 _QUAD_TOL = 1e-13
 _MAX_DEPTH = 48
 # Panels one _log_adaptive call may evaluate: vol_mu's one piece from
-# radius 0 and vol_nu_direct's panels take a few hundred.
+# radius 0 and vol_nu_direct's panels take a few hundred.  _log_panel, its
+# panel, serves no other caller.
 _MAX_PANELS = 4096
 # What lies below e^-40 ~ 4e-18 of a total is far under its rounding: the
 # quadrature stops refining such panels, vol_mu skips such pieces and
 # vol_nu_direct's sweeps stop there.
 _TAIL_NATS = 40.0
 # A piece fewer than this many of its integrand's scales wide is one
-# 15-point panel, whose error _log_segment's docstring bounds by 1.9e-20.
+# 15-point sum (_log_narrow), whose error _log_segment's docstring bounds
+# by 1.9e-20.
 _NARROW_SCALES = 8.0
 # vol_nu_direct's upper sweep takes panels _SWEEP_STEP wide in t = log z.
 # e^t overflows past t = _LOG_MAX ~ 709.8, which a sweep starting at t >=
@@ -189,12 +201,25 @@ def _log_adaptive(logf, a: float, b: float) -> float:
     return refine(a, b, 0, _log_panel(logf, a, b), NEG_INF)
 
 
+def _log_narrow(n: int, q: float, w: float) -> float:
+    """log integral_0^w (1 + q t)^n e^(-t) dt by the 15-point rule, w (1 + n q) < 8.
+
+    _log_segment's narrow piece, x0^n e^(-z0) less; its docstring derives
+    why the plain sum needs no shift and bounds its error.
+    """
+    acc = 0.0
+    for tau, weight in _GL_UNIT:
+        t = w * tau
+        acc += weight * math.exp(n * math.log1p(q * t) - t)
+    return math.log(acc) + math.log(w)
+
+
 def _is_narrow(n: int, s: float, w: float, x0: float) -> bool:
     """Whether a piece is under _NARROW_SCALES of its integrand's scales wide.
 
     The piece is w wide and its radius rises from x0 to x0 + s w, s >= 0:
     narrow when c = w (1 + n s/x0) < _NARROW_SCALES, the bound of
-    _log_segment's panel.  A piece from radius 0 is not.
+    _log_narrow's rule.  A piece from radius 0 is not.
     """
     return x0 > 0.0 and w * (x0 + n * s) < _NARROW_SCALES * x0
 
@@ -202,26 +227,34 @@ def _is_narrow(n: int, s: float, w: float, x0: float) -> bool:
 def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     """log integral_z0^z1 (x0 + s (z - z0))^n e^(-z) dz, z1 = inf allowed.
 
-    A finite piece narrow by _is_narrow is x0^n e^(-z0) times one 15-point
-    panel of (1 + q t)^n e^(-t), q = s/x0, over t in [0, w], w = z1 - z0.
-    The integrand's k-th derivative is at most (1 + n s/x0)^k times its
-    largest value, as (1 + q t)^n contributes n s/x0 per order (x0 the
-    smaller end radius) and e^(-t) one: it varies on the scale min(1,
-    x0/(n s)).  The rule is exact to degree 29, so it misses by at most
-    w^31 (15!)^4 / (31 (30!)^3) < 5.1e-51 w^31 times the 30th derivative,
-    and the largest value is at most e^c times the smallest, c = w (1 + n
-    s/x0): relative to the integral, under 5.1e-51 c^30 e^c, which c < 8
-    puts under 1.9e-20.  Rounding weighs more.  A node is off by at most
-    eps w, which moves the integrand's log by at most eps c, and each log n
-    log1p(q t) - t rounds within 3 eps c, as n log1p(q t) and the log
-    itself stay under c; summing, scaling by w/2 and adding n log x0 - z0
-    round within a few eps of the sizes of those terms.  Folding x0^n out
-    keeps n away from the rounding of x0 + s t, which would cost n eps.
-    Against 40-digit values the panel has stayed within eps (c/2 + 2 max(1,
-    |value|, n |log x0| + z0)) (test_narrow_log_segment_matches_mpmath).
-    The closed forms below thus see only pieces at least 8 scales long,
-    whose ends no longer agree to about the piece's width.  A piece from
-    radius 0 never takes the panel.
+    A finite piece narrow by _is_narrow is x0^n e^(-z0) times _log_narrow's
+    15-point rule for (1 + q t)^n e^(-t), q = s/x0, over t in [0, w], w =
+    z1 - z0.  The integrand's k-th derivative is at most (1 + n s/x0)^k
+    times its largest value, as (1 + q t)^n contributes n s/x0 per order
+    (x0 the smaller end radius) and e^(-t) one: it varies on the scale
+    min(1, x0/(n s)).  The rule is exact to degree 29, so it misses by at
+    most w^31 (15!)^4 / (31 (30!)^3) < 5.1e-51 w^31 times the 30th
+    derivative, and the largest value is at most e^c times the smallest, c
+    = w (1 + n s/x0): relative to the integral, under 5.1e-51 c^30 e^c,
+    which c < 8 puts under 1.9e-20.  The rule's terms need no shift by
+    their largest exponent: log1p(q t) lies in [0, q t] for t >= 0, so each
+    exponent n log1p(q t) - t lies in [-w, n q w], both ends under c < 8 in
+    size.  Each term is thus its weight times a factor in (e^-8, e^8), and
+    the sum, under e^8 as the weights on [0, 1] sum to 1, neither over- nor
+    underflows.  Rounding weighs more than the rule's error.  A node w tau,
+    tau the rule's node on [0, 1], is off by at most eps w, which moves the
+    integrand's log by at most eps c; each exponent rounds within 3 eps c,
+    as n log1p(q t) and the log itself stay under c; exp and the weight's
+    product add an ulp.  The plain sum of the 15 positive terms rounds each
+    of its 14 additions within eps/2 of a partial sum no larger than the
+    total, so it is within 7 eps relative, 7 eps on its log; the logs of
+    the sum and of w and adding n log x0 - z0 round within eps of the sizes
+    of those terms.  Folding x0^n out keeps n away from the rounding of x0
+    + s t, which would cost n eps.  Against 40-digit values the sum has
+    stayed within eps (c/2 + 2 max(1, |value|, n |log x0| + z0))
+    (test_narrow_log_segment_matches_mpmath).  The closed forms below thus
+    see only pieces at least 8 scales long, whose ends no longer agree to
+    about the piece's width.  A piece from radius 0 never takes the sum.
 
     Otherwise, with u = x0/s + z - z0 the piece is s^n e^(u0 - z0)
     [Gamma(n+1, u0) - Gamma(n+1, u1)]; a flat piece (s = 0, or x0/s past
@@ -259,7 +292,13 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     doubles its radius (u0 < w).  There n log x0 and (n+1) log1p(w/u0)
     would cancel, by about 3,100 for a piece from u0 = 2.5e-6 to 1 at n =
     242, while x1 is within eps of its value; a piece from radius 0 is its
-    far end alone.  R takes the width w itself, as the narrow panel does,
+    far end alone.  The near end's log u0 + S(u0), here and in the tail,
+    is gammafn's _log_upper_scaled_times_x: past the mode and _temme's band
+    S(u0) is about -log u0, and their sum cancelled to about eps log u0
+    (169 ulps of vol_mu for the piece from radius 1 to 1.00001 over [0,
+    90] at n = 10^6, u0 = 9e6), where the log of u0 e^S(u0) formed at
+    once, by the recurrence down one order, stays within about eps of its
+    value.  R takes the width w itself, as the narrow sum does,
     so the rounding of u1 = u0 + w enters only through S(u1), which varies
     slowly: S'(u) = 1 - (n+1)/u -+ e^(-S(u))/u (- upper, + lower).  Adding
     S'(u1) (u0 + w - u1), that rounding recovered exactly (or 1/u1 more,
@@ -302,9 +341,7 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     if w == 0.0:
         return NEG_INF
     if _is_narrow(n, s, w, x0):
-        q = s / x0
-        panel = _log_panel(lambda t: n * math.log1p(q * t) - t, 0.0, w)
-        return n * math.log(x0) - z0 + panel
+        return n * math.log(x0) - z0 + _log_narrow(n, s / x0, w)
     u0 = x0 / s if s > 0.0 else INF
     if u0 == INF:
         if x0 <= 0.0:
@@ -312,7 +349,7 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
         return n * math.log(x0) - z0 + log1mexp(-w)
     if z1 == INF:
         if u0 >= n + 2 or _has_stirling_prefactor(n + 1, u0):
-            return n * math.log(x0) + math.log(u0) + _log_upper_scaled(n + 1, u0) - z0
+            return n * math.log(x0) + _log_upper_scaled_times_x(n + 1, u0)[1] - z0
         lead = n * math.log(s) + u0 - z0 + math.lgamma(n + 1)
         return lead + reg_gamma(n + 1, u0).log_q
     u1 = u0 + w
@@ -334,10 +371,11 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
         else:
             head = n * math.log(x0) + math.log(u0) + top
     else:
-        near, far = _log_upper_scaled(n + 1, u0), _log_upper_scaled(n + 1, u1)
+        near, near_x = _log_upper_scaled_times_x(n + 1, u0)
+        far = _log_upper_scaled(n + 1, u1)
         h = math.exp(-far)
         rel = rise + far + (1.0 - ((n + 1) + h) / u1) * gap - near
-        head = n * math.log(x0) + math.log(u0) + near
+        head = n * math.log(x0) + near_x
     if not rel < 0.0:
         raise ArithmeticError(f"ends of the piece [{z0}, {z1}] round equal at n={n}")
     return head + log1mexp(rel) - z0
@@ -428,17 +466,22 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     This is the oracle of the nu-mu-substitution suite: it integrates
     f(z) = rho(z)^n e^(-1/z) z^(-(n+2)) as written and shares no code
     with the J route.  Adaptive panels cover the weight peak 1/(n+2) up to
-    the last knot; two sweeps then add the tails, each stopping once a
-    rigorous bound on what it has left is _TAIL_NATS below the total:
+    the last knot, one panel between each two knots, so that each lies in
+    one linear piece of rho and takes rho from that piece's line, by
+    _interpolate's own formula, with no search for the piece at each node.
+    Two sweeps then add the tails, each stopping once a rigorous bound on
+    what it has left is _TAIL_NATS below the total:
 
     - upper, from lo in panels _SWEEP_STEP wide in t = log z, integrating
-      f(e^t) e^t dt: rho is concave with rho(0) >= 0, so rho(z)/z does
-      not increase and f(z) <= (rho(lo)/lo)^n z^(-2), whose integral past
-      lo is at most f(lo) lo e^(1/lo).  In t the integrand decays like
-      e^(-t) or faster, so few panels reach that bound (five for a linear
-      tail, which needs z ~ e^40);
+      f(e^t) e^t dt on the tail's line: rho is concave with rho(0) >= 0,
+      so rho(z)/z does not increase and f(z) <= (rho(lo)/lo)^n z^(-2),
+      whose integral past lo is at most f(lo) lo e^(1/lo).  In t the
+      integrand decays like e^(-t) or faster, so few panels reach that
+      bound (five for a linear tail, which needs z ~ e^40);
     - lower, halving panels from the peak: weight and radius both rise
       there, so f increases and the rest below hi is at most hi f(hi).
+      Its panels are not split at the knots below the peak, so one may
+      hold a kink, and it evaluates rho itself (RadiusFunction.evaluate).
 
     A sweep that has not stopped after _MAX_SWEEP panels, or an upper one
     whose next panel would reach past the largest double, raises
@@ -452,25 +495,38 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     if rho.is_zero:
         return NEG_INF
 
-    def logf(z: float) -> float:
-        x = rho.evaluate(z)
-        if x <= 0.0:
-            return NEG_INF
-        return n * math.log(x) - 1.0 / z - (n + 2) * math.log(z)
+    def integrand(radius):
+        def logf(z: float) -> float:
+            x = radius(z)
+            if x <= 0.0:
+                return NEG_INF
+            return n * math.log(x) - 1.0 / z - (n + 2) * math.log(z)
+
+        return logf
+
+    def on_piece(a0: float, b0: float, a1: float, b1: float):
+        rise, run = b1 - b0, a1 - a0
+        return integrand(lambda z: b0 + rise * ((z - a0) / run))
+
+    on_tail = integrand(lambda z: x_m + slope * (z - z_m))
+
+    def log_zf(t: float) -> float:  # log of f(e^t) e^t on the tail's line
+        return on_tail(math.exp(t)) + t
 
     peak = 1.0 / (n + 2)
-    knots = sorted({peak} | {z for z, _ in rho.breakpoints if z > peak})
+    pts, slope = rho.breakpoints, rho.tail_slope
+    z_m, x_m = pts[-1]
     total = NEG_INF
-    for z0, z1 in zip(knots, knots[1:]):
-        total = log_add(total, _log_adaptive(logf, z0, z1))
+    lo = peak
+    for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
+        if a1 > lo:
+            total = log_add(total, _log_adaptive(on_piece(a0, b0, a1, b1), lo, a1))
+            lo = a1
 
-    def log_zf(t: float) -> float:  # log of f(e^t) e^t, the integrand in t
-        return logf(math.exp(t)) + t
-
-    t = math.log(knots[-1])
+    t = math.log(lo)
     for _ in range(_MAX_SWEEP):
         lo = math.exp(t)
-        if logf(lo) + t + 1.0 / lo < total - _TAIL_NATS:
+        if on_tail(lo) + t + 1.0 / lo < total - _TAIL_NATS:
             break
         if t + _SWEEP_STEP > _LOG_MAX:
             raise ArithmeticError(f"upper sweep of nu reached z = {lo:.3g} at n={n}")
@@ -478,6 +534,7 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
         t += _SWEEP_STEP
     else:
         raise ArithmeticError(f"upper sweep of nu did not stop at n={n}")
+    logf = integrand(rho.evaluate)
     hi = peak
     for _ in range(_MAX_SWEEP):
         if logf(hi) + math.log(hi) < total - _TAIL_NATS:

@@ -155,9 +155,12 @@ class ConvexProfile:
 
     Canonicalized on construction: collinear breakpoints are merged, a
     trailing breakpoint whose incoming slope equals a finite tail slope is
-    absorbed.  Invalid data (r not strictly increasing, v decreasing, v
-    above its chord or tail line beyond MERGE_RTOL, tail slope 0 after a
-    positive value) raises ValueError; rounding alone never does.
+    absorbed, and with tail slope 0, where every value lies within
+    MERGE_RTOL under 0 (psi is 0 to that tolerance), the breakpoints are
+    the zero profile's ((0, 0),).  Invalid data (r not strictly
+    increasing, v decreasing, v above its chord or tail line beyond
+    MERGE_RTOL, tail slope 0 after a positive value or a value more than
+    MERGE_RTOL under 0) raises ValueError; rounding alone never does.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -175,7 +178,13 @@ class ConvexProfile:
         if tail == 0.0 and any(v > 0.0 for _, v in pts):
             # even within MERGE_RTOL of flat: the radius would need slope 1/0
             raise ValueError(f"tail slope 0 after a positive value in {pts}")
-        object.__setattr__(self, "breakpoints", _canonical(pts, tail, 1))
+        pts = _canonical(pts, tail, 1)
+        if tail == 0.0:
+            # the radius of psi == 0 is +inf, and any other would need slope 1/0
+            if any(v < -MERGE_RTOL for _, v in pts):
+                raise ValueError(f"tail slope 0 after a value under 0 by over {MERGE_RTOL}: {pts}")
+            pts = ((0.0, 0.0),)
+        object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "tail_slope", tail)
 
     @property

@@ -434,6 +434,15 @@ def test_transform_error_paths(capsys, monkeypatch, tmp_path):
     assert run(capsys, ["transform", "J", str(tmp_path / "missing.json")])[0] == 2
 
 
+def test_transform_of_a_zero_tail_just_under_zero(capsys, monkeypatch):
+    # values within MERGE_RTOL under 0 with a zero tail are psi = 0, whose
+    # image under J is psi = 0; this divided by the zero tail slope (exit 2)
+    flat = json.dumps({"breakpoints": [[0, 0], [1, -1e-13]], "tail_slope": 0})
+    code, out, err = run(capsys, ["transform", "J"], stdin=flat, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"breakpoints": [[0.0, 0.0]], "tail_slope": 0.0}
+
+
 def _one_error_line(code, out, err):
     assert code == 2
     assert out == ""

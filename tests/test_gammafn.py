@@ -190,6 +190,24 @@ def test_upper_scaled_matches_mpmath(s, x):
     assert _log_upper_scaled(s, x) == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.parametrize("s", [2.0, 21.0, 1001.0, 1e6 + 1.0])
+@pytest.mark.parametrize("ratio", [1.6, 4.0, 9.0, 1e3, 1e8])
+def test_upper_scaled_times_x_matches_mpmath(s, ratio):
+    # x times the scaled upper gamma is 1 + r, r about (s - 1)/x: its log
+    # by log1p(r) carries r's few eps relative times r/(1 + r), where log x
+    # plus the scaled gamma's log cancelled to about eps log x (16.5 eps at
+    # s = 10^6 + 1, x = 10^14, a value of 1e-8)
+    x = ratio * s
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        scaled = mpmath.gammainc(s, xm) * xm**-s * mpmath.e**xm
+        want, want_x = float(mpmath.log(scaled)), float(mpmath.log(scaled * xm))
+    got, got_x = gammafn._log_upper_scaled_times_x(s, x)
+    eps = sys.float_info.epsilon
+    assert abs(got - want) <= 4 * eps * max(1.0, abs(want))
+    assert abs(got_x - want_x) <= 4 * eps * -math.expm1(-want_x) + math.ulp(want_x)
+
+
 def _reference_logs(s, x):
     """(log p, log q) at 40 digits, the smaller side direct, the other by log1p.
 

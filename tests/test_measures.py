@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -378,6 +379,16 @@ def test_vol_mu_of_a_wide_piece_at_large_n(c, r):
     assert abs(got - want) <= tol + 2 * sys.float_info.epsilon * (1 + abs(float(want)))
 
 
+def test_vol_mu_of_a_flat_wide_piece_far_past_the_mode():
+    # u0 = 9e6 at n = 10^6: log u0 and the log of the scaled upper gamma,
+    # about -log u0, cancelled to 169 ulps of the value when added; the log
+    # of u0 times the gamma, by the recurrence to order n, does not.  The
+    # value is 40-digit mpmath on the breakpoints
+    rho = RadiusFunction(((0, 1), (90, 1.00001)), 0)
+    want = 0.1177830200322068714109435913385681898864
+    assert abs(vol_mu(rho, 10**6) - want) <= 2 * math.ulp(want)
+
+
 def test_log_segment_refuses_a_falling_piece():
     # a radius never falls, and the closed forms integrate a rising one:
     # they took this wide piece (c about 20) as flat, -4.54e-5 against
@@ -532,7 +543,7 @@ def test_vol_mu_skips_pieces_far_under_mu(monkeypatch):
 @pytest.mark.parametrize(
     "x0, s, w, route",
     [
-        # narrow: one _log_segment panel
+        # narrow: one 15-point panel, _log_segment's _log_narrow
         pytest.param(1.0, 0.5, 7.99 / 3.0, "panel", id="1.0-7.99-panel"),
         # wide: _log_segment's closed form
         pytest.param(1.0, 0.5, 8.01 / 3.0, "closed", id="1.0-8.01-closed"),
@@ -548,15 +559,15 @@ def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, s, w, route):
     rho = RadiusFunction(((0.0, x0), (w, x0 + s * w)), 0.0)
     calls, panels = [], []
     adaptive, segment, gamma = measures._log_adaptive, measures._log_segment, measures.reg_gamma
-    panel = measures._log_panel
+    narrow = measures._log_narrow
 
     def recorded_adaptive(logf, z0, z1):
         calls.append(("adaptive", z0, z1))
         return adaptive(logf, z0, z1)
 
-    def recorded_panel(logf, a, b):
-        panels.append((a, b))
-        return panel(logf, a, b)
+    def recorded_narrow(n, q, w):
+        panels.append((q, w))
+        return narrow(n, q, w)
 
     def recorded_segment(n, s, z0, x0, z1):
         before = len(panels)
@@ -570,7 +581,7 @@ def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, s, w, route):
         return gamma(a, x)
 
     monkeypatch.setattr(measures, "_log_adaptive", recorded_adaptive)
-    monkeypatch.setattr(measures, "_log_panel", recorded_panel)
+    monkeypatch.setattr(measures, "_log_narrow", recorded_narrow)
     monkeypatch.setattr(measures, "_log_segment", recorded_segment)
     monkeypatch.setattr(measures, "reg_gamma", recorded_gamma)
     got = vol_mu(rho, n)
@@ -832,6 +843,34 @@ def test_vol_nu_direct_raises_on_a_panel_too_narrow_to_halve():
     )
     with pytest.raises(ArithmeticError, match="cannot be halved"):
         vol_nu_direct(to_radius(p), 453092)
+
+
+def test_vol_nu_direct_evaluates_rho_only_below_the_peak(monkeypatch):
+    # every panel from the peak 1/(n+2) up to the last knot lies in one
+    # linear piece and takes rho from that piece's line, and the upper
+    # sweep from the tail's; only the lower sweep, whose halved panels may
+    # hold a kink, evaluates rho itself
+    calls = _record_evaluations(monkeypatch)
+    stream = ProfileSampler(seed=4).stream()
+    radii = [to_radius(p) for p in PROFILES] + [to_radius(next(stream)) for _ in range(32)]
+    for rho in radii:
+        for n in (1, 5, 30, 64):
+            calls.clear()
+            vol_nu_direct(rho, n)
+            last = max(1.0 / (n + 2), rho.breakpoints[-1][0])
+            assert calls and all(z <= 1.0 / (n + 2) or z > last for z in calls), (rho, n)
+
+
+def test_vol_nu_direct_values_are_unchanged():
+    # values recorded, as float.hex, from the oracle when it evaluated rho
+    # by RadiusFunction.evaluate at every node: the line of the piece that
+    # holds a panel is _interpolate's own formula, so they agree bit for bit
+    doc = json.loads((Path(__file__).parent / "data" / "vol_nu_direct_values.json").read_text())
+    stream = ProfileSampler(seed=doc["sampler_seed"]).stream()
+    profiles = PROFILES + [next(stream) for _ in range(len(doc["values"]) - len(PROFILES))]
+    for p, want in zip(profiles, doc["values"]):
+        got = [vol_nu_direct(to_radius(p), n).hex() for n in doc["n"]]
+        assert got == want, p
 
 
 def test_volume_pair_invariant():

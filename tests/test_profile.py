@@ -26,6 +26,7 @@ from epidual.profile import (
     symmetrize_line,
     to_radius,
 )
+from epidual.measures import log_s_j_n
 from epidual.verify import ProfileSampler
 
 ZERO = ConvexProfile(((0.0, 0.0),), 0.0)
@@ -125,6 +126,9 @@ def test_canonical_keeps_shallow_segments_beside_steep_ones():
         (((0.0, 0.0), (1.0, 1.0), (2.0, 2.0 - 1e-10)), INF),
         # values may fall by MERGE_RTOL * max(1, |v|) only
         (((0.0, 0.0), (1.0, -1e-10)), INF),
+        # a zero tail after values that fall, by steps each within
+        # MERGE_RTOL, to 1.8 MERGE_RTOL under 0
+        (((0.0, 0.0), (1.0, -0.9e-12), (2.0, -1.8e-12)), 0.0),
     ],
 )
 def test_invalid_profiles_raise(pts, tail):
@@ -213,6 +217,16 @@ def test_radius_of_indicator():
 def test_radius_of_zero_profile():
     assert to_radius(ZERO).is_infinite
     assert to_radius(ORIGIN).is_zero
+
+
+def test_zero_tail_after_values_within_merge_rtol_under_zero_is_the_zero_profile():
+    # psi is 0 to MERGE_RTOL; kept as ((0, 0), (1, -1e-13)), it had a
+    # finite radius 1 at 0 and a tail slope 1/0, so log_s_j_n raised
+    # ZeroDivisionError
+    p = ConvexProfile(((0.0, 0.0), (1.0, -1e-13)), 0.0)
+    assert p.breakpoints == ZERO.breakpoints and p.is_zero
+    assert to_radius(p).is_infinite
+    assert log_s_j_n(p, 3) == 0.0
 
 
 def test_radius_validation():
