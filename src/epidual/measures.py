@@ -18,8 +18,13 @@ serves vol_mu's tail, every piece of extremal.big_f's tents and every
 finite piece of vol_mu's that starts above radius 0.  A radius never falls
 (RadiusFunction's breakpoint radii strictly increase), so only its first
 piece can start at radius 0, and that one still goes through adaptive
-quadrature (_log_adaptive, the one caller of _log_panel), as do
-vol_nu_direct's panels.  vol_mu skips the pieces that bounds from their
+quadrature (_log_adaptive, each panel by _log_panel, one call of its log
+integrand a node).  vol_nu_direct's panels go through _log_adaptive too,
+by its own kernels: each evaluates a panel's 15 nodes in one loop, with no
+call per node and none of RadiusFunction.evaluate; its lower sweep's
+panels are still halved from the weight peak, not split at the knots
+below it.  _log_rule, the rule's max shift, fsum and logs, serves both
+kinds of panel.  vol_mu skips the pieces that bounds from their
 end radii show hold less than e^-40 of mu together; its docstring derives
 the bounds and their rounding.
 
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .gammafn import (
     _has_stirling_prefactor,
@@ -46,6 +52,7 @@ from .profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
+    _interpolate_sorted,
     j_transform,
     symmetrize_line,
     to_radius,
@@ -96,8 +103,9 @@ _GL_UNIT = tuple((0.5 + 0.5 * t, 0.5 * c) for t, c in zip(_GL_NODES, _GL_WEIGHTS
 _QUAD_TOL = 1e-13
 _MAX_DEPTH = 48
 # Panels one _log_adaptive call may evaluate: vol_mu's one piece from
-# radius 0 and vol_nu_direct's panels take a few hundred.  _log_panel, its
-# panel, serves no other caller.
+# radius 0 (by _log_panel) and vol_nu_direct's sweeps (by its kernels, no
+# node of which calls RadiusFunction.evaluate) take a few hundred; the
+# lower sweep's panels, halved and not split at knots, take the most.
 _MAX_PANELS = 4096
 # What lies below e^-40 ~ 4e-18 of a total is far under its rounding: the
 # quadrature stops refining such panels, vol_mu skips such pieces and
@@ -127,19 +135,33 @@ def _check_log_lambda(log_lambda: float) -> None:
         raise ValueError(f"log lambda must be finite, got {log_lambda}")
 
 
-def _log_panel(logf, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = [logf(mid + half * t) for t in _GL_NODES]
+def _log_rule(vals: list[float], half: float) -> float:
+    """log of half * sum w_i e^vals_i, the 15-point rule on a panel half wide.
+
+    vals are the integrand's logs at the panel's nodes, in _GL_NODES
+    order; they are shifted by their largest before exp, and the terms
+    summed by math.fsum, which is correctly rounded.
+    """
     m = max(vals)
     if m == NEG_INF:
         return NEG_INF
-    acc = math.fsum(w * math.exp(v - m) for v, w in zip(vals, _GL_WEIGHTS))
+    acc = math.fsum([w * math.exp(v - m) for v, w in zip(vals, _GL_WEIGHTS)])
     return m + math.log(acc) + math.log(half)
 
 
-def _log_adaptive(logf, a: float, b: float) -> float:
-    """log integral of e^logf over [a, b] by adaptive Gauss-Legendre panels.
+def _log_panel(logf, a: float, b: float) -> float:
+    """log integral of e^logf over [a, b] by the 15-point rule."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return _log_rule([logf(mid + half * t) for t in _GL_NODES], half)
+
+
+def _log_adaptive(panel, a: float, b: float) -> float:
+    """log of an integral over [a, b] by adaptive Gauss-Legendre panels.
+
+    panel(lo, hi) is the log of the 15-point rule's estimate over [lo, hi]:
+    _log_panel bound to a log integrand, or one of vol_nu_direct's kernels,
+    which evaluate a panel's nodes in one loop.
 
     A panel is accepted once its whole and split (two half panels)
     estimates agree to _QUAD_TOL, or once both lie under the floor,
@@ -175,7 +197,7 @@ def _log_adaptive(logf, a: float, b: float) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise ArithmeticError(f"quadrature panel [{lo}, {hi}] cannot be halved")
-        left, right = _log_panel(logf, lo, mid), _log_panel(logf, mid, hi)
+        left, right = panel(lo, mid), panel(mid, hi)
         split = log_add(left, right)
         floor = max(floor, whole - _TAIL_NATS, split - _TAIL_NATS)
         if whole == split:  # covers the all-zero panel, -inf on both sides
@@ -198,7 +220,7 @@ def _log_adaptive(logf, a: float, b: float) -> float:
             refine(mid, hi, depth + 1, right, floor),
         )
 
-    return refine(a, b, 0, _log_panel(logf, a, b), NEG_INF)
+    return refine(a, b, 0, panel(a, b), NEG_INF)
 
 
 def _log_narrow(n: int, q: float, w: float) -> float:
@@ -451,7 +473,7 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
         if x0 > 0.0:
             parts.append(_log_segment(n, (x1 - x0) / (z1 - z0), z0, x0, z1))
         else:
-            parts.append(_log_adaptive(logf, z0, z1))
+            parts.append(_log_adaptive(partial(_log_panel, logf), z0, z1))
     return log_sum(parts)
 
 
@@ -470,7 +492,11 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     one linear piece of rho and takes rho from that piece's line, by
     _interpolate's own formula, with no search for the piece at each node.
     Two sweeps then add the tails, each stopping once a rigorous bound on
-    what it has left is _TAIL_NATS below the total:
+    what it has left is _TAIL_NATS below the total.  Each panel's 15 nodes
+    are one loop of the kernel for its kind, with no call per node and
+    none of RadiusFunction.evaluate, by the floating-point steps of a
+    pointwise evaluation, so the value is what evaluating rho at every
+    node gives:
 
     - upper, from lo in panels _SWEEP_STEP wide in t = log z, integrating
       f(e^t) e^t dt on the tail's line: rho is concave with rho(0) >= 0,
@@ -481,7 +507,8 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     - lower, halving panels from the peak: weight and radius both rise
       there, so f increases and the rest below hi is at most hi f(hi).
       Its panels are not split at the knots below the peak, so one may
-      hold a kink, and it evaluates rho itself (RadiusFunction.evaluate).
+      hold a kink, and it takes rho by _interpolate's steps
+      (profile._interpolate_sorted over the panel's ascending nodes).
 
     A sweep that has not stopped after _MAX_SWEEP panels, or an upper one
     whose next panel would reach past the largest double, raises
@@ -495,27 +522,47 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     if rho.is_zero:
         return NEG_INF
 
-    def integrand(radius):
-        def logf(z: float) -> float:
-            x = radius(z)
-            if x <= 0.0:
-                return NEG_INF
-            return n * math.log(x) - 1.0 / z - (n + 2) * math.log(z)
+    pts, slope = rho.breakpoints, rho.tail_slope
+    z_m, x_m = pts[-1]
+    log, c = math.log, n + 2
 
-        return logf
+    def log_f(z: float, x: float) -> float:
+        """log f at z where the radius is x; each kernel below takes it inline."""
+        return NEG_INF if x <= 0.0 else n * log(x) - 1.0 / z - c * log(z)
 
     def on_piece(a0: float, b0: float, a1: float, b1: float):
         rise, run = b1 - b0, a1 - a0
-        return integrand(lambda z: b0 + rise * ((z - a0) / run))
 
-    on_tail = integrand(lambda z: x_m + slope * (z - z_m))
+        def panel(lo: float, hi: float) -> float:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            vals = []
+            for t in _GL_NODES:
+                z = mid + half * t
+                x = b0 + rise * ((z - a0) / run)
+                vals.append(NEG_INF if x <= 0.0 else n * log(x) - 1.0 / z - c * log(z))
+            return _log_rule(vals, half)
 
-    def log_zf(t: float) -> float:  # log of f(e^t) e^t on the tail's line
-        return on_tail(math.exp(t)) + t
+        return panel
 
-    peak = 1.0 / (n + 2)
-    pts, slope = rho.breakpoints, rho.tail_slope
-    z_m, x_m = pts[-1]
+    def upper(lo: float, hi: float) -> float:  # f(e^t) e^t dt on the tail's line
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = []
+        for u in _GL_NODES:
+            t = mid + half * u
+            z = math.exp(t)
+            x = x_m + slope * (z - z_m)
+            vals.append((NEG_INF if x <= 0.0 else n * log(x) - 1.0 / z - c * log(z)) + t)
+        return _log_rule(vals, half)
+
+    def lower(lo: float, hi: float) -> float:  # rho by _interpolate's steps
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        zs = [mid + half * t for t in _GL_NODES]
+        vals = []
+        for z, x in zip(zs, _interpolate_sorted(pts, slope, zs)):
+            vals.append(NEG_INF if x <= 0.0 else n * log(x) - 1.0 / z - c * log(z))
+        return _log_rule(vals, half)
+
+    peak = 1.0 / c
     total = NEG_INF
     lo = peak
     for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
@@ -526,20 +573,19 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     t = math.log(lo)
     for _ in range(_MAX_SWEEP):
         lo = math.exp(t)
-        if on_tail(lo) + t + 1.0 / lo < total - _TAIL_NATS:
+        if log_f(lo, x_m + slope * (lo - z_m)) + t + 1.0 / lo < total - _TAIL_NATS:
             break
         if t + _SWEEP_STEP > _LOG_MAX:
             raise ArithmeticError(f"upper sweep of nu reached z = {lo:.3g} at n={n}")
-        total = log_add(total, _log_adaptive(log_zf, t, t + _SWEEP_STEP))
+        total = log_add(total, _log_adaptive(upper, t, t + _SWEEP_STEP))
         t += _SWEEP_STEP
     else:
         raise ArithmeticError(f"upper sweep of nu did not stop at n={n}")
-    logf = integrand(rho.evaluate)
     hi = peak
     for _ in range(_MAX_SWEEP):
-        if logf(hi) + math.log(hi) < total - _TAIL_NATS:
+        if log_f(hi, _interpolate_sorted(pts, slope, (hi,))[0]) + math.log(hi) < total - _TAIL_NATS:
             break
-        total = log_add(total, _log_adaptive(logf, 0.5 * hi, hi))
+        total = log_add(total, _log_adaptive(lower, 0.5 * hi, hi))
         hi *= 0.5
     else:
         raise ArithmeticError(f"lower sweep of nu did not stop at n={n}")

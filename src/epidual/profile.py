@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 INF = float("inf")
@@ -65,9 +65,11 @@ def _canonical(
 ) -> _Points:
     """Validate breakpoints with a tail slope and return their canonical form.
 
-    Coordinates must be finite, x must strictly increase and y may fall by
-    at most MERGE_RTOL * max(1, |y|).  Trailing points on a finite tail's
-    line are absorbed into it (popped from pts), then points on the chord
+    Coordinates must be finite, x must strictly increase and no y may lie
+    more than MERGE_RTOL * max(1, |top|) under top, the largest y before
+    it (bounding each step's fall alone would let small steps sink without
+    limit).  Trailing points on a finite tail's line are absorbed into it
+    (popped from pts), then points on the chord
     of their neighbours in the merged run are dropped.  On means within
     MERGE_RTOL of the point's own value, whatever the units of x and y or
     steep segments elsewhere.  A point off its line on the side `direction`
@@ -99,11 +101,14 @@ def _canonical(
     for x, y in pts:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"breakpoints must be finite, got {(x, y)}")
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+    top = pts[0][1]
+    for (x0, _), (x1, y1) in zip(pts, pts[1:]):
         if not x1 > x0:
             raise ValueError(f"{xs} must strictly increase: {x0} -> {x1}")
-        if y1 < y0 - MERGE_RTOL * max(1.0, abs(y0)):
-            raise ValueError(f"{ys} must not decrease: {y0} -> {y1}")
+        if y1 > top:
+            top = y1
+        elif y1 < top - MERGE_RTOL * max(1.0, abs(top)):
+            raise ValueError(f"{ys} must not decrease: {top} -> {y1}")
     while len(pts) > 1 and not math.isinf(tail_slope):
         (x0, y0), (x1, y1) = pts[-2], pts[-1]
         off = direction * _off_line(y1, y0 + tail_slope * (x1 - x0))
@@ -145,6 +150,29 @@ def _interpolate(
     return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
 
 
+def _interpolate_sorted(pts: _Points, tail_slope: float, xs: Iterable[float]) -> list[float]:
+    """_interpolate at each of the ascending xs >= pts[0][0], in one pass.
+
+    Each value takes _interpolate's own steps, so it is the same double;
+    the piece that holds x is found by walking on from the previous x's,
+    where _interpolate bisects: both take the last breakpoint at or below x.
+    """
+    x_last, y_last = pts[-1]
+    out = []
+    i, x1 = 0, pts[0][0]
+    for x in xs:
+        if x >= x_last:
+            out.append(y_last if x == x_last or tail_slope == 0.0 else y_last + tail_slope * (x - x_last))
+            continue
+        if x >= x1:
+            while pts[i + 1][0] <= x:
+                i += 1
+            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+            rise, run = y1 - y0, x1 - x0
+        out.append(y0 + rise * ((x - x0) / run))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # profile of psi
 
@@ -158,9 +186,10 @@ class ConvexProfile:
     absorbed, and with tail slope 0, where every value lies within
     MERGE_RTOL under 0 (psi is 0 to that tolerance), the breakpoints are
     the zero profile's ((0, 0),).  Invalid data (r not strictly
-    increasing, v decreasing, v above its chord or tail line beyond
-    MERGE_RTOL, tail slope 0 after a positive value or a value more than
-    MERGE_RTOL under 0) raises ValueError; rounding alone never does.
+    increasing, v more than MERGE_RTOL under an earlier value, 0 at the
+    origin among them, v above its chord or tail line beyond MERGE_RTOL,
+    tail slope 0 after a positive value) raises ValueError; rounding alone
+    never does.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -180,9 +209,8 @@ class ConvexProfile:
             raise ValueError(f"tail slope 0 after a positive value in {pts}")
         pts = _canonical(pts, tail, 1)
         if tail == 0.0:
-            # the radius of psi == 0 is +inf, and any other would need slope 1/0
-            if any(v < -MERGE_RTOL for _, v in pts):
-                raise ValueError(f"tail slope 0 after a value under 0 by over {MERGE_RTOL}: {pts}")
+            # the radius of psi == 0 is +inf, and any other would need slope
+            # 1/0; _canonical refused values more than MERGE_RTOL under 0
             pts = ((0.0, 0.0),)
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "tail_slope", tail)
@@ -439,22 +467,48 @@ def polarity(p: ConvexProfile, s: float) -> float:
 
 
 def _polar_line(p: ConvexProfile, s: float) -> tuple[float, float]:
-    """polarity(p, s) and the slope of a line attaining it (0.0 at +inf)."""
+    """polarity(p, s) and the slope of a line attaining it (0.0 at +inf).
+
+    The one point s of _polar_sweep, which holds the sup of the lines.
+    """
     if s < 0.0 or math.isnan(s):
         raise ValueError(f"polarity domain is s >= 0, got {s}")
+    values, slopes = _polar_sweep(p, (s,))
+    return values[0], slopes[0]
+
+
+def _polar_sweep(p: ConvexProfile, ss: Iterable[float]) -> tuple[list[float], list[float]]:
+    """polarity(p, s) at each s >= 0 of ss, and the slope of a line attaining it.
+
+    The profile's lines are prepared once: (s r - 1) / v for each
+    breakpoint with v > 0, with its slope r / v, the flat start's cutoff,
+    and the tail's s / tail_slope (none under an indicator tail).  The
+    value is the largest of 0 and the lines; a tie keeps the earlier, the
+    breakpoints in order before the tail.  Past the cutoff, s flat_end > 1,
+    it is +inf with slope 0.0.  polarity's definition takes these steps
+    at each s, so the doubles are the same however many s are swept.
+    """
     if p.is_zero:
-        return (INF if s > 0.0 else 0.0), 0.0
-    if p.flat_end > 0.0 and s * p.flat_end - 1.0 > 0.0:
-        return INF, 0.0
-    best, slope = 0.0, 0.0
-    for r, v in p.breakpoints:
-        if v > 0.0:
-            y = (s * r - 1.0) / v
-            if y > best:
-                best, slope = y, r / v
-    if not math.isinf(p.tail_slope) and s / p.tail_slope > best:
-        best, slope = s / p.tail_slope, 1.0 / p.tail_slope
-    return best, slope
+        return [INF if s > 0.0 else 0.0 for s in ss], [0.0 for _ in ss]
+    cut = p.flat_end
+    lines = [(r, v, r / v) for r, v in p.breakpoints if v > 0.0]
+    tail = p.tail_slope
+    steep = 1.0 / tail
+    values, slopes = [], []
+    for s in ss:
+        best, slope = 0.0, 0.0
+        if cut > 0.0 and s * cut - 1.0 > 0.0:
+            best = INF
+        else:
+            for r, v, rise in lines:
+                y = (s * r - 1.0) / v
+                if y > best:
+                    best, slope = y, rise
+            if tail < INF and s / tail > best:
+                best, slope = s / tail, steep
+        values.append(best)
+        slopes.append(slope)
+    return values, slopes
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +521,21 @@ def evaluation_grid(
 ) -> list[float]:
     """Geometric grid on [lo, hi] plus any finite positive extras, sorted.
 
-    A single point is lo, as with np.geomspace.
+    A single point is lo, as with np.geomspace.  The geometric part is
+    computed once for each (lo, hi, points) and kept.
     """
-    ratio = hi / lo
-    steps = max(points - 1, 1)
-    grid = {lo * ratio ** (i / steps) for i in range(points)}
+    grid = set(_geometric_grid(lo, hi, points))
     for x in extras:
         if x > 0.0 and math.isfinite(x):
             grid.add(float(x))
     return sorted(grid)
+
+
+@lru_cache(maxsize=16)
+def _geometric_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
+    ratio = hi / lo
+    steps = max(points - 1, 1)
+    return tuple(lo * ratio ** (i / steps) for i in range(points))
 
 
 def _knots(
@@ -544,11 +604,13 @@ def check_j_factorization(p: ConvexProfile) -> float:
     q = legendre(from_radius(j_transform(to_radius(p))))
     knots, pts = _knots(q, q), q.breakpoints
     slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
-    lines: dict[float, float] = {}
+    ss = [s for a, b in zip(knots, knots[1:]) for s in (a + 0.5 * (b - a), b)]
+    polars = dict(zip(ss, zip(*_polar_sweep(p, ss))))  # s: (value, slope)
 
-    def polar(x: float) -> float:
-        value, lines[x] = _polar_line(p, x)
-        return value
+    def polar(x: float) -> float:  # an indicator edge's x (1 - 1e-9) is not in ss
+        if x not in polars:
+            polars[x] = _polar_line(p, x)
+        return polars[x][0]
 
     worst = 0.0
     for a, b, slope in zip(knots, knots[1:], [*slopes, q.tail_slope]):
@@ -559,7 +621,7 @@ def check_j_factorization(p: ConvexProfile) -> float:
             x, u, v = pair
             if max(u, v) == INF:
                 return INF
-            sigma = max(slope, lines[x])
+            sigma = max(slope, polars[x][1])
             worst = max(worst, abs(u - v) / (1.0 + abs(v) + sigma * x))
     return worst
 

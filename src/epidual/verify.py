@@ -40,14 +40,15 @@ from .profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
+    _interpolate_sorted,
     _knots,
     _max_gap,
+    _polar_sweep,
     check_j_factorization,
     evaluation_grid,
     from_radius,
     j_transform,
     legendre,
-    polarity,
     scale,
     symmetrize_line,
     to_radius,
@@ -197,23 +198,30 @@ def _suite_order_reversing(i: int, rng, sampler: ProfileSampler) -> CaseResult:
     q = scale(p, a)  # psi_q >= psi_p pointwise, so both duals must drop
     lp, lq = legendre(p), legendre(q)
 
-    def excess(pairs) -> float | None:
-        """Worst small - large where both are finite; None if small alone is inf."""
+    def excess(smalls: list[float], larges: list[float]) -> float | None:
+        """Worst small - large where both are finite; None if small alone is inf.
+
+        Both duals are >= 0, never -inf, so small - large is +inf where
+        small alone is inf, -inf where large alone is, and NaN where both are.
+        """
         worst = -INF
-        for small, large in pairs:
-            if math.isinf(small):
-                if not math.isinf(large):
+        for small, large in zip(smalls, larges):
+            gap = small - large
+            if gap > worst:
+                if gap == INF:
                     return None
-            elif not math.isinf(large):
-                worst = max(worst, small - large)
+                worst = gap
         return worst
 
-    extras = [r for r, _ in lp.breakpoints] + [r for r, _ in lq.breakpoints]
-    conj = excess((lq.evaluate(x), lp.evaluate(x)) for x in evaluation_grid(extras=extras))
+    grid = evaluation_grid(extras=[r for r, _ in lp.breakpoints] + [r for r, _ in lq.breakpoints])
+    conj = excess(
+        _interpolate_sorted(lq.breakpoints, lq.tail_slope, grid),
+        _interpolate_sorted(lp.breakpoints, lp.tail_slope, grid),
+    )
     if conj is None:
         return INF, "conjugate gained an indicator region"
-    flats = [1.0 / f for f in (p.flat_end, q.flat_end) if f > 0.0]
-    polar = excess((polarity(q, s), polarity(p, s)) for s in evaluation_grid(extras=flats))
+    grid = evaluation_grid(extras=[1.0 / f for f in (p.flat_end, q.flat_end) if f > 0.0])
+    polar = excess(_polar_sweep(q, grid)[0], _polar_sweep(p, grid)[0])
     if polar is None:
         return INF, "polar gained an indicator region"
     worst = max(conj, polar)

@@ -443,6 +443,15 @@ def test_transform_of_a_zero_tail_just_under_zero(capsys, monkeypatch):
     assert json.loads(out) == {"breakpoints": [[0.0, 0.0]], "tail_slope": 0.0}
 
 
+def test_transform_of_values_sinking_by_small_steps_exits_two(capsys, monkeypatch):
+    # each step within MERGE_RTOL of the last, 900 MERGE_RTOL under 0 in all
+    pts = [[k, -k * 0.9e-12] for k in range(1001)] + [[1001, 1.0]]
+    doc = json.dumps({"breakpoints": pts, "tail_slope": 5.0})
+    code, out, err = run(capsys, ["transform", "J"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert "invalid profile" in err and "must not decrease" in err
+
+
 def _one_error_line(code, out, err):
     assert code == 2
     assert out == ""

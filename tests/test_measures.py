@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -449,6 +450,11 @@ def _log_power(rho, n):
     return logf, [(z0, z1) for (z0, _), (z1, _) in zip(pts, pts[1:])]
 
 
+def _adaptive(logf, a, b):
+    """measures._log_adaptive of e^logf, each panel by measures._log_panel."""
+    return measures._log_adaptive(partial(measures._log_panel, logf), a, b)
+
+
 def test_log_adaptive_evaluates_each_panel_once(monkeypatch):
     panels = []
     panel = measures._log_panel
@@ -465,7 +471,7 @@ def test_log_adaptive_evaluates_each_panel_once(monkeypatch):
             panels.clear()
             logf, pieces = _log_power(rho, n)
             for z0, z1 in pieces:
-                measures._log_adaptive(logf, z0, z1)
+                _adaptive(logf, z0, z1)
             # a refined panel passes its halves down instead of recomputing them
             assert len(set(panels)) == len(panels), (rho, n)
             if rho is wide:
@@ -492,7 +498,7 @@ def test_log_adaptive_stops_refining_under_the_floor(monkeypatch):
     # of halving them until the depth cap
     calls = _record_evaluations(monkeypatch)
     logf, _ = _log_power(RadiusFunction(((0.0, 0.0), (1.0, 1.0)), 0.0), 40)
-    got = measures._log_adaptive(logf, 0.0, 1.0)
+    got = _adaptive(logf, 0.0, 1.0)
     lower = math.exp(math.lgamma(41) + reg_gamma(41, 1.0).log_p)  # gamma(41, 1)
     assert got == pytest.approx(math.log(lower), rel=1e-14, abs=1e-14)
     assert 0 < len(calls) < 400
@@ -523,9 +529,9 @@ def test_vol_mu_skips_pieces_far_under_mu(monkeypatch):
     pieces = []
     adaptive, segment = measures._log_adaptive, measures._log_segment
 
-    def recorded_adaptive(logf, z0, z1):
+    def recorded_adaptive(panel, z0, z1):
         pieces.append((z0, z1))
-        return adaptive(logf, z0, z1)
+        return adaptive(panel, z0, z1)
 
     def recorded_segment(n, s, z0, x0, z1):
         if z1 < INF:
@@ -561,9 +567,9 @@ def test_vol_mu_routes_kept_pieces_by_their_width(monkeypatch, x0, s, w, route):
     adaptive, segment, gamma = measures._log_adaptive, measures._log_segment, measures.reg_gamma
     narrow = measures._log_narrow
 
-    def recorded_adaptive(logf, z0, z1):
+    def recorded_adaptive(panel, z0, z1):
         calls.append(("adaptive", z0, z1))
-        return adaptive(logf, z0, z1)
+        return adaptive(panel, z0, z1)
 
     def recorded_narrow(n, q, w):
         panels.append((q, w))
@@ -599,9 +605,9 @@ def test_vol_mu_takes_at_most_the_first_piece_by_quadrature(monkeypatch):
     calls = []
     adaptive = measures._log_adaptive
 
-    def recorded(logf, z0, z1):
+    def recorded(panel, z0, z1):
         calls.append((z0, z1))
-        return adaptive(logf, z0, z1)
+        return adaptive(panel, z0, z1)
 
     monkeypatch.setattr(measures, "_log_adaptive", recorded)
     took = 0
@@ -638,7 +644,7 @@ def test_piece_integrals_lie_between_their_endpoint_bounds():
                     mass = math.log(-math.expm1(z0 - z1)) - z0
                     lo = n * math.log(min(x0, x1)) + mass if min(x0, x1) > 0.0 else NEG_INF
                     hi = n * math.log(max(x0, x1)) + mass
-                    got = measures._log_adaptive(logf, z0, z1)
+                    got = _adaptive(logf, z0, z1)
                     tol = measures._QUAD_TOL + 4e-15 * abs(got)
                     assert lo - tol <= got <= hi + tol, (p, n, e, z0, z1)
 
@@ -691,7 +697,7 @@ def test_log_adaptive_floor_rises_past_a_missed_peak(monkeypatch):
     # mass at the left end; a floor fixed there refines about 800,000
     # panels, one that rises with the split estimates about 100
     _cap_panels(monkeypatch, 1000)
-    assert measures._log_adaptive(lambda z: -z, 1e8, 1e9) == pytest.approx(-1e8, rel=1e-14)
+    assert _adaptive(lambda z: -z, 1e8, 1e9) == pytest.approx(-1e8, rel=1e-14)
 
 
 def test_nu_of_narrow_segments_does_not_hang(monkeypatch):
@@ -712,10 +718,10 @@ def test_log_adaptive_raises_at_the_depth_cap(monkeypatch):
         return -abs(z - 1.0 / 3.0)
 
     exact = math.log(2.0 - math.exp(-1.0 / 3.0) - math.exp(-2.0 / 3.0))
-    assert measures._log_adaptive(kinked, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
+    assert _adaptive(kinked, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
     monkeypatch.setattr(measures, "_MAX_DEPTH", 4)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        measures._log_adaptive(kinked, 0.0, 1.0)
+        _adaptive(kinked, 0.0, 1.0)
 
 
 def test_log_adaptive_raises_past_the_panel_budget(monkeypatch):
@@ -725,7 +731,7 @@ def test_log_adaptive_raises_past_the_panel_budget(monkeypatch):
 
     monkeypatch.setattr(measures, "_MAX_PANELS", 20)
     with pytest.raises(ArithmeticError, match="20 panels"):
-        measures._log_adaptive(kinked, 0.0, 1.0)
+        _adaptive(kinked, 0.0, 1.0)
 
 
 def test_extremal_tent_ratio_at_large_n_is_bounded_in_time():
@@ -792,13 +798,30 @@ def test_substitution_identity(n):
             ), (p, e)
 
 
+def _record_panels(monkeypatch):
+    """List that each panel _log_adaptive evaluates appends its ends to."""
+    panels = []
+    adaptive = measures._log_adaptive
+
+    def recorded(panel, a, b):
+        def counted(lo, hi):
+            panels.append((lo, hi))
+            return panel(lo, hi)
+
+        return adaptive(counted, a, b)
+
+    monkeypatch.setattr(measures, "_log_adaptive", recorded)
+    return panels
+
+
 def test_vol_nu_direct_stops_sweeps_on_remainder_bound(monkeypatch):
-    calls = _record_evaluations(monkeypatch)
+    panels = _record_panels(monkeypatch)
     # a linear tail decays only like z^-2, so the remainder bound falls 40
     # nats under the total only at z ~ e^40: about 60 doublings in z, but
-    # five panels 8 wide in t = log z, where the tail decays like e^-t
+    # five panels 8 wide in t = log z, where the tail decays like e^-t.
+    # 66 panels are the 1,000 nodes of the 15-point rule
     vol_nu_direct(to_radius(PROFILES[2]), 1)
-    assert 0 < len(calls) < 1000
+    assert 0 < len(panels) < 1000 // 15
 
 
 @pytest.mark.parametrize("k, n, sweep", [(2, 1, "upper"), (1, 20, "lower")])
@@ -845,20 +868,21 @@ def test_vol_nu_direct_raises_on_a_panel_too_narrow_to_halve():
         vol_nu_direct(to_radius(p), 453092)
 
 
-def test_vol_nu_direct_evaluates_rho_only_below_the_peak(monkeypatch):
-    # every panel from the peak 1/(n+2) up to the last knot lies in one
-    # linear piece and takes rho from that piece's line, and the upper
-    # sweep from the tail's; only the lower sweep, whose halved panels may
-    # hold a kink, evaluates rho itself
+def test_vol_nu_direct_never_calls_evaluate(monkeypatch):
+    # each panel evaluates its 15 nodes in one loop: from the peak 1/(n+2)
+    # up to the last knot on the line of the piece that holds it, the upper
+    # sweep on the tail's line, and the lower sweep, whose halved panels
+    # may hold a kink, by _interpolate's steps
     calls = _record_evaluations(monkeypatch)
+    panels = _record_panels(monkeypatch)
     stream = ProfileSampler(seed=4).stream()
     radii = [to_radius(p) for p in PROFILES] + [to_radius(next(stream)) for _ in range(32)]
     for rho in radii:
         for n in (1, 5, 30, 64):
-            calls.clear()
+            panels.clear()
             vol_nu_direct(rho, n)
-            last = max(1.0 / (n + 2), rho.breakpoints[-1][0])
-            assert calls and all(z <= 1.0 / (n + 2) or z > last for z in calls), (rho, n)
+            assert panels, (rho, n)
+    assert calls == []
 
 
 def test_vol_nu_direct_values_are_unchanged():

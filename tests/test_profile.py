@@ -12,8 +12,11 @@ from epidual.profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
+    _interpolate_sorted,
     _knots,
     _max_gap,
+    _polar_line,
+    _polar_sweep,
     check_j_factorization,
     evaluation_grid,
     from_radius,
@@ -227,6 +230,22 @@ def test_zero_tail_after_values_within_merge_rtol_under_zero_is_the_zero_profile
     assert p.breakpoints == ZERO.breakpoints and p.is_zero
     assert to_radius(p).is_infinite
     assert log_s_j_n(p, 3) == 0.0
+
+
+def test_values_may_not_sink_by_steps_within_merge_rtol():
+    # each step falls 0.9e-12, within MERGE_RTOL of its predecessor, but
+    # the values sink 900 MERGE_RTOL under 0; bounding each fall against
+    # the largest value before it refuses the second step
+    pts = tuple((k, -k * 0.9e-12) for k in range(1001)) + ((1001, 1.0),)
+    with pytest.raises(ValueError, match="must not decrease"):
+        ConvexProfile(pts, 5.0)
+    with pytest.raises(ValueError, match="must not decrease"):
+        ConvexProfile(pts, INF)
+    # a radius alike, from 1 down by steps of 0.9e-12 relative
+    with pytest.raises(ValueError, match="must not decrease"):
+        RadiusFunction(((0.0, 1.0), (1.0, 1.0 - 0.9e-12), (2.0, 1.0 - 1.8e-12), (3.0, 2.0)), 0.0)
+    # a single fall within MERGE_RTOL is still accepted
+    ConvexProfile(((0.0, 0.0), (1.0, -0.9e-12), (2.0, 1.0)), 5.0)
 
 
 def test_radius_validation():
@@ -549,6 +568,56 @@ def test_double_polarity_on_samples():
                 assert a == b, (p, s)
             else:
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-9), (p, s)
+
+
+def _polarity_by_definition(p, s):
+    """(A psi)(s) and a maximizing line's slope, one breakpoint at a time."""
+    if p.is_zero:
+        return (INF if s > 0.0 else 0.0), 0.0
+    if p.flat_end > 0.0 and s * p.flat_end - 1.0 > 0.0:
+        return INF, 0.0
+    best, slope = 0.0, 0.0
+    for r, v in p.breakpoints:
+        if v > 0.0:
+            y = (s * r - 1.0) / v
+            if y > best:
+                best, slope = y, r / v
+    if not math.isinf(p.tail_slope) and s / p.tail_slope > best:
+        best, slope = s / p.tail_slope, 1.0 / p.tail_slope
+    return best, slope
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def test_sweeps_equal_pointwise_evaluation_bit_for_bit():
+    # one pass over a sorted grid takes the steps of evaluate (a bisection
+    # per point) and of polarity's definition, so the doubles are the same;
+    # the grid holds 0, every knot and each flat start's cutoff
+    sampled = itertools.islice(ProfileSampler(seed=6).stream(), 64)
+    for p in [*SAMPLES, *sampled]:
+        lp = legendre(p)
+        rho = to_radius(p)
+        cut = [1.0 / p.flat_end] if p.flat_end > 0.0 else []
+        knots = [x for f in (p, lp, rho) for x, _ in f.breakpoints]
+        grid = [0.0, *evaluation_grid(extras=knots + cut)]
+        for f in (p, lp) if rho.is_infinite else (p, lp, rho, j_transform(rho)):
+            want = [f.evaluate(x) for x in grid]
+            assert _bits(_interpolate_sorted(f.breakpoints, f.tail_slope, grid)) == _bits(want), f
+        values, slopes = _polar_sweep(p, grid)
+        pointwise = [_polarity_by_definition(p, s) for s in grid]
+        assert _bits(values) == _bits(v for v, _ in pointwise), p
+        assert _bits(slopes) == _bits(m for _, m in pointwise), p
+        assert [_polar_line(p, s) for s in grid] == pointwise, p
+
+
+def test_evaluation_grid_keeps_its_geometric_part():
+    # computed once per (lo, hi, points); the extras join a fresh copy
+    first = evaluation_grid(extras=(2.5,))
+    assert evaluation_grid() == [x for x in first if x != 2.5]
+    assert len(first) == 201 and first == sorted(first)
+    assert evaluation_grid(1.0, 4.0, points=3) == [1.0, 2.0, 4.0]
 
 
 def test_evaluation_grid_single_point_is_lo():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -184,6 +185,18 @@ def test_report_round_trips_to_dict():
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def test_order_reversing_reports_are_unchanged():
+    # recorded, worst residual as float.hex, from the suite when it
+    # evaluated the conjugates and the polarity one point at a time; the
+    # sweeps over the sorted grid take the same steps, so the reports
+    # agree bit for bit
+    doc = json.loads((Path(__file__).parent / "data" / "order_reversing_reports.json").read_text())
+    for seed, (worst, failures) in zip(doc["seeds"], doc["reports"]):
+        report = run_suite(doc["suite"], ProfileSampler(seed), cases=doc["cases"])
+        assert report.worst_residual.hex() == worst, seed
+        assert [list(f) for f in report.failures] == failures, seed
 
 
 def test_cap_radius_clips_where_needed():
