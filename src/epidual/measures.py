@@ -490,13 +490,15 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     with the J route.  Adaptive panels cover the weight peak 1/(n+2) up to
     the last knot, one panel between each two knots, so that each lies in
     one linear piece of rho and takes rho from that piece's line, by
-    _interpolate's own formula, with no search for the piece at each node.
-    Two sweeps then add the tails, each stopping once a rigorous bound on
-    what it has left is _TAIL_NATS below the total.  Each panel's 15 nodes
-    are one loop of the kernel for its kind, with no call per node and
-    none of RadiusFunction.evaluate, by the floating-point steps of a
-    pointwise evaluation, so the value is what evaluating rho at every
-    node gives:
+    profile._interpolate_sorted's own formula, with no search for the piece
+    at each node.  Two sweeps then add the tails, each stopping once a
+    rigorous bound on what it has left is _TAIL_NATS below the total.  Each
+    panel's 15 nodes are one loop of the kernel for its kind, with no call
+    per node and none of RadiusFunction.evaluate, by the floating-point
+    steps of a pointwise evaluation, so the value is what evaluating rho at
+    every node gives, but for a node that rounds onto a knot panel's right
+    knot: it takes the piece's line, which can differ from evaluate, whose
+    value there is the knot's own, by an ulp.
 
     - upper, from lo in panels _SWEEP_STEP wide in t = log z, integrating
       f(e^t) e^t dt on the tail's line: rho is concave with rho(0) >= 0,
@@ -507,7 +509,7 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
     - lower, halving panels from the peak: weight and radius both rise
       there, so f increases and the rest below hi is at most hi f(hi).
       Its panels are not split at the knots below the peak, so one may
-      hold a kink, and it takes rho by _interpolate's steps
+      hold a kink, and it takes rho by evaluate's steps
       (profile._interpolate_sorted over the panel's ascending nodes).
 
     A sweep that has not stopped after _MAX_SWEEP panels, or an upper one
@@ -554,7 +556,7 @@ def vol_nu_direct(rho: RadiusFunction, n: int) -> float:
             vals.append((NEG_INF if x <= 0.0 else n * log(x) - 1.0 / z - c * log(z)) + t)
         return _log_rule(vals, half)
 
-    def lower(lo: float, hi: float) -> float:  # rho by _interpolate's steps
+    def lower(lo: float, hi: float) -> float:  # rho by evaluate's steps
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         zs = [mid + half * t for t in _GL_NODES]
         vals = []

@@ -12,11 +12,11 @@ slope, and differ only in the direction their slopes turn.  They share the
 module-level helpers: _canonical merges and validates breakpoints by one
 test of each value against its neighbours' line, to MERGE_RTOL, far above
 the line's rounding, so input convex as stored is never refused;
-_interpolate evaluates them (bisecting a tuple of abscissae built on first
-evaluation), and two of them are compared exactly at their _knots.  Each
-radius is validated once: the constructors run _canonical on what they are
-given, while to_radius and j_transform derive that their output is a valid
-radius whenever their input is valid, and build it by
+_interpolate_sorted evaluates them in one walk over ascending points, and
+evaluate is its one-point sweep; two of them are compared exactly at their
+_knots.  Each radius is validated once: the constructors run _canonical on
+what they are given, while to_radius and j_transform derive that their
+output is a valid radius whenever their input is valid, and build it by
 RadiusFunction._trusted, which checks only what rounding can break.
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
@@ -28,16 +28,15 @@ definition.  So identities are decided exactly, at the knots.
 
 Two degenerate profiles are representable and flow through everything:
 psi == 0 (radius identically +inf) and the indicator of {0} (radius
-identically 0).  They are each other's images under all three transforms.
+identically 0).  L and A swap them; J, which preserves order, fixes each.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 INF = float("inf")
 
@@ -131,31 +130,20 @@ def _canonical(
     return tuple(merged)
 
 
-def _interpolate(
-    pts: _Points, xs: tuple[float, ...], tail_slope: float, x: float
-) -> float:
-    """Value at x >= pts[0][0] of the breakpoints continued by tail_slope.
+def _interpolate_sorted(pts: _Points, tail_slope: float, xs: Sequence[float]) -> list[float]:
+    """The breakpoints continued by tail_slope, at each ascending x >= pts[0][0].
 
-    xs holds the abscissae of pts.  A tail slope of 0 holds the last value
-    (also at x = inf), one of inf jumps to +inf past the last breakpoint.
-    """
-    x_last, y_last = pts[-1]
-    if x >= x_last:
-        if x == x_last or tail_slope == 0.0:
-            return y_last
-        return y_last + tail_slope * (x - x_last)
-    idx = bisect_right(xs, x) - 1
-    (x0, y0), (x1, y1) = pts[idx], pts[idx + 1]
-    # the fraction first: (y1 - y0) (x - x0) overflows near 1e304
-    return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
+    A tail slope of 0 holds the last value (also at x = inf), one of inf
+    jumps to +inf past the last breakpoint.  Below the last breakpoint, x
+    takes the last breakpoint at or below it, found by walking on from the
+    previous x's piece, and the value y0 + (y1 - y0) ((x - x0) / (x1 - x0)),
+    the fraction first: (y1 - y0) (x - x0) overflows near 1e304.
 
-
-def _interpolate_sorted(pts: _Points, tail_slope: float, xs: Iterable[float]) -> list[float]:
-    """_interpolate at each of the ascending xs >= pts[0][0], in one pass.
-
-    Each value takes _interpolate's own steps, so it is the same double;
-    the piece that holds x is found by walking on from the previous x's,
-    where _interpolate bisects: both take the last breakpoint at or below x.
+    This is the module's one evaluator: one point is a one-point sweep,
+    which walks to its piece in i steps, i its piece index, where a
+    bisection would take log m for m breakpoints.  No caller evaluates deep
+    in a long profile: vol_mu evaluates only its piece from radius 0, a
+    radius's first, and the checks' profiles have a handful of breakpoints.
     """
     x_last, y_last = pts[-1]
     out = []
@@ -224,14 +212,10 @@ class ConvexProfile:
         """Largest r with psi(r) = 0."""
         return max(r for r, v in self.breakpoints if v <= 0.0)
 
-    @cached_property
-    def _abscissae(self) -> tuple[float, ...]:
-        return tuple(r for r, _ in self.breakpoints)
-
     def evaluate(self, r: float) -> float:
         if not r >= 0.0:
             raise ValueError(f"profile domain is r >= 0, got {r}")
-        return _interpolate(self.breakpoints, self._abscissae, self.tail_slope, r)
+        return _interpolate_sorted(self.breakpoints, self.tail_slope, (r,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +298,10 @@ class RadiusFunction:
     def is_zero(self) -> bool:
         return self.breakpoints == ((0.0, 0.0),) and self.tail_slope == 0.0
 
-    @cached_property
-    def _abscissae(self) -> tuple[float, ...]:
-        return tuple(z for z, _ in self.breakpoints)
-
     def evaluate(self, z: float) -> float:
         if not z >= 0.0:
             raise ValueError(f"radius domain is z >= 0, got {z}")
-        return _interpolate(self.breakpoints, self._abscissae, self.tail_slope, z)
+        return _interpolate_sorted(self.breakpoints, self.tail_slope, (z,))[0]
 
 
 @dataclass(frozen=True)
@@ -461,23 +441,14 @@ def polarity(p: ConvexProfile, s: float) -> float:
     Division conventions: positive/0 = +inf, nonpositive/0 = 0, finite/inf
     = 0.  On each linear segment the ratio is monotone, so the supremum is
     attained at breakpoints or as the tail limit s / tail_slope.  It is
-    the oracle for A's profile L(J psi).
-    """
-    return _polar_line(p, s)[0]
-
-
-def _polar_line(p: ConvexProfile, s: float) -> tuple[float, float]:
-    """polarity(p, s) and the slope of a line attaining it (0.0 at +inf).
-
-    The one point s of _polar_sweep, which holds the sup of the lines.
+    the oracle for A's profile L(J psi), and the one point s of _polar_sweep.
     """
     if s < 0.0 or math.isnan(s):
         raise ValueError(f"polarity domain is s >= 0, got {s}")
-    values, slopes = _polar_sweep(p, (s,))
-    return values[0], slopes[0]
+    return _polar_sweep(p, (s,))[0][0]
 
 
-def _polar_sweep(p: ConvexProfile, ss: Iterable[float]) -> tuple[list[float], list[float]]:
+def _polar_sweep(p: ConvexProfile, ss: Sequence[float]) -> tuple[list[float], list[float]]:
     """polarity(p, s) at each s >= 0 of ss, and the slope of a line attaining it.
 
     The profile's lines are prepared once: (s r - 1) / v for each
@@ -609,7 +580,7 @@ def check_j_factorization(p: ConvexProfile) -> float:
 
     def polar(x: float) -> float:  # an indicator edge's x (1 - 1e-9) is not in ss
         if x not in polars:
-            polars[x] = _polar_line(p, x)
+            polars[x] = next(zip(*_polar_sweep(p, (x,))))
         return polars[x][0]
 
     worst = 0.0

@@ -872,7 +872,7 @@ def test_vol_nu_direct_never_calls_evaluate(monkeypatch):
     # each panel evaluates its 15 nodes in one loop: from the peak 1/(n+2)
     # up to the last knot on the line of the piece that holds it, the upper
     # sweep on the tail's line, and the lower sweep, whose halved panels
-    # may hold a kink, by _interpolate's steps
+    # may hold a kink, by evaluate's steps in one walk over its nodes
     calls = _record_evaluations(monkeypatch)
     panels = _record_panels(monkeypatch)
     stream = ProfileSampler(seed=4).stream()
@@ -888,7 +888,9 @@ def test_vol_nu_direct_never_calls_evaluate(monkeypatch):
 def test_vol_nu_direct_values_are_unchanged():
     # values recorded, as float.hex, from the oracle when it evaluated rho
     # by RadiusFunction.evaluate at every node: the line of the piece that
-    # holds a panel is _interpolate's own formula, so they agree bit for bit
+    # holds a panel is evaluate's own formula, so they agree bit for bit on
+    # these profiles (a node that rounds onto a panel's right knot could
+    # differ from evaluate there by an ulp)
     doc = json.loads((Path(__file__).parent / "data" / "vol_nu_direct_values.json").read_text())
     stream = ProfileSampler(seed=doc["sampler_seed"]).stream()
     profiles = PROFILES + [next(stream) for _ in range(len(doc["values"]) - len(PROFILES))]

@@ -15,7 +15,6 @@ from epidual.profile import (
     _interpolate_sorted,
     _knots,
     _max_gap,
-    _polar_line,
     _polar_sweep,
     check_j_factorization,
     evaluation_grid,
@@ -471,6 +470,17 @@ def test_legendre_degenerate_table():
     assert legendre(LINEAR) == INDICATOR
 
 
+def test_degenerate_profiles_under_all_three_transforms():
+    # psi == 0 and the indicator of {0}: L and A = L J swap them, and J,
+    # which preserves order, fixes each
+    def j(p):
+        return from_radius(j_transform(to_radius(p)))
+
+    assert (j(ZERO), j(ORIGIN)) == (ZERO, ORIGIN)
+    assert (legendre(ZERO), legendre(ORIGIN)) == (ORIGIN, ZERO)
+    assert (legendre(j(ZERO)), legendre(j(ORIGIN))) == (ORIGIN, ZERO)
+
+
 def test_legendre_hinge():
     hinge = ConvexProfile(((0.0, 0.0), (1.0, 0.0)), 1.0)  # max(0, r - 1)
     out = legendre(hinge)
@@ -587,29 +597,67 @@ def _polarity_by_definition(p, s):
     return best, slope
 
 
+def _interpolate_by_definition(f, x):
+    """f(x) by the documented formula on the piece a linear scan finds."""
+    pts = f.breakpoints
+    x_last, y_last = pts[-1]
+    if x >= x_last:
+        if x == x_last or f.tail_slope == 0.0:
+            return y_last
+        return y_last + f.tail_slope * (x - x_last)
+    i = max(k for k, (xk, _) in enumerate(pts) if xk <= x)
+    (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+    return y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
+
+
 def _bits(values):
     return [float(x).hex() for x in values]
 
 
+def _steep_profiles():
+    """Profiles at scales 10^-100 to 10^100 whose radii have 64 breakpoints.
+
+    Their slopes grow 1.5- to 4-fold a piece, so that a value at a knot
+    often differs from its left piece's line there.
+    """
+    rng = random.Random(34)
+    for r_scale, v_scale in itertools.product((1e-100, 1.0, 1e100), repeat=2):
+        r, v, slope = 0.0, 0.0, v_scale / r_scale * 1e-20
+        pts = [(r, v)]
+        for _ in range(63):
+            w = r_scale * rng.uniform(0.5, 2.0)
+            r, v = r + w, v + slope * w
+            pts.append((r, v))
+            slope *= rng.uniform(1.5, 4.0)
+        for tail in (2.0 * slope, INF):
+            p = ConvexProfile(tuple(pts), tail)
+            assert len(to_radius(p).breakpoints) == 64, p
+            yield p
+
+
 def test_sweeps_equal_pointwise_evaluation_bit_for_bit():
-    # one pass over a sorted grid takes the steps of evaluate (a bisection
-    # per point) and of polarity's definition, so the doubles are the same;
-    # the grid holds 0, every knot and each flat start's cutoff
+    # evaluate (a one-point sweep) and one pass over a sorted grid give the
+    # definition's doubles, and so do polarity and _polar_sweep; the grid
+    # holds 0, every knot, a point inside each piece, a tail point and each
+    # flat start's cutoff, and the radii of 64 breakpoints reach deep pieces
     sampled = itertools.islice(ProfileSampler(seed=6).stream(), 64)
-    for p in [*SAMPLES, *sampled]:
+    for p in [*SAMPLES, *sampled, *_steep_profiles()]:
         lp = legendre(p)
         rho = to_radius(p)
+        fs = (p, lp) if rho.is_infinite else (p, lp, rho, j_transform(rho))
         cut = [1.0 / p.flat_end] if p.flat_end > 0.0 else []
-        knots = [x for f in (p, lp, rho) for x, _ in f.breakpoints]
-        grid = [0.0, *evaluation_grid(extras=knots + cut)]
-        for f in (p, lp) if rho.is_infinite else (p, lp, rho, j_transform(rho)):
-            want = [f.evaluate(x) for x in grid]
-            assert _bits(_interpolate_sorted(f.breakpoints, f.tail_slope, grid)) == _bits(want), f
+        knots = sorted({x for f in fs for x, _ in f.breakpoints})
+        inner = [a + 0.5 * (b - a) for a, b in zip(knots, knots[1:])]
+        grid = [0.0, *evaluation_grid(extras=[*knots, *inner, 2.0 * knots[-1], *cut])]
+        for f in fs:
+            want = _bits(_interpolate_by_definition(f, x) for x in grid)
+            assert _bits(f.evaluate(x) for x in grid) == want, f
+            assert _bits(_interpolate_sorted(f.breakpoints, f.tail_slope, grid)) == want, f
         values, slopes = _polar_sweep(p, grid)
         pointwise = [_polarity_by_definition(p, s) for s in grid]
         assert _bits(values) == _bits(v for v, _ in pointwise), p
         assert _bits(slopes) == _bits(m for _, m in pointwise), p
-        assert [_polar_line(p, s) for s in grid] == pointwise, p
+        assert _bits(polarity(p, s) for s in grid) == _bits(v for v, _ in pointwise), p
 
 
 def test_evaluation_grid_keeps_its_geometric_part():
