@@ -14,10 +14,11 @@ test of each value against its neighbours' line, to MERGE_RTOL, far above
 the line's rounding, so input convex as stored is never refused;
 _interpolate_sorted evaluates them in one walk over ascending points, and
 evaluate is its one-point sweep; two of them are compared exactly at their
-_knots.  Each radius is validated once: the constructors run _canonical on
-what they are given, while to_radius and j_transform derive that their
-output is a valid radius whenever their input is valid, and build it by
-RadiusFunction._trusted, which checks only what rounding can break.
+_knots, each side read there in one sweep.  Each radius is validated once:
+the constructors run _canonical on what they are given, while to_radius and
+j_transform derive that their output is a valid radius whenever their input
+is valid, and build it by RadiusFunction._trusted, which checks only what
+rounding can break.
 
 The inversion transform acts on radius functions as rho_J(w) = w * rho(1/w),
 which on a linear segment rho = alpha z + beta swaps slope and intercept.
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable, Sequence
 
 INF = float("inf")
 
@@ -141,9 +142,10 @@ def _interpolate_sorted(pts: _Points, tail_slope: float, xs: Sequence[float]) ->
 
     This is the module's one evaluator: one point is a one-point sweep,
     which walks to its piece in i steps, i its piece index, where a
-    bisection would take log m for m breakpoints.  No caller evaluates deep
-    in a long profile: vol_mu evaluates only its piece from radius 0, a
-    radius's first, and the checks' profiles have a handful of breakpoints.
+    bisection would take log m for m breakpoints.  No caller evaluates one
+    point after another deep in a long profile: vol_mu evaluates only its
+    piece from radius 0, a radius's first, and the checks read each profile
+    at all their points in one sweep.
     """
     x_last, y_last = pts[-1]
     out = []
@@ -523,21 +525,33 @@ def _knots(
     return [*knots, 2.0 * top]
 
 
-def _compared(f, g, x: float) -> tuple[float, float, float] | None:
-    """(x', f(x'), g(x')) to compare at knot x; None where both are +inf.
+_Sweep = Callable[[Sequence[float]], list[float]]
 
+
+def _sweep(f: ConvexProfile | RadiusFunction) -> _Sweep:
+    """f at ascending points, read in one _interpolate_sorted pass."""
+    return partial(_interpolate_sorted, f.breakpoints, f.tail_slope)
+
+
+def _compared(
+    xs: Sequence[float], us: list[float], vs: list[float], f: _Sweep, g: _Sweep
+) -> list[tuple[float, float, float] | None]:
+    """(x', f(x'), g(x')) to compare at each knot x; None where both are +inf.
+
+    xs ascend, us and vs are f and g there, and f and g sweep the two sides.
     Where one alone is +inf, x' = x (1 - 1e-9) if both indicator edges lie
-    within 1e-9 relative of x (a one-ulp disagreement), else x' = x.
+    within 1e-9 relative of x (a one-ulp disagreement), else x' = x; each
+    side reads x (1 -+ 1e-9) in one two-point sweep to decide.
     """
-    a, b = f(x), g(x)
-    if min(a, b) == INF:
-        return None
-    if max(a, b) == INF:
-        lo, hi = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
-        fa, ga = f(lo), g(lo)
-        if min(f(hi), g(hi)) == INF and max(fa, ga) < INF:
-            return lo, fa, ga
-    return x, a, b
+    out = []
+    for x, a, b in zip(xs, us, vs):
+        if max(a, b) == INF > min(a, b):
+            edge = (x * (1.0 - 1e-9), x * (1.0 + 1e-9))
+            (fa, fb), (ga, gb) = f(edge), g(edge)
+            if min(fb, gb) == INF and max(fa, ga) < INF:
+                x, a, b = edge[0], fa, ga
+        out.append(None if min(a, b) == INF else (x, a, b))
+    return out
 
 
 def _max_gap(p: ConvexProfile, q: ConvexProfile) -> float:
@@ -545,9 +559,9 @@ def _max_gap(p: ConvexProfile, q: ConvexProfile) -> float:
 
     Indicator edges follow _compared; one side alone at +inf gives inf.
     """
+    knots, f, g = _knots(p, q), _sweep(p), _sweep(q)
     worst = 0.0
-    for x in _knots(p, q):
-        pair = _compared(p.evaluate, q.evaluate, x)
+    for pair in _compared(knots, f(knots), g(knots), f, g):
         if pair is not None:
             worst = max(worst, abs(pair[1] - pair[2]))
     return worst
@@ -575,25 +589,22 @@ def check_j_factorization(p: ConvexProfile) -> float:
     q = legendre(from_radius(j_transform(to_radius(p))))
     knots, pts = _knots(q, q), q.breakpoints
     slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+    slopes.append(q.tail_slope)
+    # the midpoint and the right end of each pair of knots, with q's slope there
     ss = [s for a, b in zip(knots, knots[1:]) for s in (a + 0.5 * (b - a), b)]
-    polars = dict(zip(ss, zip(*_polar_sweep(p, ss))))  # s: (value, slope)
-
-    def polar(x: float) -> float:  # an indicator edge's x (1 - 1e-9) is not in ss
-        if x not in polars:
-            polars[x] = next(zip(*_polar_sweep(p, (x,))))
-        return polars[x][0]
-
+    sweep = _sweep(q)
+    values, rises = _polar_sweep(p, ss)
+    pairs = _compared(ss, sweep(ss), values, sweep, lambda xs: _polar_sweep(p, xs)[0])
     worst = 0.0
-    for a, b, slope in zip(knots, knots[1:], [*slopes, q.tail_slope]):
-        for s in (a + 0.5 * (b - a), b):
-            pair = _compared(q.evaluate, polar, s)
-            if pair is None:
-                continue
-            x, u, v = pair
-            if max(u, v) == INF:
-                return INF
-            sigma = max(slope, polars[x][1])
-            worst = max(worst, abs(u - v) / (1.0 + abs(v) + sigma * x))
+    for k, (s, pair) in enumerate(zip(ss, pairs)):
+        if pair is None:
+            continue
+        x, u, v = pair
+        if max(u, v) == INF:
+            return INF
+        rise = rises[k] if x == s else _polar_sweep(p, (x,))[1][0]
+        sigma = max(slopes[k // 2], rise)
+        worst = max(worst, abs(u - v) / (1.0 + abs(v) + sigma * x))
     return worst
 
 
@@ -610,7 +621,7 @@ def _average_radius(r1: RadiusFunction, r2: RadiusFunction) -> RadiusFunction:
     if r1.is_infinite or r2.is_infinite:
         return RadiusFunction.infinite()
     zs = sorted({z for z, _ in r1.breakpoints} | {z for z, _ in r2.breakpoints})
-    pts = tuple((z, 0.5 * (r1.evaluate(z) + r2.evaluate(z))) for z in zs)
+    pts = tuple((z, 0.5 * (a + b)) for z, a, b in zip(zs, _sweep(r1)(zs), _sweep(r2)(zs)))
     return RadiusFunction(pts, 0.5 * (r1.tail_slope + r2.tail_slope))
 
 

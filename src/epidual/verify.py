@@ -1,11 +1,8 @@
-"""Randomized property suites and a brute-force grid oracle.
+"""Randomized property suites.
 
 Each suite replays one identity or inequality over a deterministic stream
 of random profiles and reports the worst deviation it saw.  A healthy
-build produces an empty failure list for every suite.  The grid maximizer
-is the independent check on the solved dimensional constant: it evaluates
-the volume ratio of tents by fixed quadrature alone, never touching the
-closed forms it is meant to certify.
+build produces an empty failure list for every suite.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ from .extremal import (
 from .gammafn import reg_gamma
 from .logdomain import log_sub_signed
 from .measures import (
-    _GL_NODES,
-    _GL_WEIGHTS,
     log_s_j_n,
     symmetrization_gap,
     vol_nu,
@@ -40,10 +35,10 @@ from .profile import (
     ConvexProfile,
     LineConvexFunction,
     RadiusFunction,
-    _interpolate_sorted,
     _knots,
     _max_gap,
     _polar_sweep,
+    _sweep,
     check_j_factorization,
     evaluation_grid,
     from_radius,
@@ -54,8 +49,8 @@ from .profile import (
     to_radius,
 )
 
-# numpy loads inside the functions that use it: the sampler, run_suite and
-# the brute-force oracle; the names below serve only the annotations
+# numpy loads inside the functions that use it, the sampler and run_suite;
+# the names below serve only the annotations
 if TYPE_CHECKING:
     import numpy as np
 
@@ -64,8 +59,6 @@ _INTEGRAL_TOL = 1e-10
 _SUBSTITUTION_TOL = 1e-12
 _RATIO_SLACK = 1e-8
 _TENT_ROUNDTRIP_TOL = 1e-10
-# largest tent increment b the grid oracle scans before b = inf
-_BRUTE_FORCE_B_MAX = 1e4
 
 
 class UnknownSuite(ValueError):
@@ -160,7 +153,7 @@ def _cap_radius(rho: RadiusFunction, cap: float) -> RadiusFunction:
     """
     if not (cap > 0.0 and math.isfinite(cap)):
         raise ValueError(f"cap must be finite > 0, got {cap}")
-    reach = from_radius(rho).evaluate(cap)
+    reach = _sweep(from_radius(rho))((cap,))[0]
     if reach == INF:
         return rho
     kept = [(z, x) for z, x in rho.breakpoints if z < reach]
@@ -184,11 +177,12 @@ def _suite_involution(i: int, rng, sampler: ProfileSampler) -> CaseResult:
 
 def _suite_order_preserving(i: int, rng, sampler: ProfileSampler) -> CaseResult:
     rho = to_radius(sampler.draw(rng))
-    top = rho.evaluate(rho.breakpoints[-1][0] + 1.0)
+    top = _sweep(rho)((rho.breakpoints[-1][0] + 1.0,))[0]
     capped = _cap_radius(rho, top * (0.2 + 0.6 * float(rng.random())))
     small, large = j_transform(capped), j_transform(rho)
     # both are concave radii, so small - large is linear between the knots
-    worst = max(small.evaluate(w) - large.evaluate(w) for w in _knots(small, large))
+    knots = _knots(small, large)
+    worst = max(a - b for a, b in zip(_sweep(small)(knots), _sweep(large)(knots)))
     return worst, None if worst <= _TRANSFORM_TOL else f"order flipped by {worst:.3e}"
 
 
@@ -214,10 +208,7 @@ def _suite_order_reversing(i: int, rng, sampler: ProfileSampler) -> CaseResult:
         return worst
 
     grid = evaluation_grid(extras=[r for r, _ in lp.breakpoints] + [r for r, _ in lq.breakpoints])
-    conj = excess(
-        _interpolate_sorted(lq.breakpoints, lq.tail_slope, grid),
-        _interpolate_sorted(lp.breakpoints, lp.tail_slope, grid),
-    )
+    conj = excess(_sweep(lq)(grid), _sweep(lp)(grid))
     if conj is None:
         return INF, "conjugate gained an indicator region"
     grid = evaluation_grid(extras=[1.0 / f for f in (p.flat_end, q.flat_end) if f > 0.0])
@@ -390,98 +381,3 @@ def run_suite(
         if problem is not None:
             failures.append((i, problem))
     return SuiteReport(name, cases, tuple(failures), worst)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle for the dimensional constant
-
-_QUAD_PANELS = 32
-_QUAD_TOP = 60.0  # exp(-60) is far below the 1e-4 oracle target
-
-
-def _kink_aligned_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
-    # Both integrands kink at z = a and z = 1/a whatever b is, so panels
-    # split there keep the 15-point rule at spectral accuracy.
-    import numpy as np
-
-    cuts = [z for z in (a, 1.0 / a) if 0.0 < z < _QUAD_TOP]
-    edges = np.unique(
-        np.concatenate([np.linspace(0.0, _QUAD_TOP, _QUAD_PANELS + 1), cuts])
-    )
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    zs = (mids[:, None] + half[:, None] * np.array(_GL_NODES)[None, :]).ravel()
-    ws = (half[:, None] * np.array(_GL_WEIGHTS)[None, :]).ravel()
-    return zs, ws * np.exp(-zs)
-
-
-def _int_pow(x: np.ndarray, n: int) -> np.ndarray:
-    out = x
-    for _ in range(n - 1):
-        out = out * x
-    return out
-
-
-def _tent_log_ratios(n: int, a: float, b_vals: np.ndarray) -> np.ndarray:
-    """log nu/mu for the tents T(a, b, 1), one quadrature per b, b = inf ok.
-
-    brute_force_lambda's independent route, an oracle for the solver: the
-    two volumes by quadrature, not big_f's and big_g's closed form.
-    """
-    import numpy as np
-
-    zs, ws = _kink_aligned_rule(a)
-    z = zs[None, :]
-    b = b_vals[:, None]
-    with np.errstate(invalid="ignore"):
-        past_kink = 1.0 + (z - a) / (a + b)
-    past_kink = np.where(np.isinf(b), 1.0, past_kink)
-    rho = np.where(z <= a, z / a, past_kink)
-    mu = _int_pow(rho, n) @ ws
-    with np.errstate(invalid="ignore"):
-        swapped = (b * z + 1.0) / (a + b)  # w * rho(1/w) below the kink
-    swapped = np.where(np.isinf(b), z, swapped)
-    rho_j = np.minimum(swapped, 1.0 / a)
-    nu = _int_pow(rho_j, n) @ ws
-    return np.log(nu) - np.log(mu)
-
-
-def _brute_force_scan(
-    n: int,
-    grid_a: int,
-    grid_b: int,
-    a_range: tuple[float, float],
-) -> tuple[float, float, float]:
-    if not (0.0 < a_range[0] < a_range[1]):
-        raise ValueError(f"slope range must satisfy 0 < lo < hi, got {a_range}")
-    if grid_a < 2 or grid_b < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    import numpy as np
-
-    b_vals = np.concatenate(
-        [[0.0], np.geomspace(1e-2, _BRUTE_FORCE_B_MAX, grid_b - 1), [np.inf]]
-    )
-    best, best_a, best_b = -INF, math.nan, math.nan
-    for a in np.geomspace(a_range[0], a_range[1], grid_a):
-        ratios = _tent_log_ratios(n, float(a), b_vals)
-        j = int(np.argmax(ratios))
-        if ratios[j] > best:
-            best, best_a, best_b = float(ratios[j]), float(a), float(b_vals[j])
-    return best, best_a, best_b
-
-
-def brute_force_lambda(
-    n: int,
-    grid_a: int,
-    grid_b: int,
-    a_range: tuple[float, float] = (0.01, 5.0),
-) -> float:
-    """log of the grid maximum of the tent volume ratio, quadrature only.
-
-    Scans slopes a geometrically over a_range and increments b over
-    {0} + geometric(1e-2, 1e4) + {inf}; meant for small n where the
-    kink-aligned composite 15-point rule on [0, 60] sits far below the
-    1e-4 comparison tolerance against the solved constant.
-    """
-    best, _, _ = _brute_force_scan(n, grid_a, grid_b, a_range)
-    return best

@@ -20,7 +20,8 @@ from epidual.extremal import (
 from epidual.extremal import BracketInvalid
 from epidual.measures import log_s_j_n, volume_pair
 from epidual.profile import INF, ConvexProfile
-from epidual.verify import SUITE_NAMES, brute_force_lambda, run_suite
+from epidual.verify import SUITE_NAMES, run_suite
+from tent_grid_oracle import brute_force_lambda
 
 INDICATOR = ConvexProfile(((0.0, 0.0), (1.0, 0.0)), INF)
 LINEAR = ConvexProfile(((0.0, 0.0),), 1.0)

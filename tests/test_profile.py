@@ -2,10 +2,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from epidual import profile
+from epidual import profile, verify
 from epidual.profile import (
     INF,
     MERGE_RTOL,
@@ -680,23 +681,33 @@ def test_factorization_on_samples():
 
 
 def test_factorization_evaluates_only_at_knots(monkeypatch):
-    calls = []
-    evaluate = ConvexProfile.evaluate
+    # sweeps of A's profile and of the polarity, by the points each reads
+    sweeps = {"q": [], "polar": []}
+    interpolate, polar_sweep = profile._interpolate_sorted, profile._polar_sweep
 
-    def counted(self, r):
-        calls.append(r)
-        return evaluate(self, r)
+    def q_read(pts, tail_slope, xs):
+        sweeps["q"].append(len(xs))
+        return interpolate(pts, tail_slope, xs)
+
+    def polar_read(p, ss):
+        sweeps["polar"].append(len(ss))
+        return polar_sweep(p, ss)
 
     images = [polar_profile(p) for p in SAMPLES]
-    monkeypatch.setattr(ConvexProfile, "evaluate", counted)
+    monkeypatch.setattr(profile, "_interpolate_sorted", q_read)
+    monkeypatch.setattr(profile, "_polar_sweep", polar_read)
     for p, q in zip(SAMPLES, images):
-        calls.clear()
+        for reads in sweeps.values():
+            reads.clear()
         check_j_factorization(p)
-        # only A's profile is evaluated: past 0 (where both vanish), at each
-        # of its knots, the tail point and the midpoint of each adjacent
-        # pair of these; an indicator edge costs two more
+        # each side is swept once past 0 (where both vanish), at each of
+        # q's knots, the tail point and the midpoint of each adjacent pair
+        # of these; an indicator edge costs each side a two-point sweep,
+        # and the polarity one point more for its slope there
         points = 2 * len(q.breakpoints)
-        assert points <= len(calls) <= points + 2, (p, len(calls))
+        assert sweeps["q"][0] == sweeps["polar"][0] == points, (p, sweeps)
+        assert sweeps["q"][1:] in ([], [2]), (p, sweeps)
+        assert sweeps["polar"][1:] in ([], [2], [2, 1]), (p, sweeps)
 
 
 def extreme_profiles(count, seed, scales):
@@ -779,12 +790,116 @@ def test_max_gap_detects_differences():
     assert _max_gap(p, q) == pytest.approx(0.5, abs=1e-12)
 
 
+# indicator tails whose edges lie one ulp apart (p, q) and far apart (p, r)
+NEAR_EDGE = (
+    ConvexProfile(((0.0, 0.0), (1.0, 1.0)), math.inf),
+    ConvexProfile(((0.0, 0.0), (1.0 + 1e-15, 1.0)), math.inf),
+    ConvexProfile(((0.0, 0.0), (1.5, 1.5)), math.inf),
+)
+
+
 def test_max_gap_tolerates_ulp_indicator_boundary():
-    p = ConvexProfile(((0.0, 0.0), (1.0, 1.0)), math.inf)
-    q = ConvexProfile(((0.0, 0.0), (1.0 + 1e-15, 1.0)), math.inf)
-    r = ConvexProfile(((0.0, 0.0), (1.5, 1.5)), math.inf)
+    p, q, r = NEAR_EDGE
     assert _max_gap(p, q) < 1e-9
     assert _max_gap(p, r) == math.inf
+
+
+def _compared_by_definition(f, g, x):
+    """_compared at one knot x, reading f and g one point at a time."""
+    a, b = f(x), g(x)
+    if min(a, b) == INF:
+        return None
+    if max(a, b) == INF:
+        lo, hi = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
+        if min(f(hi), g(hi)) == INF and max(f(lo), g(lo)) < INF:
+            return lo, f(lo), g(lo)
+    return x, a, b
+
+
+def _pointwise(f):
+    return lambda x: _interpolate_by_definition(f, x)
+
+
+def _max_gap_by_definition(p, q):
+    worst = 0.0
+    for x in _knots(p, q):
+        pair = _compared_by_definition(_pointwise(p), _pointwise(q), x)
+        if pair is not None:
+            worst = max(worst, abs(pair[1] - pair[2]))
+    return worst
+
+
+def _factorization_by_definition(p):
+    q = polar_profile(p)
+    knots, pts = _knots(q, q), q.breakpoints
+    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+    worst = 0.0
+    for a, b, slope in zip(knots, knots[1:], [*slopes, q.tail_slope]):
+        for s in (a + 0.5 * (b - a), b):
+            pair = _compared_by_definition(
+                _pointwise(q), lambda x: _polarity_by_definition(p, x)[0], s
+            )
+            if pair is None:
+                continue
+            x, u, v = pair
+            if max(u, v) == INF:
+                return INF
+            sigma = max(slope, _polarity_by_definition(p, x)[1])
+            worst = max(worst, abs(u - v) / (1.0 + abs(v) + sigma * x))
+    return worst
+
+
+def _symmetrize_by_definition(f):
+    r1, r2 = to_radius(f.left), to_radius(f.right)
+    if r1.is_infinite or r2.is_infinite:
+        return from_radius(RadiusFunction.infinite())
+    zs = sorted({z for z, _ in r1.breakpoints} | {z for z, _ in r2.breakpoints})
+    pts = tuple(
+        (z, 0.5 * (_interpolate_by_definition(r1, z) + _interpolate_by_definition(r2, z)))
+        for z in zs
+    )
+    return from_radius(RadiusFunction(pts, 0.5 * (r1.tail_slope + r2.tail_slope)))
+
+
+def _order_preserving_by_definition(p, u):
+    """The order-preserving suite's case on p, its cap drawn as u."""
+    rho = to_radius(p)
+    top = _interpolate_by_definition(rho, rho.breakpoints[-1][0] + 1.0)
+    capped = verify._cap_radius(rho, top * (0.2 + 0.6 * u))
+    small, large = j_transform(capped), j_transform(rho)
+    return max(
+        _interpolate_by_definition(small, w) - _interpolate_by_definition(large, w)
+        for w in _knots(small, large)
+    )
+
+
+def test_knot_comparisons_sweep_and_match_pointwise_bit_for_bit(monkeypatch):
+    # _max_gap, check_j_factorization, symmetrize_line and the
+    # order-preserving suite read each side in one sweep, never by
+    # evaluate, and give the doubles of the comparisons made one point at a
+    # time, on radii of 64 breakpoints and on indicator edges an ulp apart
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(ConvexProfile, "evaluate", counted)
+    monkeypatch.setattr(RadiusFunction, "evaluate", counted)
+    steep = list(_steep_profiles())
+    pairs = [*zip(steep, steep), *zip(steep, steep[1:]), *itertools.permutations(NEAR_EDGE, 2)]
+    for p, q in pairs:
+        assert _bits([_max_gap(p, q)]) == _bits([_max_gap_by_definition(p, q)]), (p, q)
+        f = LineConvexFunction(p, q)
+        assert symmetrize_line(f) == _symmetrize_by_definition(f), (p, q)
+    for p in [*steep, *NEAR_EDGE, *SAMPLES]:
+        assert _bits([check_j_factorization(p)]) == _bits([_factorization_by_definition(p)]), p
+    for seed, p in enumerate([*steep, *NEAR_EDGE]):
+        drawn = SimpleNamespace(draw=lambda rng, p=p: p)
+        got, _ = verify._suite_order_preserving(0, random.Random(seed), drawn)
+        want = _order_preserving_by_definition(p, random.Random(seed).random())
+        assert _bits([got]) == _bits([want]), p
+    assert calls == []
 
 
 def test_scale():

@@ -18,17 +18,15 @@ from epidual.verify import (
     SuiteReport,
     UnknownSuite,
     _SUITES,
-    _brute_force_scan,
     _cap_radius,
-    _tent_log_ratios,
-    brute_force_lambda,
     run_suite,
 )
+from tent_grid_oracle import _brute_force_scan, _tent_log_ratios, brute_force_lambda
 
 
 def test_import_and_solver_commands_do_not_load_numpy():
     # numpy is most of a bare import's time and memory; only the sampler,
-    # the suites, the brute-force oracle and the two scans need it
+    # the suites and the two scans need it
     src = str(Path(epidual.__file__).resolve().parents[1])
     code = """
 import contextlib, io, sys
@@ -228,7 +226,14 @@ def test_cap_radius_rejects_a_bad_cap(cap):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# brute-force oracle, kept with the tests
+
+
+def test_grid_oracle_is_not_part_of_the_package():
+    assert "brute_force_lambda" not in epidual.__all__
+    assert not hasattr(epidual, "brute_force_lambda")
+    for name in ("brute_force_lambda", "_brute_force_scan", "_tent_log_ratios", "_GL_NODES"):
+        assert not hasattr(verify, name), name
 
 
 def test_tent_ratio_at_b_zero_is_inverse_factorial():
