@@ -585,6 +585,12 @@ def check_j_factorization(p: ConvexProfile) -> float:
     through 0; to MERGE_RTOL where a canonical form absorbs it), so d is
     convex with final slope 0: 0 on [top, 2 top], it stays 0.  Past a flat
     start's cutoff 1 / flat_end both are +inf.
+
+    At the cutoff, q's knot is fl(1 / flat_end).  While that is normal,
+    flat_end times it does not exceed 1; once it is subnormal (flat_end >
+    2^1022) the product can, and the polar reads +inf there while q is
+    finite.  _compared then compares both sides just inside the edge, and
+    a one-point polar sweep gives the slope there.
     """
     q = legendre(from_radius(j_transform(to_radius(p))))
     knots, pts = _knots(q, q), q.breakpoints

@@ -295,19 +295,22 @@ def test_scan_g_alpha_and_range_are_exclusive(capsys):
 
 
 def test_scan_m_range_sets_the_grid_ends(capsys):
-    code, out, _ = run(capsys, ["scan-m", "--n", "5", "--range", "0.1:10", "--points", "3"])
-    assert code == 0
-    rows = data_rows(out)
-    assert len(rows) == 3
-    # numbers print as %.17g, so 0.1 prints as 0.10000000000000001
-    assert float(rows[0][0]) == 0.1 and float(rows[-1][0]) == 10.0
+    for n, points in (("5", 3), ("10", 5)):
+        argv = ["scan-m", "--n", n, "--range", "0.1:10", "--points", str(points)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = data_rows(out)
+        assert len(rows) == points
+        # numbers print as %.17g, so 0.1 prints as 0.10000000000000001
+        assert float(rows[0][0]) == 0.1 and float(rows[-1][0]) == 10.0
 
 
 def test_scan_g_range_heads_its_output(capsys):
-    argv = ["scan-g", "--n", "10", "--range", "0.05:0.2", "--points", "3"]
-    code, out, _ = run(capsys, argv)
-    assert code == 0
-    assert out.splitlines()[0] == "# n=10 range=0.050000000000000003:0.20000000000000001"
+    for points in ("3", "5"):
+        argv = ["scan-g", "--n", "10", "--range", "0.05:0.2", "--points", points]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[0] == "# n=10 range=0.050000000000000003:0.20000000000000001"
 
 
 @pytest.mark.parametrize("text", ["10:0.1", "a:b", "1", "0:1"])

@@ -338,12 +338,23 @@ def _reference_tails(s, x):
         return float(mpmath.log1p(-q)), float(mpmath.log(q))
 
 
-@pytest.mark.parametrize("c", [-1.0, -5.0])
-def test_reg_gamma_returns_near_the_mean_at_huge_shapes(c):
+_HUGE_S = 1e10 + 1.0
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        # x - s is -1 and -5 times sqrt s, then -1e5, which is not s - sqrt s
+        # as doubles
+        pytest.param(_HUGE_S - math.sqrt(_HUGE_S), id="-1.0"),
+        pytest.param(_HUGE_S - 5.0 * math.sqrt(_HUGE_S), id="-5.0"),
+        pytest.param(_HUGE_S - 1e5, id="-1e5"),
+    ],
+)
+def test_reg_gamma_returns_near_the_mean_at_huge_shapes(x):
     # the lower series took about sqrt s terms here and stalled past its
     # iteration cap at s = 10^10 + 1
-    s = 1e10 + 1.0
-    x = s + c * math.sqrt(s)
+    s = _HUGE_S
     want_lp, want_lq = _reference_tails(s, x)
     g = reg_gamma(s, x)
     assert g.log_p == pytest.approx(want_lp, rel=2e-14, abs=0.0)

@@ -380,6 +380,36 @@ def test_vol_mu_of_a_wide_piece_at_large_n(c, r):
     assert abs(got - want) <= tol + 2 * sys.float_info.epsilon * (1 + abs(float(want)))
 
 
+# every finite piece of NARROW's radius is 1 to 8 of its integrand's scales
+# wide at n = 10^4 (c = 5.5 and 3.0), so vol_mu takes each as one
+# Gauss-Legendre panel; every finite piece of WIDE's (c = 50.5 and 25.4), and
+# the radius ((0, 1), (2, 1.000018)) at n = 10^6, is at least 8 scales wide
+# and starts above radius 0, so vol_mu takes it in closed form (adaptive
+# quadrature raised "did not converge in 4096 panels" on the latter)
+NARROW = ConvexProfile(((0.0, 0.0), (1.0, 0.0), (1.0005, 0.5), (1.00075, 1.0)), 20000.0)
+WIDE = ConvexProfile(((0.0, 0.0), (1.0, 0.0), (1.005, 0.5), (1.0075, 1.0)), 20000.0)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        # 40-digit mpmath on the breakpoints
+        pytest.param(lambda: log_s_j_n(NARROW, 10**4), 82101.62987254100526, id="narrow-ratio"),
+        pytest.param(lambda: vol_mu(to_radius(NARROW), 10**4), 7.298964273348193162, id="narrow-mu"),
+        # 50-digit mpmath on the breakpoints
+        pytest.param(
+            lambda: vol_mu(RadiusFunction(((0.0, 1.0), (2.0, 1.0 + 9e-6 * 2.0)), 0.0), 10**6),
+            16.117623134542041014,
+            id="closed-radius",
+        ),
+        pytest.param(lambda: log_s_j_n(WIDE, 10**4), 82034.521749496620032, id="closed-ratio"),
+        pytest.param(lambda: vol_mu(to_radius(WIDE), 10**4), 74.416087317734440378, id="closed-mu"),
+    ],
+)
+def test_pieces_past_radius_zero_match_high_precision_values(value, want):
+    assert abs(value() - want) <= 1e-13 * abs(want)
+
+
 def test_vol_mu_of_a_flat_wide_piece_far_past_the_mode():
     # u0 = 9e6 at n = 10^6: log u0 and the log of the scaled upper gamma,
     # about -log u0, cancelled to 169 ulps of the value when added; the log

@@ -29,7 +29,7 @@ from epidual.profile import (
     symmetrize_line,
     to_radius,
 )
-from epidual.measures import log_s_j_n
+from epidual.measures import log_s_j_n, vol_mu
 from epidual.verify import ProfileSampler
 
 ZERO = ConvexProfile(((0.0, 0.0),), 0.0)
@@ -86,6 +86,15 @@ def test_canonical_rewrites_constant_tail():
     rho = RadiusFunction(((0.0, 0.0), (1.0, 1.0), (2.0, 1.0 + 1e-13)), 0.0)
     assert rho.breakpoints == ((0.0, 0.0), (1.0, 1.0))
     assert rho.tail_slope == 0.0 and rho.evaluate(INF) == 1.0
+    # a radius never falls: a fall within MERGE_RTOL merges into the flat
+    # tail too, so mu equals the bare radius's bit for bit (40-digit value
+    # 1.6021346614726062858), and a fall of 1e-11 is refused
+    rho = RadiusFunction(((0, 1), (1, 2), (2, 2 - 1e-12)), 0)
+    bare = RadiusFunction(((0, 1), (1, 2)), 0)
+    assert rho.breakpoints == ((0.0, 1.0), (1.0, 2.0))
+    assert vol_mu(rho, 3) == vol_mu(bare, 3) == 1.6021346614726062
+    with pytest.raises(ValueError, match="must not decrease"):
+        RadiusFunction(((0, 1), (1, 2), (2, 2 - 1e-11)), 0)
 
 
 def test_canonical_keeps_shallow_segments_beside_steep_ones():
@@ -396,12 +405,18 @@ def test_trusted_radius_hands_what_rounding_broke_to_the_constructor():
     assert RadiusFunction._trusted(pts, 0.0).breakpoints == ((0.0, 1.0), (1.0, 2.0))
     # x / z underflows to 0: the image is the zero radius
     assert j_transform(RadiusFunction(((0.0, 0.0), (1e300, 1e-30)), 0.0)).is_zero
-    # J's 1 / z overflows at z = 1e-310
+    # J's 1 / z overflows at z = 1e-310, and the ratio refuses it alike
+    p = ConvexProfile(((0.0, 0.0), (1.0, 1e-310)), 1.0)
     with pytest.raises(ValueError, match="breakpoints must be finite"):
-        j_transform(to_radius(ConvexProfile(((0.0, 0.0), (1.0, 1e-310)), 1.0)))
+        j_transform(to_radius(p))
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        log_s_j_n(p, 3)
     # the radius tail slope 1 / 1e-310 overflows
+    p = ConvexProfile(((0.0, 0.0),), 1e-310)
     with pytest.raises(ValueError, match="radius tail slope"):
-        to_radius(ConvexProfile(((0.0, 0.0),), 1e-310))
+        to_radius(p)
+    with pytest.raises(ValueError, match="radius tail slope"):
+        log_s_j_n(p, 3)
 
 
 def test_j_fixed_point_unit_tent():
@@ -770,6 +785,16 @@ def test_factorization_of_an_image_with_knots_near_1e304():
         2.638238953869306e292,
     )
     assert check_j_factorization(p) <= 1e-9
+
+
+def test_factorization_at_an_indicator_edge_with_a_subnormal_knot():
+    # q's indicator knot is fl(1 / flat_end), here subnormal, and flat_end
+    # times it exceeds 1: the polar is +inf at the knot while q is finite,
+    # so both are compared just inside the edge; compared at the knot, the
+    # gap would read inf
+    flat_end = 1.7e308
+    assert flat_end * (1.0 / flat_end) > 1.0
+    assert check_j_factorization(ConvexProfile(((0.0, 0.0), (flat_end, 0.0)), INF)) == 0.0
 
 
 def test_knots_are_the_union_then_the_tail_point():
