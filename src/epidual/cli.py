@@ -29,6 +29,7 @@ from .extremal import (
 )
 from .logdomain import log_sub_signed
 from .profile import (
+    _geometric_grid,
     from_radius,
     j_transform,
     legendre,
@@ -175,10 +176,7 @@ def _cmd_scan_m(args) -> int:
     except OneRootCase as exc:
         lines.append(f"# roots: OneRootCase ({exc})")
     lines.append("# columns: z,sign_m,log_abs_m")
-    import numpy as np
-
-    for z in np.geomspace(lo, hi, args.points):
-        z = float(z)
+    for z in _geometric_grid(lo, hi, args.points):
         decay = -1.0 / z - (n + 2) * math.log(z)
         sign, log_abs = log_sub_signed(decay, log_lambda - z)
         lines.append(f"{_fmt(z)},{sign},{_fmt(log_abs)}")
@@ -194,9 +192,7 @@ def _cmd_scan_g(args) -> int:
         lo, hi = args.range
     else:
         lo, hi = _island(n, math.lgamma(n + 1))
-    import numpy as np
-
-    grid = [float(a) for a in np.geomspace(lo, hi, args.points)]
+    grid = _geometric_grid(lo, hi, args.points)
     vals = [big_g(a, n) for a in grid]
     best = max(range(len(grid)), key=vals.__getitem__)
     log_factorial = math.lgamma(n + 1)

@@ -467,6 +467,6 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
     if x < s + 1.0:
         log_p = _lower_series(s, x)
         return RegularizedGamma(log_p, log1mexp(log_p))
-    log_q = _log_scale(s, x) + _log_upper_scaled(s, x)
+    log_q = _log_scale(s, x) + math.log(_upper_fraction(s, x))
     return RegularizedGamma(log1mexp(log_q), log_q)
 

@@ -494,8 +494,8 @@ def evaluation_grid(
 ) -> list[float]:
     """Geometric grid on [lo, hi] plus any finite positive extras, sorted.
 
-    A single point is lo, as with np.geomspace.  The geometric part is
-    computed once for each (lo, hi, points) and kept.
+    The geometric part ends at lo and hi exactly (a single point is lo),
+    and is computed once for each (lo, hi, points) and kept.
     """
     grid = set(_geometric_grid(lo, hi, points))
     for x in extras:
@@ -506,9 +506,11 @@ def evaluation_grid(
 
 @lru_cache(maxsize=16)
 def _geometric_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    ratio = hi / lo
-    steps = max(points - 1, 1)
-    return tuple(lo * ratio ** (i / steps) for i in range(points))
+    """lo (hi/lo)^(i/(points-1)), i < points, but the last of two or more is hi itself."""
+    if points < 2:
+        return (lo,) * points
+    ratio, steps = hi / lo, points - 1
+    return (*(lo * ratio ** (i / steps) for i in range(steps)), hi)
 
 
 def _knots(

@@ -49,8 +49,7 @@ from .profile import (
     to_radius,
 )
 
-# numpy loads inside the functions that use it, the sampler and run_suite;
-# the names below serve only the annotations
+# numpy loads only in _generator; the name below serves the annotations
 if TYPE_CHECKING:
     import numpy as np
 
@@ -63,6 +62,12 @@ _TENT_ROUNDTRIP_TOL = 1e-10
 
 class UnknownSuite(ValueError):
     """Requested property suite does not exist."""
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """numpy's default generator at seed, the source of every sampler and suite draw."""
+    import numpy as np
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,7 @@ class ProfileSampler:
 
     def stream(self) -> Iterator[ConvexProfile]:
         """Endless profile iterator, freshly seeded on every call."""
-        import numpy as np
-
-        rng = np.random.default_rng(self.seed)
+        rng = _generator(self.seed)
         while True:
             yield self.draw(rng)
 
@@ -370,9 +373,7 @@ def run_suite(
         cases = default_cases
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
-    import numpy as np
-
-    rng = np.random.default_rng(sampler.seed)
+    rng = _generator(sampler.seed)
     failures: list[tuple[int, str]] = []
     worst = -INF
     for i in range(cases):

@@ -295,14 +295,20 @@ def test_scan_g_alpha_and_range_are_exclusive(capsys):
 
 
 def test_scan_m_range_sets_the_grid_ends(capsys):
-    for n, points in (("5", 3), ("10", 5)):
-        argv = ["scan-m", "--n", n, "--range", "0.1:10", "--points", str(points)]
+    # lo (hi/lo)^1 rounds to a double past hi on this witness range
+    witness = "0.00028094857774726794:0.08919636009670416"
+    for n, window, points in (("5", "0.1:10", 3), ("10", "0.1:10", 5), ("5", witness, 5)):
+        argv = ["scan-m", "--n", n, "--range", window, "--points", str(points)]
         code, out, _ = run(capsys, argv)
         assert code == 0
         rows = data_rows(out)
         assert len(rows) == points
         # numbers print as %.17g, so 0.1 prints as 0.10000000000000001
-        assert float(rows[0][0]) == 0.1 and float(rows[-1][0]) == 10.0
+        lo, hi = map(float, window.split(":"))
+        assert float(rows[0][0]) == lo and float(rows[-1][0]) == hi
+    argv = ["scan-m", "--n", "5", "--range", witness, "--points", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and [float(row[0]) for row in data_rows(out)] == [0.00028094857774726794]
 
 
 def test_scan_g_range_heads_its_output(capsys):
@@ -311,6 +317,8 @@ def test_scan_g_range_heads_its_output(capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert out.splitlines()[0] == "# n=10 range=0.050000000000000003:0.20000000000000001"
+        rows = data_rows(out)
+        assert float(rows[0][0]) == 0.05 and float(rows[-1][0]) == 0.2
 
 
 @pytest.mark.parametrize("text", ["10:0.1", "a:b", "1", "0:1"])

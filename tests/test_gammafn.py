@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from scipy import integrate
 
-from epidual.logdomain import log1mexp, log_sub_signed
+from epidual.logdomain import NEG_INF, log1mexp, log_add, log_sub_signed, log_sum
 from epidual import gammafn
 from epidual.gammafn import (
     _TEMME_C,
@@ -75,6 +75,24 @@ def test_log1mexp_matches_mpmath(x):
 def test_log1mexp_rejects_nonnegative(x):
     with pytest.raises(ValueError):
         log1mexp(x)
+
+
+@pytest.mark.parametrize(
+    "terms, want",
+    [
+        ([NEG_INF, 2.0], 2.0),
+        ([NEG_INF, NEG_INF], NEG_INF),
+        ([math.inf, 2.0], math.inf),
+        ([math.inf, NEG_INF], math.inf),
+        ([], NEG_INF),
+    ],
+)
+def test_log_add_and_log_sum_at_infinite_terms(terms, want):
+    # an empty side adds nothing and an infinite one swamps the sum, where
+    # the running-maximum formula would give nan
+    assert log_sum(terms) == want
+    if terms:
+        assert log_add(*terms) == log_add(*reversed(terms)) == want
 
 
 @pytest.mark.parametrize("s", [1.0, 1000.0])

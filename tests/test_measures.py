@@ -791,8 +791,9 @@ else:
 
 
 def test_vol_mu_degenerate():
-    assert vol_mu(to_radius(ZERO), 3) == INF
-    assert vol_mu(to_radius(ORIGIN), 3) == NEG_INF
+    for vol in (vol_mu, vol_nu_direct):
+        assert vol(to_radius(ZERO), 3) == INF
+        assert vol(to_radius(ORIGIN), 3) == NEG_INF
 
 
 def test_vol_mu_rejects_bad_dimension():

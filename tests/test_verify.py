@@ -25,8 +25,8 @@ from tent_grid_oracle import _brute_force_scan, _tent_log_ratios, brute_force_la
 
 
 def test_import_and_solver_commands_do_not_load_numpy():
-    # numpy is most of a bare import's time and memory; only the sampler,
-    # the suites and the two scans need it
+    # numpy is most of a bare import's time and memory; only the sampler
+    # and the suites need it, and the scans build their grids without it
     src = str(Path(epidual.__file__).resolve().parents[1])
     code = """
 import contextlib, io, sys
@@ -36,6 +36,8 @@ loaded = ["import"] if "numpy" in sys.modules else []
 for argv in (
     ["maximizer", "--n", "5"],
     ["lambda-table", "--n-min", "1", "--n-max", "5"],
+    ["scan-m", "--n", "5", "--points", "5"],
+    ["scan-g", "--n", "10", "--points", "5"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
