@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .logdomain import log_add, log_sub_signed
 from .measures import _check_log_lambda, _check_n, _log_segment
-from .profile import INF, ConvexProfile, RadiusFunction
+from .profile import INF, ConvexProfile, RadiusFunction, _sweep
 from .gammafn import reg_gamma
 
 _NEWTON_RTOL = 1e-15
@@ -330,9 +330,7 @@ def t_map(rho: RadiusFunction, roots: RootTriple) -> TentParams:
     """
     if rho.is_infinite:
         raise ZeroProfile("tent undefined for the everywhere-infinite radius")
-    x1 = rho.evaluate(roots.z1)
-    x2 = rho.evaluate(roots.z2)
-    x3 = rho.evaluate(roots.z3)
+    x1, x2, x3 = _sweep(rho)((roots.z1, roots.z2, roots.z3))
     if x1 <= 0.0:
         raise ZeroProfile(f"radius vanishes at the first root z1={roots.z1}")
     a = roots.z1 / x1

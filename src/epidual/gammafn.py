@@ -19,9 +19,14 @@ recipe: the lower series for x < s + 1, the upper continued fraction
 which is why the expansion takes over there.  measures._log_segment takes
 the scaled gammas gamma(s, x) x^(-s) e^x and Gamma(s, x) x^(-s) e^x
 (_log_lower_scaled, _log_upper_scaled) without the prefactor: the series'
-sum and the fraction themselves, or log p or log q less it in the band
-(and, for the upper one, below s + 1); at a near end, also x times the
-upper one (_log_upper_scaled_times_x), whose log would cancel as a sum.
+sum and the fraction themselves; in the band one _temme pass, its direct
+side (or that side's complement, where the other is wanted) less a scale
+built from the s log1pmx(mu) it formed; and the upper one below s + 1,
+the complement of the series' log p less the scale, the prefactor formed
+once for both.  Each is the double that reg_gamma's log p or log q less
+_log_scale gives, with no reg_gamma call.  At a near end, also x times
+the upper one (_log_upper_scaled_times_x), whose log would cancel as a
+sum.
 The series' and the fraction's prefactor x^s e^{-x} / Gamma(s+1) is
 evaluated via a Stirling-residual form around x = s so that the result
 keeps ~1e-15 absolute accuracy even for s ~ 1000, where naive use of lgamma
@@ -251,15 +256,15 @@ def _has_stirling_prefactor(s: float, x: float) -> bool:
     return s >= 20.0 and abs((x - s) / s) <= 0.5
 
 
+def _stirling_prefactor(s: float, sl: float) -> float:
+    """_log_prefactor's Stirling form, from sl = s log1pmx((x - s)/s)."""
+    return sl - 0.5 * math.log(2.0 * math.pi * s) - _stirling_residual(s)
+
+
 def _log_prefactor(s: float, x: float) -> float:
     """log(x^s e^{-x} / Gamma(s+1)), accurate near x = s for large s."""
     if _has_stirling_prefactor(s, x):
-        d = (x - s) / s
-        return (
-            s * _log1pmx(d)
-            - 0.5 * math.log(2.0 * math.pi * s)
-            - _stirling_residual(s)
-        )
+        return _stirling_prefactor(s, s * _log1pmx((x - s) / s))
     return s * math.log(x) - x - math.lgamma(s + 1.0)
 
 
@@ -294,28 +299,48 @@ def _lower_series(s: float, x: float) -> float:
     return _log_prefactor(s, x) + math.log(_lower_sum(s, x))
 
 
+def _temme_scaled(s: float, x: float, lower: bool) -> float:
+    """log p (lower) or log q less _log_scale in _temme's band, from one _temme call.
+
+    The side _temme computes directly is taken as it is, the other is its
+    complement, and the scale is built from the s log1pmx(mu) that _temme
+    formed: the same doubles as reg_gamma's side less _log_scale(s, x), as
+    _log_prefactor takes its Stirling form throughout the band.
+    """
+    log_t, sl = _temme(s, x)
+    if lower != (x < s):
+        log_t = log1mexp(log_t)
+    return log_t - (_stirling_prefactor(s, sl) + math.log(s))
+
+
 def _log_lower_scaled(s: float, x: float) -> float:
     """log(gamma(s, x) x^(-s) e^x), the mirror of _log_upper_scaled; needs x < s + 1.
 
-    In _temme's band log p less _log_scale, within eps (10 (y^2 + 1) + 2
-    log s) with reg_gamma's y; elsewhere the lower series' sum over s, with
-    no prefactor formed (measures._log_segment derives both bounds).
+    In _temme's band log p less _log_scale (_temme_scaled), within eps
+    (10 (y^2 + 1) + 2 log s) with reg_gamma's y; elsewhere the lower
+    series' sum over s, with no prefactor formed (measures._log_segment
+    derives both bounds).
     """
     if _in_temme_band(s, x):
-        return _temme(s, x).log_p - _log_scale(s, x)
+        return _temme_scaled(s, x, True)
     return math.log(_lower_sum(s, x) / s)
 
 
 def _log_upper_scaled(s: float, x: float) -> float:
     """log(Gamma(s, x) x^(-s) e^x), the mirror of _log_lower_scaled.
 
-    The continued fraction from x = s + 1 on, outside _temme's band; in
-    the band, or below s + 1, log q less _log_scale, which is within eps
-    (10 (y^2 + 1) + 2 log s) where _log_prefactor takes its Stirling form
-    and within about 3.5 eps (s |log x| + x + lgamma(s+1)) elsewhere.
+    The continued fraction from x = s + 1 on, outside _temme's band.  In
+    the band log q less _log_scale (_temme_scaled); below s + 1 outside
+    it the complement of the lower series' log p less _log_scale, with
+    the prefactor formed once for both.  That is within eps (10 (y^2 + 1)
+    + 2 log s) where _log_prefactor takes its Stirling form and within
+    about 3.5 eps (s |log x| + x + lgamma(s+1)) elsewhere.
     """
-    if x < s + 1.0 or _in_temme_band(s, x):
-        return reg_gamma(s, x).log_q - _log_scale(s, x)
+    if _in_temme_band(s, x):
+        return _temme_scaled(s, x, False)
+    if x < s + 1.0:
+        pre = _log_prefactor(s, x)
+        return log1mexp(pre + math.log(_lower_sum(s, x))) - (pre + math.log(s))
     return math.log(_upper_fraction(s, x))
 
 
@@ -347,10 +372,10 @@ def _upper_fraction(s: float, x: float) -> float:
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
+        if -_FPMIN < d < _FPMIN:
             d = _FPMIN
         c = b + an / c
-        if abs(c) < _FPMIN:
+        if -_FPMIN < c < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
@@ -362,8 +387,11 @@ def _upper_fraction(s: float, x: float) -> float:
     return h
 
 
-def _temme(s: float, x: float) -> RegularizedGamma:
+def _temme(s: float, x: float) -> tuple[float, float]:
     """Temme's uniform expansion; for s >= 20 and |x - s| <= min(s/2, 8 sqrt s).
+
+    Returns the log of its direct side, p below s and q from s on, and
+    the s log1pmx(mu) it formed, from which _temme_scaled builds its scale.
 
     With mu = x/s - 1, eta = sign(mu) sqrt(-2 log1pmx(mu)) and y = |eta|
     sqrt(s/2) = sqrt(-s log1pmx(mu)) (DLMF 8.12.3-8.12.4),
@@ -372,9 +400,10 @@ def _temme(s: float, x: float) -> RegularizedGamma:
         R = e^(-y^2) / sqrt(2 pi s) sum_k c_k(eta) s^-k.
 
     p is computed directly below s and q from s on, the other side being
-    the complement.  That is the smaller tail except between the median
-    (near s - 1/3) and s, where p/q < p(s, s)/q(s, s), which falls with s
-    from 1.126 at s = 20; so the complement's error grows by at most 1.13.
+    its complement (log1mexp, formed by the caller that needs it).  That
+    is the smaller tail except between the median (near s - 1/3) and s,
+    where p/q < p(s, s)/q(s, s), which falls with s from 1.126 at s = 20;
+    so the complement's error grows by at most 1.13.
 
     Truncation.  On the region |mu| <= 1/2, so eta lies in [-0.6216,
     0.4349], and e^(-y^2) / sqrt(2 pi s) is at most 0.62 times the tail
@@ -416,11 +445,7 @@ def _temme(s: float, x: float) -> RegularizedGamma:
     sl = s * log1pmx
     r = math.exp(sl) / math.sqrt(2.0 * math.pi * s) * total
     half_erfc = 0.5 * math.erfc(math.sqrt(-sl))
-    if x < s:
-        log_p = math.log(half_erfc - r)
-        return RegularizedGamma(log_p, log1mexp(log_p))
-    log_q = math.log(half_erfc + r)
-    return RegularizedGamma(log1mexp(log_q), log_q)
+    return math.log(half_erfc - r if x < s else half_erfc + r), sl
 
 
 def reg_gamma(s: float, x: float) -> RegularizedGamma:
@@ -463,7 +488,10 @@ def reg_gamma(s: float, x: float) -> RegularizedGamma:
     if x == 0.0:
         return RegularizedGamma(float("-inf"), 0.0)
     if _in_temme_band(s, x):
-        return _temme(s, x)
+        log_t = _temme(s, x)[0]
+        if x < s:
+            return RegularizedGamma(log_t, log1mexp(log_t))
+        return RegularizedGamma(log1mexp(log_t), log_t)
     if x < s + 1.0:
         log_p = _lower_series(s, x)
         return RegularizedGamma(log_p, log1mexp(log_p))

@@ -340,11 +340,12 @@ def _log_segment(n: int, s: float, z0: float, x0: float, z1: float) -> float:
     u1| + w + |S(u1)|, call it U.  The value is thus within eps (kappa (2T
     + G0 + G1) + 2 (U + |value| + z0)), where for a scaled gamma of order s
     = n + 1 at x with value S
-    - through reg_gamma's log p or log q (in _temme's band, or on the upper
-      side below it with the prefactor's Stirling form), G = 10 (y^2 + 1) +
-      2 log s: reg_gamma's 8 (y^2 + 1) on the log, 1.13 times that on a
-      complement, plus the rounding of _log_scale's terms y^2 and
-      log(2 pi s)/2;
+    - as log p or log q less _log_scale (in _temme's band, from one _temme
+      pass, or on the upper side below it, the complement of the series'
+      log p, with the prefactor's Stirling form), the doubles reg_gamma's
+      sides would give, G = 10 (y^2 + 1) + 2 log s: reg_gamma's 8 (y^2 +
+      1) on the log, 1.13 times that on a complement, plus the rounding of
+      _log_scale's terms y^2 and log(2 pi s)/2;
     - by the lower series, G = 2N + 1 + |S|: its N terms fall at least as
       fast as (x/(s+1))^k, so N < 37 (s+1)/(s+1-x), and the k-th carries k
       roundings, each sum one;
@@ -436,6 +437,18 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
     skip sound where z passes 2^52, whose ulp is a nat.  Quadrature
     estimates would not serve for L: a wide panel's nodes can miss the
     peak of the piece it covers by a hundred nats.
+
+    The bound pass stops early.  A piece from z0 on has bounds at most
+    n log x_m - z0, x_m the last radius, as its radii are at most x_m and
+    log(1 - e^-w) <= 0; its computed bounds are at most that value
+    computed, as log and each rounding are monotone.  So the pass stops at
+    the first piece whose z0 passes n log x_m - cut + 1 + 2 slack (|n log
+    x_m| + |cut|), cut the margin's line under the current L and slack =
+    16 eps: from there every bound, with its slack term, lies more than a
+    nat under the cut (ample against the rounding of the stop itself).
+    No later piece is kept or raises L, so L, the cut, its k (still the
+    number of finite pieces) and the kept pieces are those a full pass
+    gives.
     """
     _check_n(n)
     if rho.is_infinite:
@@ -450,22 +463,29 @@ def vol_mu(rho: RadiusFunction, n: int) -> float:
     pts = rho.breakpoints
     z_m, x_m = pts[-1]
     tail = _log_segment(n, rho.tail_slope, z_m, x_m, INF)
+    slack = 16.0 * sys.float_info.epsilon
+    log_k = math.log(max(len(pts) - 1, 1))
+    spread = 4.0 * z_m
+    gamma_terms = 2.0 * (math.lgamma(n + 2) + n)
+    top = n * math.log(x_m) if x_m > 0.0 else NEG_INF
     floor = tail
+    cut = floor - _TAIL_NATS - log_k - slack * (abs(floor) + spread + gamma_terms + 4500.0)
+    z_stop = top - cut + 1.0 + 2.0 * slack * (abs(top) + abs(cut))
     pieces = []  # (z0, x0, z1, x1, upper bound on log integral_z0^z1)
     z0, x0 = pts[0]
     a = n * math.log(x0) if x0 > 0.0 else NEG_INF
     for z1, x1 in pts[1:]:
+        if z0 > z_stop:
+            break
         b = n * math.log(x1)
         mass = math.log(-math.expm1(z0 - z1)) - z0
         lo, hi = a + mass, b + mass
-        floor = lo if lo > floor else floor
+        if lo > floor:
+            floor = lo
+            cut = floor - _TAIL_NATS - log_k - slack * (abs(floor) + spread + gamma_terms + 4500.0)
+            z_stop = top - cut + 1.0 + 2.0 * slack * (abs(top) + abs(cut))
         pieces.append((z0, x0, z1, x1, hi))
         z0, x0, a = z1, x1, b
-    slack = 16.0 * sys.float_info.epsilon
-    cut = (
-        floor - _TAIL_NATS - math.log(max(len(pieces), 1))
-        - slack * (abs(floor) + 4.0 * z_m + 2.0 * (math.lgamma(n + 2) + n) + 4500.0)
-    )
     parts = [tail]
     for z0, x0, z1, x1, hi in pieces:
         if hi + slack * abs(hi) < cut:

@@ -144,8 +144,9 @@ def _interpolate_sorted(pts: _Points, tail_slope: float, xs: Sequence[float]) ->
     which walks to its piece in i steps, i its piece index, where a
     bisection would take log m for m breakpoints.  No caller evaluates one
     point after another deep in a long profile: vol_mu evaluates only its
-    piece from radius 0, a radius's first, and the checks read each profile
-    at all their points in one sweep.
+    piece from radius 0, a radius's first, and the checks (and
+    extremal.t_map, at its three roots) read each profile at all their
+    points in one sweep.
     """
     x_last, y_last = pts[-1]
     out = []

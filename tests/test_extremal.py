@@ -42,6 +42,7 @@ from epidual.profile import (
     RadiusFunction,
     to_radius,
 )
+from epidual.verify import ProfileSampler
 
 
 def mp_lower(s, x):
@@ -263,6 +264,33 @@ def test_t_map_degenerate_inputs():
         t_map(RadiusFunction.infinite(), TRIPLE)
     with pytest.raises(ZeroProfile):
         t_map(RadiusFunction(((0.0, 0.0),), 0.0), TRIPLE)
+
+
+def test_t_map_reads_the_roots_in_one_sweep(monkeypatch):
+    # the three radii come from one sweep over z1 < z2 < z3, each the
+    # double evaluate gives at its root (evaluate is the one-point sweep)
+    reads = []
+    sweep = extremal._sweep
+
+    def spied(f):
+        def recorded(xs):
+            values = sweep(f)(xs)
+            reads.append((tuple(xs), values))
+            return values
+
+        return recorded
+
+    monkeypatch.setattr(extremal, "_sweep", spied)
+    roots = (TRIPLE.z1, TRIPLE.z2, TRIPLE.z3)
+    stream = ProfileSampler(seed=8).stream()
+    for _ in range(32):
+        rho = to_radius(next(stream))
+        reads.clear()
+        try:
+            t_map(rho, TRIPLE)
+        except ZeroProfile:
+            pass
+        assert reads == [(roots, [rho.evaluate(z) for z in roots])]
 
 
 def test_big_f_at_b_zero_is_inverse_factorial():

@@ -443,7 +443,11 @@ def test_trimmed_temme_rows_match_the_full_sum(monkeypatch):
         near = 10.0 ** -rng.uniform(0.0, 8.0)
         offset = half * (rng.random() if rng.random() < 0.5 else near)
         points.append((s, s + math.copysign(offset, rng.random() - 0.5)))
-    trimmed = [gammafn._temme(s, x) for s, x in points]
+    def pair(s, x):  # (log p, log q) as reg_gamma builds them from _temme
+        log_t = gammafn._temme(s, x)[0]
+        return (log_t, log1mexp(log_t)) if x < s else (log1mexp(log_t), log_t)
+
+    trimmed = [pair(s, x) for s, x in points]
     full = tuple(row[::-1] for row in _TEMME_C)
     monkeypatch.setattr(
         gammafn, "_TEMME_BINS",
@@ -451,8 +455,8 @@ def test_trimmed_temme_rows_match_the_full_sum(monkeypatch):
     )
     moved = 0
     for (s, x), got in zip(points, trimmed):
-        want = gammafn._temme(s, x)
-        for g, w in ((got.log_p, want.log_p), (got.log_q, want.log_q)):
+        want = pair(s, x)
+        for g, w in zip(got, want):
             assert abs(g - w) <= 2.0 * math.ulp(w), (s, x)
         moved += got != want
     # none moved when the bins were introduced
@@ -466,3 +470,45 @@ def test_log1pmx_against_mpmath():
             with mpmath.workdps(40):
                 want = float(mpmath.log1p(d) - d)
             assert _log1pmx(d) == pytest.approx(want, rel=2.0 * sys.float_info.epsilon)
+
+
+def _scaled_oracles(s, x):
+    """The scaled gammas as compositions, the oracle of the helpers' values.
+
+    In _temme's band (where reg_gamma is _temme) and, for the upper one,
+    below s + 1: reg_gamma's log p or log q less log(x^s e^-x / Gamma(s));
+    elsewhere the series' sum and the fraction themselves.
+    """
+    scale = gammafn._log_prefactor(s, x) + math.log(s)
+    band = gammafn._in_temme_band(s, x)
+    if band:
+        lower = reg_gamma(s, x).log_p - scale
+    else:
+        lower = math.log(gammafn._lower_sum(s, x) / s) if x < s + 1.0 else None
+    if band or x < s + 1.0:
+        upper = reg_gamma(s, x).log_q - scale
+        times_x = (upper, math.log(x) + upper)
+    else:
+        upper = math.log(gammafn._upper_fraction(s, x))
+        r = (s - 1.0) * gammafn._upper_fraction(s - 1.0, x)
+        times_x = (math.log((1.0 + r) / x), math.log1p(r))
+    return lower, upper, times_x
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 9.0, 19.0, 20.0, 21.0, 64.0, 65.0, 256.0, 1001.0])
+def test_scaled_gammas_equal_their_compositions(s):
+    # bit for bit, on both sides of every edge the helpers branch at: s
+    # (_temme's direct side), s + 1 (series and fraction) and the band's
+    # ends s -+ min(s/2, 8 sqrt s)
+    half = min(0.5 * s, 8.0 * math.sqrt(s))
+    xs = set()
+    for edge in (s, s + 1.0, s - half, s + half):
+        below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
+        xs.update(x for x in (edge - 0.25, below, edge, above, edge + 0.25) if x > 0.0)
+    for x in sorted(xs):
+        lower, upper, times_x = _scaled_oracles(s, x)
+        if x < s + 1.0:
+            assert gammafn._log_lower_scaled(s, x) == lower, (s, x)
+        assert _log_upper_scaled(s, x) == upper, (s, x)
+        if s >= 2.0:
+            assert gammafn._log_upper_scaled_times_x(s, x) == times_x, (s, x)

@@ -930,6 +930,95 @@ def test_vol_nu_direct_values_are_unchanged():
         assert got == want, p
 
 
+# (breakpoints, tail slope, n, float.hex of log_s_j_n), recorded before
+# gammafn's scaled helpers took their sides from one _temme or series pass
+# and vol_mu's bound pass learned to stop early.  Between them, mu and nu
+# of these profiles take every branch of _log_segment (narrow, flat, both
+# tail forms, lead, lower in near-end and in far-end units, upper) and
+# every branch of the scaled gammas (_temme's band below and above s, the
+# series, the upper one below s + 1 outside the band, the fraction and the
+# recurrence of _log_upper_scaled_times_x); the last profile's radius ends
+# in pieces vol_mu skips
+RATIO_PINS = (
+    (
+        (
+            (0.0, 0.0), (2.0, 1.0), (4.0, 4.0), (8.0, 18.0), (10.0, 25.5),
+        ),
+        19.75, 19, "-0x1.a72708f4a12ccp+3",
+    ),
+    (((0.0, 0.0), (1.0, 0.0), (9.0, 64.0)), 8.25, 19, "0x1.fa277ea559751p+4"),
+    (
+        (
+            (0.0, 0.0), (0.0625, 0.25), (0.5625, 4.25), (1.0625, 8.5),
+            (2.0625, 21.0), (2.1875, 23.5625), (3.1875, 45.0625),
+        ),
+        21.75, 24, "-0x1.1c7005d809608p+5",
+    ),
+    (
+        (
+            (0.0, 0.0), (0.0625, 0.03125), (0.5625, 1.28125), (0.625, 1.5),
+            (0.6875, 1.96875),
+        ),
+        8.5, 24, "-0x1.069de6b878e57p+4",
+    ),
+    (
+        (
+            (0.0, 0.0), (1.0, 4.0), (9.0, 44.0), (10.0, 49.125), (11.0, 55.25),
+        ),
+        10.125, 40, "-0x1.9a495638b344fp+6",
+    ),
+    (((0.0, 0.0), (32.0, 0.0)), 1.0, 40, "0x1.aaef95375512ap+6"),
+    (
+        (
+            (0.0, 0.0), (4.0, 4.0), (5.0, 5.25), (5.5, 6.375), (7.5, 18.875),
+            (9.5, 35.375), (11.5, 52.875),
+        ),
+        9.75, 64, "-0x1.c42f3ff006719p+6",
+    ),
+    (
+        (
+            (0.0, 0.0), (1.0, 0.0), (1.0625, 0.0078125), (1.5625, 4.0703125),
+        ),
+        8.375, 64, "0x1.05e0783232eadp+7",
+    ),
+    (((0.0, 0.0), (16.0, 0.0), (32.0, 16.0)), 5.0, 300, "0x1.24aae95093650p+10"),
+    (
+        (
+            (0.0, 0.0), (16.0, 64.0), (80.0, 448.0), (112.0, 648.0),
+            (144.0, 912.0),
+        ),
+        12.25, 1000, "-0x1.5583849f99fcfp+12",
+    ),
+    (
+        (
+            (0.0, 0.0), (64.0, 0.0), (72.0, 2.0), (136.0, 530.0), (152.0, 678.0),
+        ),
+        9.5, 1000, "0x1.62d28a951714dp+12",
+    ),
+    (
+        (
+            (0.0, 0.0), (0.25, 0.125), (0.5, 2.25), (1.0, 6.75), (1.0625, 7.5625),
+            (1.5625, 14.125), (2.5625, 29.25), (2.625, 30.2578125),
+            (2.6875, 31.765625), (3.1875, 45.828125), (4.1875, 81.953125),
+            (4.25, 84.4609375), (4.5, 94.7421875), (5.0, 119.3046875),
+            (5.0625, 122.390625), (5.3125, 134.984375), (5.4375, 142.28125),
+            (5.9375, 171.96875), (6.9375, 235.34375), (7.9375, 302.71875),
+            (8.4375, 338.40625), (9.4375, 410.78125), (9.9375, 450.96875),
+            (10.0625, 461.03125), (10.125, 466.078125), (10.1875, 471.1328125),
+            (10.6875, 511.8203125), (10.8125, 522.4921875), (10.9375, 533.4140625),
+            (11.4375, 578.1015625), (11.5, 584.1875), (12.0, 636.875),
+            (12.5, 689.8125),
+        ),
+        109.875, 300, "-0x1.522dae106ce85p+7",
+    ),
+)
+
+
+@pytest.mark.parametrize("pts, tail, n, want", RATIO_PINS)
+def test_ratio_bits_are_pinned_above_n_8(pts, tail, n, want):
+    assert log_s_j_n(ConvexProfile(pts, tail), n).hex() == want
+
+
 def test_volume_pair_invariant():
     assert volume_pair(ZERO, 2) == VolumePair(INF, INF)
     assert volume_pair(ORIGIN, 2) == VolumePair(NEG_INF, NEG_INF)
